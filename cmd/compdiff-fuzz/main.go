@@ -57,6 +57,9 @@
 //	-workers N      worker processes to supervise (with -serve)
 //	-list           list built-in targets and exit
 //
+// -san, -diffdir, -batch, -stats-every, and -heartbeat tune input
+// fuzzing; -programs and -evolve campaigns reject them.
+//
 // Exit codes: 0 on success, 2 for command-line misuse (bad flags,
 // unknown -target, mutually exclusive modes, or -resume against a
 // checkpoint written with different source/seeds/options), 1 for
@@ -90,6 +93,8 @@ import (
 
 	"compdiff"
 	"compdiff/internal/checkpoint"
+	"compdiff/internal/fuzz"
+	"compdiff/internal/progcache"
 	"compdiff/internal/supervisor"
 	"compdiff/internal/targets"
 	"compdiff/internal/telemetry"
@@ -225,11 +230,25 @@ func (c cliConfig) validate() error {
 			return fmt.Errorf("-generations %d: an evolutionary campaign needs at least 1 generation", c.generations)
 		}
 	}
-	if c.programs != "" && c.san != "none" {
-		return fmt.Errorf("-san applies to the fuzzing binary; a -programs campaign has none")
-	}
-	if c.evolve && c.san != "none" {
-		return fmt.Errorf("-san applies to the fuzzing binary; an -evolve campaign has none")
+	if c.programs != "" || c.evolve {
+		mode := "-programs"
+		if c.evolve {
+			mode = "-evolve"
+		}
+		// Input-fuzzing knobs: a program campaign has no fuzzing binary,
+		// no diverging inputs, and no barrier heartbeat, so these would
+		// be silently ignored.
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"-san", c.san != "none"}, {"-heartbeat", c.heartbeat != ""}, {"-diffdir", c.diffdir != ""},
+			{"-batch", c.batch > 1}, {"-stats-every", c.statsEvery > 0},
+		} {
+			if f.set {
+				return fmt.Errorf("%s only applies to input fuzzing, not to %s campaigns", f.name, mode)
+			}
+		}
 	}
 	if c.execs < 1 {
 		return fmt.Errorf("-execs %d: the execution budget must be at least 1", c.execs)
@@ -295,31 +314,32 @@ func main() {
 func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("compdiff-fuzz", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	targetName := fs.String("target", "", "built-in target to fuzz")
-	srcPath := fs.String("src", "", "MiniC source file to fuzz")
-	programsDir := fs.String("programs", "", "compile-oracle campaign over every *.mc in DIR")
-	evolveMode := fs.Bool("evolve", false, "evolutionary coverage-directed campaign")
-	pop := fs.Int("pop", 24, "population size (with -evolve)")
-	generations := fs.Int("generations", 20, "generations to evolve (with -evolve)")
-	execs := fs.Int64("execs", 50_000, "execution budget (per shard)")
-	execsTotal := fs.Int64("execs-total", 0, "cumulative per-shard budget across resumes (needs -checkpoint)")
-	seed := fs.Int64("seed", 1, "fuzzer RNG seed")
-	shards := fs.Int("shards", 1, "parallel fuzzer instances (AFL -M/-S style)")
-	jobs := fs.Int("jobs", 1, "worker goroutines per differential cross-check")
-	batch := fs.Int("batch", 1, "inputs cross-checked per warm machine-set borrow (1 = per-exec)")
-	syncEvery := fs.Int64("sync", 0, "executions between shard sync barriers (0 = budget/8)")
-	sanFlag := fs.String("san", "none", "sanitizer on the fuzz binary: none|asan|ubsan|msan")
-	diffdir := fs.String("diffdir", "", "persist diverging inputs")
-	statsDir := fs.String("stats", "", "record telemetry snapshots to DIR/plot.jsonl")
-	statsEvery := fs.Int64("stats-every", 0, "snapshot every N generated inputs (0 = final only)")
-	ckptDir := fs.String("checkpoint", "", "write crash-safe campaign snapshots under DIR")
-	ckptEvery := fs.Int64("checkpoint-every", 0, "sync barriers between snapshots (0 = every barrier)")
-	resume := fs.Bool("resume", false, "continue the campaign checkpointed in -checkpoint DIR")
-	heartbeat := fs.String("heartbeat", "", "atomically rewrite FILE with a status record at every barrier")
-	serveAddr := fs.String("serve", "", "supervise a worker farm; serve the control plane on ADDR")
-	farmDir := fs.String("farm", "", "farm root directory (with -serve)")
-	workers := fs.Int("workers", 2, "worker processes to supervise (with -serve)")
-	list := fs.Bool("list", false, "list built-in targets")
+	var cfg cliConfig
+	fs.StringVar(&cfg.target, "target", "", "built-in target to fuzz")
+	fs.StringVar(&cfg.src, "src", "", "MiniC source file to fuzz")
+	fs.StringVar(&cfg.programs, "programs", "", "compile-oracle campaign over every *.mc in DIR")
+	fs.BoolVar(&cfg.evolve, "evolve", false, "evolutionary coverage-directed campaign")
+	fs.IntVar(&cfg.pop, "pop", 24, "population size (with -evolve)")
+	fs.IntVar(&cfg.generations, "generations", 20, "generations to evolve (with -evolve)")
+	fs.Int64Var(&cfg.execs, "execs", 50_000, "execution budget (per shard)")
+	fs.Int64Var(&cfg.execsTotal, "execs-total", 0, "cumulative per-shard budget across resumes (needs -checkpoint)")
+	fs.Int64Var(&cfg.seed, "seed", 1, "fuzzer RNG seed")
+	fs.IntVar(&cfg.shards, "shards", 1, "parallel fuzzer instances (AFL -M/-S style)")
+	fs.IntVar(&cfg.jobs, "jobs", 1, "worker goroutines per differential cross-check")
+	fs.IntVar(&cfg.batch, "batch", 1, "inputs cross-checked per warm machine-set borrow (1 = per-exec)")
+	fs.Int64Var(&cfg.sync, "sync", 0, "executions between shard sync barriers (0 = budget/8)")
+	fs.StringVar(&cfg.san, "san", "none", "sanitizer on the fuzz binary: none|asan|ubsan|msan")
+	fs.StringVar(&cfg.diffdir, "diffdir", "", "persist diverging inputs")
+	fs.StringVar(&cfg.statsDir, "stats", "", "record telemetry snapshots to DIR/plot.jsonl")
+	fs.Int64Var(&cfg.statsEvery, "stats-every", 0, "snapshot every N generated inputs (0 = final only)")
+	fs.StringVar(&cfg.checkpoint, "checkpoint", "", "write crash-safe campaign snapshots under DIR")
+	fs.Int64Var(&cfg.ckptEvery, "checkpoint-every", 0, "sync barriers between snapshots (0 = every barrier)")
+	fs.BoolVar(&cfg.resume, "resume", false, "continue the campaign checkpointed in -checkpoint DIR")
+	fs.StringVar(&cfg.heartbeat, "heartbeat", "", "atomically rewrite FILE with a status record at every barrier")
+	fs.StringVar(&cfg.serve, "serve", "", "supervise a worker farm; serve the control plane on ADDR")
+	fs.StringVar(&cfg.farm, "farm", "", "farm root directory (with -serve)")
+	fs.IntVar(&cfg.workers, "workers", 2, "worker processes to supervise (with -serve)")
+	fs.BoolVar(&cfg.list, "list", false, "list built-in targets")
 	var seeds seedList
 	fs.Var(&seeds, "seedfile", "seed input file (repeatable)")
 	if err := fs.Parse(args); err != nil {
@@ -327,34 +347,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			return 0
 		}
 		return 2
-	}
-
-	cfg := cliConfig{
-		target:      *targetName,
-		src:         *srcPath,
-		programs:    *programsDir,
-		evolve:      *evolveMode,
-		pop:         *pop,
-		generations: *generations,
-		execs:       *execs,
-		execsTotal:  *execsTotal,
-		seed:        *seed,
-		shards:      *shards,
-		jobs:        *jobs,
-		batch:       *batch,
-		sync:        *syncEvery,
-		san:         *sanFlag,
-		diffdir:     *diffdir,
-		statsDir:    *statsDir,
-		statsEvery:  *statsEvery,
-		checkpoint:  *ckptDir,
-		ckptEvery:   *ckptEvery,
-		resume:      *resume,
-		heartbeat:   *heartbeat,
-		serve:       *serveAddr,
-		farm:        *farmDir,
-		workers:     *workers,
-		list:        *list,
 	}
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
@@ -468,7 +460,12 @@ func runFuzzCampaign(cfg cliConfig, seeds *seedList, stdout, stderr io.Writer) e
 	if cfg.shards > 1 || cfg.checkpoint != "" {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		pool, err := buildPool(src, corpus, opts, cfg.resume, stderr)
+		pool, err := openCampaign(cfg, stderr,
+			func() (*compdiff.CampaignPool, error) { return compdiff.NewCampaignPool(src, corpus, opts) },
+			func() (*compdiff.CampaignPool, error) { return compdiff.ResumeCampaignPool(src, corpus, opts) },
+			func(p *compdiff.CampaignPool) string {
+				return fmt.Sprintf("%d execs per shard already spent", p.SpentExecs())
+			})
 		if err != nil {
 			return err
 		}
@@ -511,19 +508,23 @@ func runFuzzCampaign(cfg cliConfig, seeds *seedList, stdout, stderr io.Writer) e
 	fmt.Fprintf(stdout, "persist errors : %d\n", campaign.PersistErrors())
 	printTelemetry(stdout, campaign.ImplSummaries(), campaign.Snapshots())
 	fmt.Fprintln(stdout)
+	printReports(stdout, campaign.Buckets(), campaign.ImplNames(), campaign.Crashes())
+	return nil
+}
 
-	// One report per triage bucket, not per raw signature: findings
-	// whose fingerprints coincide are the same underlying bug.
-	for _, b := range campaign.Buckets() {
-		fmt.Fprintln(stdout, b.Report(campaign.ImplNames()))
+// printReports renders one report per triage bucket — not per raw
+// signature: findings whose fingerprints coincide are the same
+// underlying bug — then the fuzzing binary's own crashes.
+func printReports(stdout io.Writer, buckets []*compdiff.Bucket, names []string, crashes []*fuzz.Crash) {
+	for _, b := range buckets {
+		fmt.Fprintln(stdout, b.Report(names))
 	}
-	for _, c := range campaign.Crashes() {
+	for _, c := range crashes {
 		fmt.Fprintf(stdout, "crash %s on input %q\n", c.Result.Exit, c.Input)
 		if c.Result.San != nil {
 			fmt.Fprintf(stdout, "  %s\n", c.Result.San)
 		}
 	}
-	return nil
 }
 
 // heartbeatHook adapts barrier stats into the atomic heartbeat file
@@ -580,17 +581,7 @@ func printPoolStats(stdout io.Writer, pool *compdiff.CampaignPool, stats compdif
 	}
 	printTelemetry(stdout, pool.ImplSummaries(), pool.Snapshots())
 	fmt.Fprintln(stdout)
-	// One report per triage bucket, not per raw signature: findings
-	// whose fingerprints coincide are the same underlying bug.
-	for _, b := range pool.Buckets() {
-		fmt.Fprintln(stdout, b.Report(pool.ImplNames()))
-	}
-	for _, c := range pool.Crashes() {
-		fmt.Fprintf(stdout, "crash %s on input %q\n", c.Result.Exit, c.Input)
-		if c.Result.San != nil {
-			fmt.Fprintf(stdout, "  %s\n", c.Result.San)
-		}
-	}
+	printReports(stdout, pool.Buckets(), pool.ImplNames(), pool.Crashes())
 }
 
 // runServe is the farm mode: supervise -workers worker processes
@@ -754,7 +745,13 @@ func runProgramsCampaign(cfg cliConfig, stdout, stderr io.Writer) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	pool, err := buildCompilePool(corpus, opts, cfg.resume, stderr)
+	pool, err := openCampaign(cfg, stderr,
+		func() (*compdiff.CompileCampaign, error) { return compdiff.NewCompileCampaign(corpus, opts) },
+		func() (*compdiff.CompileCampaign, error) { return compdiff.ResumeCompileCampaign(corpus, opts) },
+		func(p *compdiff.CompileCampaign) string {
+			st := p.Stats()
+			return fmt.Sprintf("%d of %d programs already processed", st.Cursor, st.CorpusLen)
+		})
 	if err != nil {
 		return err
 	}
@@ -765,44 +762,34 @@ func runProgramsCampaign(cfg cliConfig, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "programs       : %d of %d processed (%d accepted everywhere, %d uniform rejects)\n",
 		stats.Programs, stats.CorpusLen, stats.Accepted, stats.FrontendRejects)
 	fmt.Fprintf(stdout, "findings       : %d (%d triage buckets)\n", stats.Findings, stats.UniqueBuckets)
-	cs := pool.CacheStats()
+	printProgramSummary(stdout, pool, "compile classes",
+		stats.CompileDivergences, stats.ICEs, stats.DiagMismatches, stats.RuntimeBuckets, stats.ShardErrors)
+	return nil
+}
+
+// programCampaign is what the -programs and -evolve summaries share.
+type programCampaign interface {
+	CacheStats() progcache.Stats
+	Buckets() []*compdiff.Bucket
+	ImplNames() []string
+}
+
+// printProgramSummary renders the summary tail the two program-campaign
+// modes share: cache counters, findings by class, retired shards, and
+// one report per triage bucket.
+func printProgramSummary(stdout io.Writer, p programCampaign, classes string, divergences, ices, diags, runtime int, shardErrs []error) {
+	cs := p.CacheStats()
 	fmt.Fprintf(stdout, "compile cache  : %d hits, %d misses, %d evictions (%d resident, %d bytes)\n",
 		cs.Hits, cs.Misses, cs.Evictions, cs.Entries, cs.Bytes)
-	fmt.Fprintf(stdout, "compile classes: %d accept/reject divergences, %d ICEs, %d diagnostic mismatches, %d runtime\n",
-		stats.CompileDivergences, stats.ICEs, stats.DiagMismatches, stats.RuntimeBuckets)
-	for si, serr := range stats.ShardErrors {
+	fmt.Fprintf(stdout, "%s: %d accept/reject divergences, %d ICEs, %d diagnostic mismatches, %d runtime\n",
+		classes, divergences, ices, diags, runtime)
+	for si, serr := range shardErrs {
 		if serr != nil {
 			fmt.Fprintf(stdout, "  shard %d retired: %v\n", si, serr)
 		}
 	}
 	fmt.Fprintln(stdout)
-	for _, b := range pool.BucketStore().Buckets() {
-		fmt.Fprintln(stdout, b.Report(pool.ImplNames()))
-	}
-	return nil
-}
-
-// buildCompilePool mirrors buildPool's -resume behavior for the
-// compile-oracle campaign.
-func buildCompilePool(corpus []string, opts compdiff.CompileCampaignOptions, resume bool, stderr io.Writer) (*compdiff.CompileCampaign, error) {
-	if !resume {
-		return compdiff.NewCompileCampaign(corpus, opts)
-	}
-	pool, err := compdiff.ResumeCompileCampaign(corpus, opts)
-	switch {
-	case err == nil:
-		st := pool.Stats()
-		fmt.Fprintf(stderr, "compdiff-fuzz: resumed from checkpoint %s (seq %d, %d of %d programs already processed)\n",
-			opts.CheckpointDir, pool.CheckpointSeq(), st.Cursor, st.CorpusLen)
-		return pool, nil
-	case errors.Is(err, compdiff.ErrNoCheckpoint):
-		fmt.Fprintf(stderr, "compdiff-fuzz: no checkpoint in %s; starting fresh\n", opts.CheckpointDir)
-		return compdiff.NewCompileCampaign(corpus, opts)
-	case errors.Is(err, compdiff.ErrCheckpointMismatch):
-		return nil, usageError{err}
-	default:
-		return nil, err
-	}
+	printReports(stdout, p.Buckets(), p.ImplNames(), nil)
 }
 
 // runEvolveCampaign is the -evolve mode: an evolutionary
@@ -823,7 +810,13 @@ func runEvolveCampaign(cfg cliConfig, stdout, stderr io.Writer) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	pool, err := buildEvolvePool(opts, cfg.resume, stderr)
+	pool, err := openCampaign(cfg, stderr,
+		func() (*compdiff.EvolveCampaign, error) { return compdiff.NewEvolveCampaign(opts) },
+		func() (*compdiff.EvolveCampaign, error) { return compdiff.ResumeEvolveCampaign(opts) },
+		func(p *compdiff.EvolveCampaign) string {
+			st := p.Stats()
+			return fmt.Sprintf("generation %d of %d already evaluated", st.Generation, st.Generations)
+		})
 	if err != nil {
 		return err
 	}
@@ -839,69 +832,34 @@ func runEvolveCampaign(cfg cliConfig, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "fitness        : best %.1f, mean %.1f (last generation)\n",
 		stats.BestFitness, stats.MeanFitness)
 	fmt.Fprintf(stdout, "findings       : %d (%d triage buckets)\n", stats.Findings, stats.UniqueBuckets)
-	cs := pool.CacheStats()
-	fmt.Fprintf(stdout, "compile cache  : %d hits, %d misses, %d evictions (%d resident, %d bytes)\n",
-		cs.Hits, cs.Misses, cs.Evictions, cs.Entries, cs.Bytes)
-	fmt.Fprintf(stdout, "finding classes: %d accept/reject divergences, %d ICEs, %d diagnostic mismatches, %d runtime\n",
-		stats.CompileDivergences, stats.ICEs, stats.DiagMismatches, stats.RuntimeBuckets)
-	for si, serr := range stats.ShardErrors {
-		if serr != nil {
-			fmt.Fprintf(stdout, "  shard %d retired: %v\n", si, serr)
-		}
-	}
-	fmt.Fprintln(stdout)
-	for _, b := range pool.BucketStore().Buckets() {
-		fmt.Fprintln(stdout, b.Report(pool.ImplNames()))
-	}
+	printProgramSummary(stdout, pool, "finding classes",
+		stats.CompileDivergences, stats.ICEs, stats.DiagMismatches, stats.RuntimeBuckets, stats.ShardErrors)
 	return nil
 }
 
-// buildEvolvePool mirrors buildPool's -resume behavior for the
-// evolutionary campaign.
-func buildEvolvePool(opts compdiff.EvolveCampaignOptions, resume bool, stderr io.Writer) (*compdiff.EvolveCampaign, error) {
-	if !resume {
-		return compdiff.NewEvolveCampaign(opts)
-	}
-	pool, err := compdiff.ResumeEvolveCampaign(opts)
-	switch {
-	case err == nil:
-		st := pool.Stats()
-		fmt.Fprintf(stderr, "compdiff-fuzz: resumed from checkpoint %s (seq %d, generation %d of %d already evaluated)\n",
-			opts.CheckpointDir, pool.CheckpointSeq(), st.Generation, st.Generations)
-		return pool, nil
-	case errors.Is(err, compdiff.ErrNoCheckpoint):
-		fmt.Fprintf(stderr, "compdiff-fuzz: no checkpoint in %s; starting fresh\n", opts.CheckpointDir)
-		return compdiff.NewEvolveCampaign(opts)
-	case errors.Is(err, compdiff.ErrCheckpointMismatch):
-		return nil, usageError{err}
-	default:
-		return nil, err
-	}
-}
-
-// buildPool constructs the campaign pool, honoring -resume: a missing
+// openCampaign builds any mode's campaign, honoring -resume: a missing
 // checkpoint falls back to a fresh start (so the same command line
 // works for the first run and every restart), an options mismatch is a
 // user error (exit 2), and a corrupt checkpoint is fatal (exit 1) —
 // never a panic, and never a silent fresh start that would clobber it.
-func buildPool(src string, corpus [][]byte, opts compdiff.CampaignOptions, resume bool, stderr io.Writer) (*compdiff.CampaignPool, error) {
-	if !resume {
-		return compdiff.NewCampaignPool(src, corpus, opts)
+// progress describes what a resumed campaign has already done.
+func openCampaign[P interface{ CheckpointSeq() int }](cfg cliConfig, stderr io.Writer,
+	fresh, resume func() (P, error), progress func(P) string) (P, error) {
+	if !cfg.resume {
+		return fresh()
 	}
-	pool, err := compdiff.ResumeCampaignPool(src, corpus, opts)
+	p, err := resume()
 	switch {
 	case err == nil:
-		fmt.Fprintf(stderr, "compdiff-fuzz: resumed from checkpoint %s (seq %d, %d execs per shard already spent)\n",
-			opts.CheckpointDir, pool.CheckpointSeq(), pool.SpentExecs())
-		return pool, nil
+		fmt.Fprintf(stderr, "compdiff-fuzz: resumed from checkpoint %s (seq %d, %s)\n",
+			cfg.checkpoint, p.CheckpointSeq(), progress(p))
 	case errors.Is(err, compdiff.ErrNoCheckpoint):
-		fmt.Fprintf(stderr, "compdiff-fuzz: no checkpoint in %s; starting fresh\n", opts.CheckpointDir)
-		return compdiff.NewCampaignPool(src, corpus, opts)
+		fmt.Fprintf(stderr, "compdiff-fuzz: no checkpoint in %s; starting fresh\n", cfg.checkpoint)
+		return fresh()
 	case errors.Is(err, compdiff.ErrCheckpointMismatch):
-		return nil, usageError{err}
-	default:
-		return nil, err
+		err = usageError{err}
 	}
+	return p, err
 }
 
 // printTelemetry renders the per-implementation summary table and the

@@ -86,6 +86,50 @@ func TestValidateFlags(t *testing.T) {
 			c.generations = 20
 			c.san = "ubsan"
 		}, "-evolve campaign"},
+		// Input-fuzzing knobs have no effect on program campaigns; they
+		// are rejected rather than silently ignored.
+		{"programs-heartbeat", func(c *cliConfig) {
+			c.target = ""
+			c.programs = "progs"
+			c.checkpoint = "ckpt"
+			c.heartbeat = "hb.json"
+		}, "-heartbeat only applies to input fuzzing, not to -programs campaigns"},
+		{"programs-diffdir", func(c *cliConfig) { c.target = ""; c.programs = "progs"; c.diffdir = "d" },
+			"-diffdir only applies to input fuzzing, not to -programs campaigns"},
+		{"programs-batch", func(c *cliConfig) { c.target = ""; c.programs = "progs"; c.batch = 64 },
+			"-batch only applies to input fuzzing, not to -programs campaigns"},
+		{"programs-batch-one", func(c *cliConfig) { c.target = ""; c.programs = "progs"; c.batch = 1 }, ""},
+		{"programs-stats-every", func(c *cliConfig) { c.target = ""; c.programs = "progs"; c.statsEvery = 5 },
+			"-stats-every only applies to input fuzzing, not to -programs campaigns"},
+		{"evolve-heartbeat", func(c *cliConfig) {
+			c.target = ""
+			c.evolve = true
+			c.pop = 8
+			c.generations = 4
+			c.checkpoint = "ckpt"
+			c.heartbeat = "hb.json"
+		}, "-heartbeat only applies to input fuzzing, not to -evolve campaigns"},
+		{"evolve-diffdir", func(c *cliConfig) {
+			c.target = ""
+			c.evolve = true
+			c.pop = 8
+			c.generations = 4
+			c.diffdir = "d"
+		}, "-diffdir only applies to input fuzzing, not to -evolve campaigns"},
+		{"evolve-batch", func(c *cliConfig) {
+			c.target = ""
+			c.evolve = true
+			c.pop = 8
+			c.generations = 4
+			c.batch = 64
+		}, "-batch only applies to input fuzzing, not to -evolve campaigns"},
+		{"evolve-stats-every", func(c *cliConfig) {
+			c.target = ""
+			c.evolve = true
+			c.pop = 8
+			c.generations = 4
+			c.statsEvery = 5
+		}, "-stats-every only applies to input fuzzing, not to -evolve campaigns"},
 		{"pop-without-evolve", func(c *cliConfig) { c.pop = 24; c.popSet = true },
 			"only make sense with -evolve"},
 		{"generations-without-evolve", func(c *cliConfig) { c.generations = 20; c.gensSet = true },

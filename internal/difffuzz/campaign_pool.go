@@ -2,35 +2,34 @@ package difffuzz
 
 // The sharded campaign orchestrator: the AFL++ -M/-S topology the
 // paper's evaluation used on its 64-core server (§4, Tables 5-6),
-// reproduced as a pool of N in-process fuzzer shards. Shard 0 is the
-// main instance (deterministic stage enabled, like -M); secondaries
-// run havoc-only (like -S). Each shard owns its fuzzer, its B_fuzz
-// machine, its CompDiff suite, and a shard-local DiffStore, so the
-// shards never contend mid-epoch and a fixed FuzzSeed yields the same
-// findings regardless of goroutine scheduling.
+// reproduced as a pool of N in-process fuzzer shards on the campaign
+// engine. Shard 0 is the main instance (deterministic stage enabled,
+// like -M); secondaries run havoc-only (like -S). Each shard owns its
+// fuzzer, its B_fuzz machine, its CompDiff suite, and a shard-local
+// DiffStore, so the shards never contend mid-epoch and a fixed
+// FuzzSeed yields the same findings regardless of goroutine
+// scheduling.
 //
 // Shards meet at synchronization barriers every SyncEvery executions.
-// A barrier, run single-threaded in shard-index order, does what
-// AFL's periodic queue-directory scans do: it merges each shard's new
-// discrepancies into the shared mutex-guarded DiffStore, recounts the
-// shared totals, and cross-pollinates both the diff-triggering inputs
-// and the coverage-fresh queue entries into every sibling shard.
-// Because barriers are the only cross-shard channel, the set of
+// The barrier merge, run single-threaded in shard-index order, does
+// what AFL's periodic queue-directory scans do: it merges each shard's
+// new discrepancies into the shared mutex-guarded DiffStore, recounts
+// the shared totals, and cross-pollinates both the diff-triggering
+// inputs and the coverage-fresh queue entries into every sibling
+// shard. Because barriers are the only cross-shard channel, the set of
 // discrepancy signatures a pool finds is a deterministic function of
 // (source, seeds, options) — discovery *order* inside an epoch is the
 // only thing scheduling can vary, and the shared store absorbs in
-// shard order, so even that is stable.
+// shard order, so even that is stable. A panicking shard is retired;
+// the others keep fuzzing.
 
 import (
 	"context"
 	"fmt"
 	"log"
-	"runtime/debug"
 	"sort"
-	"sync"
 	"sync/atomic"
 
-	"compdiff/internal/checkpoint"
 	"compdiff/internal/core"
 	"compdiff/internal/fuzz"
 	"compdiff/internal/minic/parser"
@@ -41,61 +40,32 @@ import (
 
 // Pool runs N campaign shards over one target.
 type Pool struct {
+	engine
 	opts   Options
 	shards []*shard
 	store  *core.DiffStore // shared; shard stores merge into it at barriers
-	// buckets is the pool-wide triage store: shard-local bucket stores
-	// merge into it at the same barriers, so two shards hitting the
-	// same underlying bug yield exactly one pool-wide bucket.
-	buckets *triage.BucketStore
 
-	// mu guards the shard health fields a panicking shard goroutine
-	// writes during an epoch, plus the barrier-consistent stat caches
-	// below — the data a concurrent Stats reader (the control plane)
-	// touches while an epoch runs.
-	mu sync.Mutex
 	// statShards / statCrashes are barrier-consistent copies of the
-	// per-shard fuzzer stats and the content-deduplicated crash-input
-	// set. Shard fuzzers are goroutine-confined, so a live Stats call
-	// must not touch them mid-epoch; these caches are refreshed at
-	// every synchronization barrier (and at construction/restore),
-	// which is also the only moment the numbers are mutually
-	// consistent.
+	// per-shard fuzzer stats and the content-deduplicated crash count,
+	// guarded by engine.mu. Shard fuzzers are goroutine-confined, so a
+	// live Stats call (the control plane) must not touch them mid-epoch;
+	// these caches are refreshed at every barrier (and at
+	// construction/restore), which is also the only moment the numbers
+	// are mutually consistent.
 	statShards  []fuzz.Stats
-	statCrashes map[string]bool
+	statCrashes int
 
-	// recorder is nil unless Options ask for stats. Snapshots are taken
-	// at synchronization barriers (all shard goroutines joined, so the
-	// per-class counters sum to the exec total exactly) and once more
-	// when Run returns.
-	recorder *telemetry.Recorder
-
-	// epochHook, when set, runs at the start of every shard epoch
-	// inside the panic-recovery scope. Tests use it to wedge a shard.
-	epochHook func(shardIndex int)
-
-	// saver is nil unless Options ask for checkpointing. Snapshots are
-	// taken at barriers — the only single-threaded moment — every
-	// ckptEvery barriers and once more when Run returns.
-	saver     *checkpoint.Saver
-	ckptEvery int64
-	sinceCkpt int64
-	// optionsHash guards resume: a checkpoint only loads into a pool
-	// whose CampaignHash matches.
-	optionsHash uint64
+	// The current Run call's budget, the part of it spent, the epoch
+	// chunk, and the prepared epoch's step, all per shard.
+	budget, spent, chunk, step int64
 	// spentTotal accumulates the per-shard budget across Run calls
 	// (restored on resume, so it spans process lifetimes). Atomic so a
 	// concurrent Stats reader sees a coherent value mid-campaign.
 	spentTotal atomic.Int64
 	// persistErrs counts shared-store persistence failures observed at
 	// barriers. Atomic: the control plane reads stats while the
-	// campaign runs, and the shard counters it is summed with are
-	// already atomics — a plain increment here was the one racy read
-	// in that path. persistLogged / ckptLogged keep the logs to one
-	// line per failure kind per campaign.
-	persistErrs   atomic.Int64
-	persistLogged bool
-	ckptLogged    bool
+	// campaign runs.
+	persistErrs atomic.Int64
 }
 
 // shard is one fuzzer instance plus its synchronization bookkeeping.
@@ -105,8 +75,6 @@ type shard struct {
 	diffsSynced   int             // shard-local store entries already merged
 	bucketsSynced int             // shard-local buckets already merged
 	queueSeen     map[uint64]bool // queue entry hashes already cross-pollinated
-	dead          bool            // a panicking shard is retired, not restarted
-	err           error
 }
 
 // PoolStats summarizes a pool run.
@@ -150,6 +118,10 @@ type PoolStats struct {
 // seeds. Bug-triggering inputs persist (when opts.DiffDir is set)
 // only through the shared store, so shards never contend on files.
 func NewPool(src string, seeds [][]byte, opts Options) (*Pool, error) {
+	return newPool(src, seeds, opts, false)
+}
+
+func newPool(src string, seeds [][]byte, opts Options, resume bool) (*Pool, error) {
 	prog, err := parser.Parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("difffuzz: parse: %w", err)
@@ -158,50 +130,8 @@ func NewPool(src string, seeds [][]byte, opts Options) (*Pool, error) {
 	if err != nil {
 		return nil, fmt.Errorf("difffuzz: check: %w", err)
 	}
-	if opts.CheckpointDir != "" {
-		// Only the source-level constructor can compute the hash that
-		// guards resume (NewPoolChecked never sees the source text).
-		opts.ckptHash = CampaignHash(src, seeds, opts)
-	}
-	return NewPoolChecked(info, seeds, opts)
-}
-
-// NewPoolChecked builds a pool from an already-checked program.
-func NewPoolChecked(info *sema.Info, seeds [][]byte, opts Options) (*Pool, error) {
-	n := opts.Shards
-	if n < 1 {
-		n = 1
-	}
-	p := &Pool{
-		opts:    opts,
-		store:   core.NewDiffStore(opts.DiffDir),
-		buckets: triage.NewBucketStore(),
-	}
-	if opts.CheckpointDir != "" {
-		if opts.ckptHash == 0 {
-			return nil, fmt.Errorf("difffuzz: checkpointing requires NewPool or ResumePool (the source-level constructors)")
-		}
-		if !opts.resume && checkpoint.Exists(opts.CheckpointDir) {
-			return nil, fmt.Errorf("difffuzz: %s already holds a checkpoint; resume it or pick a fresh directory", opts.CheckpointDir)
-		}
-		saver, err := checkpoint.NewSaver(opts.CheckpointDir)
-		if err != nil {
-			return nil, fmt.Errorf("difffuzz: %w", err)
-		}
-		p.saver = saver
-		p.optionsHash = opts.ckptHash
-		p.ckptEvery = opts.CheckpointEvery
-		if p.ckptEvery <= 0 {
-			p.ckptEvery = 1
-		}
-	}
-	if opts.statsEnabled() {
-		rec, err := telemetry.NewRecorder(opts.StatsDir)
-		if err != nil {
-			return nil, fmt.Errorf("difffuzz: stats: %w", err)
-		}
-		p.recorder = rec
-	}
+	p := &Pool{opts: opts, store: core.NewDiffStore(opts.DiffDir)}
+	n := max(opts.Shards, 1)
 	for si := 0; si < n; si++ {
 		sopts := opts
 		sopts.FuzzSeed = ShardSeed(opts.FuzzSeed, si)
@@ -226,6 +156,17 @@ func NewPoolChecked(info *sema.Info, seeds [][]byte, opts Options) (*Pool, error
 		p.shards = append(p.shards, &shard{c: c, queueSeen: map[uint64]bool{}})
 	}
 	p.refreshStatCache()
+	if opts.BarrierHook != nil {
+		p.barrierHook = func() { opts.BarrierHook(p.Stats()) }
+	}
+	err = p.open(p, engineConfig{
+		shards: n, names: implNames(defaultConfigs(opts.Configs)), hash: CampaignHash(src, seeds, opts),
+		ckptDir: opts.CheckpointDir, ckptEvery: opts.CheckpointEvery,
+		stats: opts.statsEnabled(), statsDir: opts.StatsDir, resume: resume,
+	})
+	if err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
@@ -234,20 +175,14 @@ func NewPoolChecked(info *sema.Info, seeds [][]byte, opts Options) (*Pool, error
 // only when no shard goroutine is running: at construction, at every
 // synchronization barrier, and after a checkpoint restore.
 func (p *Pool) refreshStatCache() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.statShards == nil {
-		p.statShards = make([]fuzz.Stats, len(p.shards))
-	}
-	if p.statCrashes == nil {
-		p.statCrashes = map[string]bool{}
-	}
+	stats := make([]fuzz.Stats, len(p.shards))
 	for si, s := range p.shards {
-		p.statShards[si] = s.c.Stats()
-		for _, cr := range s.c.Crashes() {
-			p.statCrashes[string(cr.Input)] = true
-		}
+		stats[si] = s.c.Stats()
 	}
+	crashes := len(p.Crashes())
+	p.mu.Lock()
+	p.statShards, p.statCrashes = stats, crashes
+	p.mu.Unlock()
 }
 
 // ShardSeed derives shard si's fuzzer RNG seed from the base seed.
@@ -272,116 +207,40 @@ func ShardSeed(base int64, si int) int64 {
 // returns. A shard that panics is retired with its error recorded;
 // the remaining shards keep fuzzing.
 func (p *Pool) Run(ctx context.Context, budget int64) PoolStats {
-	if ctx == nil {
-		ctx = context.Background()
+	p.budget, p.spent = budget, 0
+	p.chunk = p.opts.SyncEvery
+	if p.chunk <= 0 {
+		p.chunk = budget / 8
 	}
-	chunk := p.opts.SyncEvery
-	if chunk <= 0 {
-		chunk = budget / 8
+	// A single shard needs no barriers, so the whole budget runs in one
+	// chunk — keeping Shards=1 byte-identical to a plain Campaign. With
+	// checkpointing on, barriers are the snapshot points, so the shard
+	// chunks like a multi-shard pool; fresh and resumed runs then share
+	// the same chunking, which is what makes resume
+	// execution-equivalent.
+	if len(p.shards) == 1 && p.saver == nil || p.chunk < 1 {
+		p.chunk = budget
 	}
-	if len(p.shards) == 1 && p.saver == nil {
-		// A single shard needs no barriers, so the whole budget runs in
-		// one chunk — keeping Shards=1 byte-identical to a plain
-		// Campaign. With checkpointing on, barriers are the snapshot
-		// points, so the shard chunks like a multi-shard pool; fresh
-		// and resumed runs then share the same chunking, which is what
-		// makes resume execution-equivalent.
-		chunk = budget
-	}
-	if chunk < 1 {
-		chunk = budget
-	}
-	var spent int64
-	for spent < budget && ctx.Err() == nil {
-		step := chunk
-		if rem := budget - spent; step > rem {
-			step = rem
-		}
-		var wg sync.WaitGroup
-		for si, s := range p.shards {
-			if s.dead {
-				continue
-			}
-			wg.Add(1)
-			go func(si int, s *shard) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						p.mu.Lock()
-						s.dead = true
-						s.err = fmt.Errorf("difffuzz: shard %d panicked: %v\n%s", si, r, debug.Stack())
-						p.mu.Unlock()
-					}
-				}()
-				if p.epochHook != nil {
-					p.epochHook(si)
-				}
-				s.c.Run(step)
-			}(si, s)
-		}
-		wg.Wait()
-		spent += step
-		p.spentTotal.Add(step)
-		p.synchronize()
-		if p.recorder != nil {
-			p.recorder.Record(p.snapshot())
-		}
-		if p.saver != nil {
-			p.sinceCkpt++
-			if p.sinceCkpt >= p.ckptEvery {
-				p.saveCheckpoint()
-			}
-		}
-		if p.opts.BarrierHook != nil {
-			// Last, so the hook observes the post-merge, post-checkpoint
-			// state: a heartbeat written here never claims progress the
-			// durable checkpoint does not yet hold beyond one interval.
-			p.opts.BarrierHook(p.Stats())
-		}
-		if p.liveShards() == 0 {
-			break
-		}
-	}
-	// A checkpoint-due barrier may not have been the last one (or the
-	// budget may not divide evenly); make the final state durable so a
-	// follow-up resume loses nothing.
-	if p.saver != nil && p.sinceCkpt > 0 {
-		p.saveCheckpoint()
-	}
-	if ctx.Err() != nil {
-		// Cancellation ends the campaign mid-budget: emit a final
-		// snapshot reflecting the merged post-barrier state and flush
-		// the plot file, so the telemetry tail is not lost if the
-		// process exits without calling Close.
-		if p.recorder != nil {
-			p.recorder.Record(p.snapshot())
-			_ = p.recorder.Sync()
-			_ = p.recorder.Close()
-		}
-	}
+	p.run(ctx)
 	return p.Stats()
 }
 
-// saveCheckpoint snapshots the pool at a barrier. Save failures never
-// stop the campaign — the previous checkpoint (if any) stays loadable
-// — but the first one is logged.
-func (p *Pool) saveCheckpoint() {
-	p.sinceCkpt = 0
-	if err := p.saver.Save(p.exportState()); err != nil {
-		if !p.ckptLogged {
-			log.Printf("difffuzz: checkpoint save failed (campaign continues on the previous checkpoint): %v", err)
-			p.ckptLogged = true
-		}
-	}
+func (p *Pool) next() bool {
+	p.step = min(p.chunk, p.budget-p.spent)
+	return p.spent < p.budget
+}
+
+func (p *Pool) epoch(_ context.Context, si int) bool {
+	p.shards[si].c.Run(p.step)
+	return true
 }
 
 // snapshot aggregates the shard counters into one pool-wide progress
 // record. Called only between epochs (barrier or after Run), when no
 // shard goroutine is running.
 func (p *Pool) snapshot() telemetry.Snapshot {
-	var s telemetry.Snapshot
+	s := p.snapshotBase()
 	var classes [telemetry.NumClasses]int64
-	crashes := map[string]bool{}
 	plateau := int64(-1)
 	for si, sh := range p.shards {
 		m := sh.c.metrics
@@ -392,11 +251,8 @@ func (p *Pool) snapshot() telemetry.Snapshot {
 			classes[k] += n
 		}
 		s.Queue += st.Seeds
-		for _, cr := range sh.c.Crashes() {
-			crashes[string(cr.Input)] = true
-		}
 		age := st.Execs - st.LastNewPath
-		if !sh.dead && (plateau < 0 || age < plateau) {
+		if !p.dead[si] && (plateau < 0 || age < plateau) {
 			plateau = age
 		}
 		role := "main"
@@ -411,14 +267,13 @@ func (p *Pool) snapshot() telemetry.Snapshot {
 			UniqueDiffs:   sh.c.diffs.Len(),
 			UniqueBuckets: sh.c.buckets.Len(),
 			PlateauExecs:  age,
-			Retired:       sh.dead,
+			Retired:       p.dead[si],
 		})
 	}
 	s.SetClasses(classes)
 	s.UniqueDiffs = p.store.Len()
 	s.TotalDiffInputs = p.store.Total()
-	s.UniqueBuckets = p.buckets.Len()
-	s.UniqueCrashes = len(crashes)
+	s.UniqueCrashes = len(p.Crashes())
 	s.PersistErrors = p.persistErrors()
 	if plateau > 0 {
 		s.PlateauExecs = plateau
@@ -436,20 +291,13 @@ func (p *Pool) persistErrors() int64 {
 	return n
 }
 
-func (p *Pool) liveShards() int {
-	n := 0
-	for _, s := range p.shards {
-		if !s.dead {
-			n++
-		}
-	}
-	return n
-}
+// merge is the barrier body. It runs single-threaded (all shard
+// goroutines have joined), in shard-index order, which keeps the
+// shared store's discovery order deterministic.
+func (p *Pool) merge() {
+	p.spent += p.step
+	p.spentTotal.Add(p.step)
 
-// synchronize is the barrier body. It runs single-threaded (all
-// shard goroutines have joined), in shard-index order, which keeps
-// the shared store's discovery order deterministic.
-func (p *Pool) synchronize() {
 	// 1. Merge each shard's new discrepancies into the shared store
 	// and remember the diff-triggering inputs that were new pool-wide.
 	var freshInputs [][]byte
@@ -461,12 +309,8 @@ func (p *Pool) synchronize() {
 		// floor hid incomplete DiffDir evidence from every report:
 		// count it and log the first occurrence.
 		fresh, err := p.store.Absorb(delta)
-		if err != nil {
-			p.persistErrs.Add(1)
-			if !p.persistLogged {
-				log.Printf("difffuzz: diff persistence failed (campaign continues, on-disk evidence incomplete): %v", err)
-				p.persistLogged = true
-			}
+		if err != nil && p.persistErrs.Add(1) == 1 {
+			log.Printf("difffuzz: diff persistence failed (campaign continues, on-disk evidence incomplete): %v", err)
 		}
 		for _, d := range fresh {
 			freshInputs = append(freshInputs, d.Outcome.Input)
@@ -474,7 +318,8 @@ func (p *Pool) synchronize() {
 	}
 
 	// 2. Recount: the shared store's per-signature counts become the
-	// exact sum over shard-local stores.
+	// exact sum over shard-local stores; the triage buckets get the
+	// same merge-then-recount.
 	totals := map[uint64]int{}
 	for _, s := range p.shards {
 		for sig, c := range s.c.diffs.Counts() {
@@ -482,22 +327,9 @@ func (p *Pool) synchronize() {
 		}
 	}
 	p.store.Recount(totals)
-
-	// 2b. Same merge-then-recount for the triage buckets: new bucket
-	// keys are absorbed in shard order, and per-bucket hit counts
-	// become the exact sum over shard-local stores.
-	for _, s := range p.shards {
-		delta := s.c.buckets.Since(s.bucketsSynced)
-		s.bucketsSynced += len(delta)
-		p.buckets.Absorb(delta)
-	}
-	bucketTotals := map[uint64]int{}
-	for _, s := range p.shards {
-		for key, c := range s.c.buckets.Counts() {
-			bucketTotals[key] += c
-		}
-	}
-	p.buckets.Recount(bucketTotals)
+	mergeBuckets(p.buckets, len(p.shards), func(si int) (*triage.BucketStore, *int) {
+		return p.shards[si].c.buckets, &p.shards[si].bucketsSynced
+	})
 
 	// 3. Cross-pollinate, AFL -M/-S style: every sibling imports the
 	// coverage-fresh queue entries and new diff inputs it has not
@@ -510,8 +342,8 @@ func (p *Pool) synchronize() {
 				newSeeds = append(newSeeds, q.Data)
 			}
 		}
-		for _, other := range p.shards {
-			if other == s || other.dead {
+		for oi, other := range p.shards {
+			if other == s || p.dead[oi] {
 				continue
 			}
 			for _, data := range newSeeds {
@@ -519,12 +351,9 @@ func (p *Pool) synchronize() {
 			}
 		}
 	}
-	for _, s := range p.shards {
-		if s.dead {
-			continue
-		}
+	for _, si := range p.live() {
 		for _, data := range freshInputs {
-			s.c.fuzzer.ForceSeed(data)
+			p.shards[si].c.fuzzer.ForceSeed(data)
 		}
 	}
 
@@ -541,13 +370,10 @@ func (p *Pool) synchronize() {
 // counters are read live. After Run returns the last barrier has run,
 // so every field is exact.
 func (p *Pool) Stats() PoolStats {
-	st := PoolStats{Shards: len(p.shards)}
+	st := PoolStats{Shards: len(p.shards), ShardErrors: p.shardErrors()}
 	p.mu.Lock()
 	st.ShardStats = append([]fuzz.Stats(nil), p.statShards...)
-	st.UniqueCrashes = len(p.statCrashes)
-	for _, s := range p.shards {
-		st.ShardErrors = append(st.ShardErrors, s.err)
-	}
+	st.UniqueCrashes = p.statCrashes
 	p.mu.Unlock()
 	for _, fs := range st.ShardStats {
 		st.Execs += fs.Execs
@@ -557,11 +383,7 @@ func (p *Pool) Stats() PoolStats {
 	}
 	st.UniqueDiffs = p.store.Len()
 	st.TotalDiffInputs = p.store.Total()
-	st.UniqueBuckets = p.buckets.Len()
-	kinds := p.buckets.KindCounts()
-	st.CompileDivergences = kinds[triage.KindCompileDivergence]
-	st.ICEs = kinds[triage.KindICE]
-	st.DiagMismatches = kinds[triage.KindDiagMismatch]
+	st.UniqueBuckets, st.CompileDivergences, st.ICEs, st.DiagMismatches, _ = bucketCounts(p.buckets)
 	st.PersistErrors = p.persistErrors()
 	st.SpentExecs = p.spentTotal.Load()
 	return st
@@ -587,17 +409,6 @@ func (p *Pool) Signatures() []uint64 {
 	return sigs
 }
 
-// Buckets returns the pool-wide fingerprint-deduplicated findings in
-// merge order.
-func (p *Pool) Buckets() []*triage.Bucket { return p.buckets.Buckets() }
-
-// BucketStore exposes the pool-wide triage store.
-func (p *Pool) BucketStore() *triage.BucketStore { return p.buckets }
-
-// BucketKeys returns the sorted bucket-key set — the triage analog of
-// Signatures, stable across shard counts and scheduling.
-func (p *Pool) BucketKeys() []uint64 { return p.buckets.Keys() }
-
 // Crashes returns every shard's B_fuzz crashes, content-deduplicated,
 // in deterministic (shard, fuzzer) order.
 func (p *Pool) Crashes() []*fuzz.Crash {
@@ -614,22 +425,9 @@ func (p *Pool) Crashes() []*fuzz.Crash {
 	return out
 }
 
-// ImplNames lists the CompDiff implementation names (identical across
-// shards).
-func (p *Pool) ImplNames() []string { return p.shards[0].c.ImplNames() }
-
 // ShardCampaign exposes shard si's campaign (read-only use between
 // Run calls; campaigns are not concurrency-safe).
 func (p *Pool) ShardCampaign(si int) *Campaign { return p.shards[si].c }
-
-// Snapshots returns the pool's recorded progress series — one entry
-// per synchronization barrier (empty when stats are disabled).
-func (p *Pool) Snapshots() []telemetry.Snapshot {
-	if p.recorder == nil {
-		return nil
-	}
-	return p.recorder.Snapshots()
-}
 
 // ImplSummaries merges the per-implementation telemetry across shards
 // (shards share the implementation set, so position identifies the
@@ -643,12 +441,4 @@ func (p *Pool) ImplSummaries() []telemetry.ImplSummary {
 		out = telemetry.MergeImplSummaries(out, s.c.metrics.Suite.Summaries())
 	}
 	return out
-}
-
-// Close releases the stats recorder's plot file, if any.
-func (p *Pool) Close() error {
-	if p.recorder == nil {
-		return nil
-	}
-	return p.recorder.Close()
 }

@@ -126,7 +126,7 @@ func TestPoolPanicRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.epochHook = func(si int) {
+	p.hook = func(_, si int) {
 		if si == 1 {
 			panic("injected shard failure")
 		}
@@ -158,7 +158,11 @@ func TestPoolAllShardsDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.epochHook = func(int) { panic("boom") }
+	p.hook = func(_, si int) {
+		if si >= 0 {
+			panic("boom")
+		}
+	}
 	base := p.Stats()
 	stats := p.Run(context.Background(), 1_000_000)
 	if stats.Execs != base.Execs {
@@ -182,7 +186,11 @@ func TestPoolCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	// The hook runs on every shard goroutine concurrently; context
 	// cancellation is already concurrency-safe.
-	p.epochHook = func(si int) { cancel() }
+	p.hook = func(_, si int) {
+		if si >= 0 {
+			cancel()
+		}
+	}
 	stats := p.Run(ctx, 1_000_000)
 	if stats.Execs == 0 {
 		t.Fatal("cancellation should still let the in-flight epoch finish")

@@ -1,12 +1,12 @@
 package difffuzz
 
 // Checkpoint/resume tests for the sharded campaign pool: the
-// resume-equivalence property (interrupted-and-resumed == fresh),
-// kill-at-a-barrier fault injection, the ctx-cancel telemetry flush,
-// and the resume error classification.
+// resume-equivalence property (interrupted-and-resumed == fresh), the
+// ctx-cancel telemetry flush, and the resume error classification.
+// Kill-at-a-barrier fault injection and re-export identity run for
+// every mode in engine_test.go.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -119,91 +119,6 @@ func TestPoolResumeEquivalenceSharded(t *testing.T) {
 	resumeEquivalence(t, 4, 600)
 }
 
-// TestPoolResumeReExportIdentical: loading a checkpoint into a fresh
-// pool and exporting again must reproduce the state byte-for-byte —
-// nothing is lost or reinterpreted on the way through restore. Stats
-// are enabled so the telemetry counters ride along.
-func TestPoolResumeReExportIdentical(t *testing.T) {
-	tg := poolTarget(t)
-	opts := Options{FuzzSeed: 7, Shards: 2, SyncEvery: 300, Stats: true,
-		CheckpointDir: t.TempDir()}
-	p, err := NewPool(tg.Src, tg.Seeds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Run(context.Background(), 600)
-
-	want, _, err := checkpoint.Load(opts.CheckpointDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := ResumePool(tg.Src, tg.Seeds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := resumed.exportState()
-
-	wb, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gb, err := json.Marshal(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wb, gb) {
-		t.Fatalf("re-exported state differs from the loaded checkpoint:\nloaded    %s\nre-export %s", wb, gb)
-	}
-}
-
-// TestPoolCheckpointFaultInjection kills the saver at assorted file
-// operations during a barrier save — the moments a SIGKILL would hit —
-// and checks the directory still resumes from the last durable
-// checkpoint, with the resumed campaign equivalent to a fresh one.
-func TestPoolCheckpointFaultInjection(t *testing.T) {
-	tg := poolTarget(t)
-	opts := Options{FuzzSeed: 7, Shards: 2, SyncEvery: 150}
-
-	freshOpts := opts
-	freshOpts.CheckpointDir = t.TempDir()
-	fresh, err := NewPool(tg.Src, tg.Seeds, freshOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh.Run(context.Background(), 600)
-
-	for _, ops := range []int{0, 2, 6} {
-		ckptOpts := opts
-		ckptOpts.CheckpointDir = t.TempDir()
-		first, err := NewPool(tg.Src, tg.Seeds, ckptOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Two clean barrier saves (150, 300)...
-		first.Run(context.Background(), 300)
-		// ...then the save at barrier 450 dies ops file-operations in,
-		// leaving whatever a kill would leave.
-		first.saver.InjectFault(ops)
-		first.Run(context.Background(), 150)
-
-		st, _, err := checkpoint.Load(ckptOpts.CheckpointDir)
-		if err != nil {
-			t.Fatalf("ops=%d: torn save corrupted the directory: %v", ops, err)
-		}
-		if st.SpentExecs != 300 && st.SpentExecs != 450 {
-			t.Fatalf("ops=%d: loadable checkpoint holds %d spent execs, want 300 (old) or 450 (new)",
-				ops, st.SpentExecs)
-		}
-
-		resumed, err := ResumePool(tg.Src, tg.Seeds, ckptOpts)
-		if err != nil {
-			t.Fatalf("ops=%d: resume after torn save: %v", ops, err)
-		}
-		resumed.Run(context.Background(), 600-st.SpentExecs)
-		comparePoolFindings(t, fresh, resumed)
-	}
-}
-
 // TestPoolCancelFlushesTelemetry: context cancellation mid-campaign
 // must still leave a complete plot.jsonl — a final snapshot recorded,
 // flushed, and the file closed — even though Close is never called.
@@ -215,7 +130,11 @@ func TestPoolCancelFlushesTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	p.epochHook = func(int) { cancel() }
+	p.hook = func(_, si int) {
+		if si >= 0 {
+			cancel()
+		}
+	}
 	stats := p.Run(ctx, 1_000_000)
 	if stats.Execs >= 1_000_000 {
 		t.Fatal("cancellation did not stop the pool")

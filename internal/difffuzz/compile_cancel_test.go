@@ -24,7 +24,7 @@ func TestCompilePoolCancelFlushesTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	p.epochHook = func(epoch int) {
+	p.hook = func(epoch, _ int) {
 		if epoch == 2 {
 			cancel()
 		}

@@ -2,29 +2,23 @@ package difffuzz
 
 // CompilePool drives the compile-stage differential oracle over a
 // *program* corpus, the way Pool drives the runtime oracle over an
-// input corpus. Every program is compiled under all k implementations
-// behind recover boundaries; accept/reject splits, ICEs, and
-// diagnostic mismatches land in triage buckets (a crashing compiler is
-// a finding, never a dead shard), and programs every implementation
-// accepts are additionally run through the runtime differential on a
-// configurable input set. Shards partition the corpus round-robin by
-// index, merge shard-local buckets at barriers in shard order
-// (merge-then-recount, like Pool), and checkpoint a durable corpus
-// cursor so kill-9/resume reproduces an uninterrupted run's buckets
-// exactly.
+// input corpus, on the same campaign engine. Every program is compiled
+// under all k implementations behind recover boundaries; accept/reject
+// splits, ICEs, and diagnostic mismatches land in triage buckets (a
+// crashing compiler is a finding, never a dead shard), and programs
+// every implementation accepts are additionally run through the
+// runtime differential on a configurable input set. Shards partition
+// the corpus round-robin by index, and the durable state is a corpus
+// cursor, so kill-9/resume reproduces an uninterrupted run's buckets
+// exactly. A shard that panics (a harness bug) is retired, and the
+// programs it owned are skipped.
 
 import (
 	"context"
 	"fmt"
-	"log"
-	"runtime/debug"
-	"sync"
 
 	"compdiff/internal/checkpoint"
 	"compdiff/internal/compiler"
-	"compdiff/internal/core"
-	"compdiff/internal/hash"
-	"compdiff/internal/progcache"
 	"compdiff/internal/telemetry"
 	"compdiff/internal/triage"
 )
@@ -67,24 +61,6 @@ type CompilePoolOptions struct {
 	// number of barriers between them (default 1).
 	CheckpointDir   string
 	CheckpointEvery int64
-
-	// resume marks pools built by ResumeCompilePool, which may (must)
-	// find an existing checkpoint in CheckpointDir.
-	resume bool
-}
-
-func (o CompilePoolOptions) configs() []compiler.Config {
-	if len(o.Configs) > 0 {
-		return o.Configs
-	}
-	return compiler.DefaultSet()
-}
-
-func (o CompilePoolOptions) runtimeInputs() [][]byte {
-	if len(o.RuntimeInputs) > 0 {
-		return o.RuntimeInputs
-	}
-	return [][]byte{nil}
 }
 
 // CompilePoolStats is the campaign summary.
@@ -121,40 +97,20 @@ type CompilePoolStats struct {
 // and store are written only by the shard goroutine during an epoch
 // and read only at barriers.
 type compileShard struct {
-	index         int
+	programCounts
 	buckets       *triage.BucketStore
 	bucketsSynced int
-
-	programs        int64
-	accepted        int64
-	frontendRejects int64
-	findings        int64
-
-	dead bool
-	err  error
 }
 
 // CompilePool is the sharded compile-oracle campaign.
 type CompilePool struct {
+	engine
+	*programOracle
 	opts   CompilePoolOptions
-	cfgs   []compiler.Config
 	corpus []string
-	cursor int
-
-	shards  []*compileShard
-	buckets *triage.BucketStore
-	cache   *progcache.Cache
-
-	saver       *checkpoint.Saver
-	ckptEvery   int64
-	sinceCkpt   int64
-	ckptLogged  bool
-	optionsHash uint64
-
-	recorder *telemetry.Recorder
-
-	// epochHook runs at the top of each epoch (test seam, like Pool's).
-	epochHook func(epoch int)
+	// cursor is the merged corpus prefix; end bounds the prepared epoch.
+	cursor, end int
+	shards      []*compileShard
 }
 
 // CompileCampaignHash fingerprints everything that determines a
@@ -163,19 +119,9 @@ type CompilePool struct {
 // Parallelism and the observability knobs are excluded, as in
 // CampaignHash.
 func CompileCampaignHash(corpus []string, opts CompilePoolOptions) uint64 {
-	d := hash.New128(0xcc01)
-	for _, cfg := range opts.configs() {
-		fmt.Fprintf(d, "cfg:%s\n", cfg.Name())
-	}
-	shards := opts.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	fmt.Fprintf(d, "step:%d shards:%d sync:%d\n", opts.StepLimit, shards, opts.SyncEvery)
-	for _, in := range opts.runtimeInputs() {
-		fmt.Fprintf(d, "input:%d:", len(in))
-		d.Write(in)
-	}
+	d := optionsDigest(0xcc01, opts.Configs)
+	fmt.Fprintf(d, "step:%d shards:%d sync:%d\n", opts.StepLimit, max(opts.Shards, 1), opts.SyncEvery)
+	writeBlobs(d, "input", defaultInputs(opts.RuntimeInputs))
 	for _, src := range corpus {
 		fmt.Fprintf(d, "prog:%d:%s", len(src), src)
 	}
@@ -185,50 +131,29 @@ func CompileCampaignHash(corpus []string, opts CompilePoolOptions) uint64 {
 
 // NewCompilePool builds a compile-oracle campaign over corpus.
 func NewCompilePool(corpus []string, opts CompilePoolOptions) (*CompilePool, error) {
+	return newCompilePool(corpus, opts, false)
+}
+
+func newCompilePool(corpus []string, opts CompilePoolOptions, resume bool) (*CompilePool, error) {
 	if len(corpus) == 0 {
 		return nil, fmt.Errorf("difffuzz: compile pool needs a non-empty program corpus")
 	}
-	cfgs := opts.configs()
-	if len(cfgs) < 2 {
-		return nil, fmt.Errorf("difffuzz: need at least 2 compiler implementations, got %d", len(cfgs))
+	oracle, err := newProgramOracle(opts.Configs, opts.RuntimeInputs, opts.CacheBudget, opts.StepLimit, opts.Parallelism)
+	if err != nil {
+		return nil, err
 	}
-	nshards := opts.Shards
-	if nshards < 1 {
-		nshards = 1
+	p := &CompilePool{programOracle: oracle, opts: opts, corpus: append([]string(nil), corpus...)}
+	n := max(opts.Shards, 1)
+	for i := 0; i < n; i++ {
+		p.shards = append(p.shards, &compileShard{buckets: triage.NewBucketStore()})
 	}
-	opts.Shards = nshards
-	if opts.CheckpointDir != "" && !opts.resume && checkpoint.Exists(opts.CheckpointDir) {
-		return nil, fmt.Errorf("difffuzz: checkpoint directory %s already holds a campaign (resume it, or use a fresh directory)", opts.CheckpointDir)
-	}
-
-	p := &CompilePool{
-		opts:        opts,
-		cfgs:        cfgs,
-		corpus:      append([]string(nil), corpus...),
-		buckets:     triage.NewBucketStore(),
-		cache:       progcache.New(opts.CacheBudget),
-		optionsHash: CompileCampaignHash(corpus, opts),
-	}
-	for i := 0; i < nshards; i++ {
-		p.shards = append(p.shards, &compileShard{index: i, buckets: triage.NewBucketStore()})
-	}
-	if opts.StatsDir != "" {
-		rec, err := telemetry.NewRecorder(opts.StatsDir)
-		if err != nil {
-			return nil, fmt.Errorf("difffuzz: stats: %w", err)
-		}
-		p.recorder = rec
-	}
-	if opts.CheckpointDir != "" {
-		saver, err := checkpoint.NewSaver(opts.CheckpointDir)
-		if err != nil {
-			return nil, fmt.Errorf("difffuzz: %w", err)
-		}
-		p.saver = saver
-		p.ckptEvery = opts.CheckpointEvery
-		if p.ckptEvery < 1 {
-			p.ckptEvery = 1
-		}
+	err = p.open(p, engineConfig{
+		shards: n, names: implNames(oracle.cfgs), hash: CompileCampaignHash(corpus, opts),
+		ckptDir: opts.CheckpointDir, ckptEvery: opts.CheckpointEvery,
+		stats: opts.StatsDir != "", statsDir: opts.StatsDir, resume: resume,
+	})
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -237,325 +162,117 @@ func NewCompilePool(corpus []string, opts CompilePoolOptions) (*CompilePool, err
 // opts.CheckpointDir. Error classification matches ResumePool:
 // ErrNoCheckpoint, ErrMismatch, ErrCorrupt.
 func ResumeCompilePool(corpus []string, opts CompilePoolOptions) (*CompilePool, error) {
-	if opts.CheckpointDir == "" {
-		return nil, fmt.Errorf("difffuzz: resume requires CheckpointDir")
-	}
-	st, _, err := checkpoint.Load(opts.CheckpointDir)
-	if err != nil {
-		return nil, err
-	}
-	h := CompileCampaignHash(corpus, opts)
-	if st.OptionsHash != h {
-		return nil, fmt.Errorf("%w: checkpoint options hash %016x, this campaign hashes to %016x (same corpus and campaign options required)",
-			checkpoint.ErrMismatch, st.OptionsHash, h)
-	}
-	opts.resume = true
-	p, err := NewCompilePool(corpus, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.restore(st); err != nil {
-		return nil, fmt.Errorf("%w: %v", checkpoint.ErrCorrupt, err)
-	}
-	return p, nil
+	return resume(opts.CheckpointDir, CompileCampaignHash(corpus, opts), func() (*CompilePool, error) {
+		return newCompilePool(corpus, opts, true)
+	})
 }
 
 // Run processes the corpus from the current cursor to the end (or
 // until ctx is cancelled), merging and checkpointing at barriers.
 // Safe to call again after cancellation to finish the remainder.
 func (p *CompilePool) Run(ctx context.Context) CompilePoolStats {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	p.run(ctx)
+	return p.Stats()
+}
+
+func (p *CompilePool) next() bool {
 	chunk := p.opts.SyncEvery
 	if chunk <= 0 {
 		chunk = len(p.corpus)
 	}
-	epoch := 0
-	for p.cursor < len(p.corpus) && ctx.Err() == nil {
-		if p.epochHook != nil {
-			p.epochHook(epoch)
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		end := p.cursor + chunk
-		if end > len(p.corpus) {
-			end = len(p.corpus)
-		}
-		start := p.cursor
-		var wg sync.WaitGroup
-		for _, sh := range p.shards {
-			if sh.dead {
-				continue
-			}
-			wg.Add(1)
-			go func(sh *compileShard) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						sh.dead = true
-						sh.err = fmt.Errorf("difffuzz: compile shard %d panicked: %v\n%s", sh.index, r, debug.Stack())
-					}
-				}()
-				for i := start; i < end; i++ {
-					if i%len(p.shards) == sh.index {
-						p.processProgram(sh, p.corpus[i])
-					}
-				}
-			}(sh)
-		}
-		wg.Wait()
-		p.cursor = end
-		epoch++
-		p.synchronizeCompile()
-		if p.recorder != nil {
-			p.recorder.Record(p.snapshotCompile())
-		}
-		if p.saver != nil {
-			p.sinceCkpt++
-			if p.sinceCkpt >= p.ckptEvery {
-				p.saveCompileCheckpoint()
-			}
-		}
-	}
-	if p.saver != nil && p.sinceCkpt > 0 {
-		p.saveCompileCheckpoint()
-	}
-	if p.recorder != nil {
-		// A cancelled epoch never reached its barrier snapshot; record
-		// the final state, then flush so process exit cannot lose it.
-		// On cancellation the recorder is closed outright, matching the
-		// runtime pool: a signal-driven exit path may never call Close,
-		// and the plot.jsonl tail must be complete anyway (Close stays
-		// a no-op afterwards).
-		if ctx.Err() != nil {
-			p.recorder.Record(p.snapshotCompile())
-			_ = p.recorder.Sync()
-			_ = p.recorder.Close()
-		} else {
-			_ = p.recorder.Sync()
-		}
-	}
-	return p.Stats()
+	p.end = min(p.cursor+chunk, len(p.corpus))
+	return p.cursor < len(p.corpus)
 }
 
-// processProgram feeds one corpus program through the compile oracle
-// and, when universally accepted, the runtime oracle.
-func (p *CompilePool) processProgram(sh *compileShard, src string) {
-	sh.programs++
-	// The cache serves revisits of an already-seen source without
-	// re-running the front end or the k lowerings; the record is a
-	// pure function of the source, so hit and miss paths produce
-	// identical outcomes. Machines are built fresh per call — shards
-	// share compiled programs read-only, never execution state.
-	comp := p.cache.Get(src, p.cfgs, p.opts.Parallelism)
-	if comp.FrontendErr != nil {
-		sh.frontendRejects++
-		return
+func (p *CompilePool) epoch(_ context.Context, si int) bool {
+	sh := p.shards[si]
+	for i := p.cursor; i < p.end; i++ {
+		if i%len(p.shards) == si {
+			sh.tally(sh.buckets, p.check(p.corpus[i]))
+		}
 	}
-	suite, co, err := core.AssembleDifferential(comp.Results, p.cfgs, core.Options{
-		StepLimit:   p.opts.StepLimit,
-		Parallelism: p.opts.Parallelism,
+	return true
+}
+
+// merge advances the cursor past the epoch (a retired shard's programs
+// count as consumed) and merges the shard-local bucket stores.
+func (p *CompilePool) merge() {
+	p.cursor = p.end
+	mergeBuckets(p.buckets, len(p.shards), func(si int) (*triage.BucketStore, *int) {
+		return p.shards[si].buckets, &p.shards[si].bucketsSynced
 	})
-	if err != nil {
-		sh.frontendRejects++
-		return
-	}
-	if suite == nil {
-		// Some implementation rejected or crashed: a finding exactly
-		// when the partition or the normalized messages differ.
-		if b, _ := sh.buckets.AddCompile(co); b != nil {
-			sh.findings++
-		} else {
-			sh.frontendRejects++
-		}
-		return
-	}
-	sh.accepted++
-	for _, in := range p.opts.runtimeInputs() {
-		if o := suite.Run(in); o != nil && o.Diverged {
-			sh.findings++
-			sh.buckets.Add(o)
-		}
-	}
 }
 
-// synchronizeCompile is the barrier body: merge-then-recount of the
-// shard-local bucket stores, in shard order, exactly like Pool's.
-func (p *CompilePool) synchronizeCompile() {
-	for _, sh := range p.shards {
-		delta := sh.buckets.Since(sh.bucketsSynced)
-		sh.bucketsSynced += len(delta)
-		p.buckets.Absorb(delta)
-	}
-	totals := map[uint64]int{}
-	for _, sh := range p.shards {
-		for key, c := range sh.buckets.Counts() {
-			totals[key] += c
-		}
-	}
-	p.buckets.Recount(totals)
-}
-
-// saveCompileCheckpoint snapshots the pool at a barrier. Failures
-// never stop the campaign; the previous checkpoint stays loadable.
-func (p *CompilePool) saveCompileCheckpoint() {
-	p.sinceCkpt = 0
-	if err := p.saver.Save(p.exportCompileState()); err != nil {
-		if !p.ckptLogged {
-			log.Printf("difffuzz: checkpoint save failed (campaign continues on the previous checkpoint): %v", err)
-			p.ckptLogged = true
-		}
-	}
-}
-
-// exportCompileState builds the durable snapshot: pool buckets in
-// full, shard buckets as skeletons, and the corpus cursor.
-func (p *CompilePool) exportCompileState() *checkpoint.State {
-	st := &checkpoint.State{
-		Version:     checkpoint.Version,
-		OptionsHash: p.optionsHash,
-		SpentExecs:  int64(p.cursor),
-	}
-	st.Buckets, st.BucketTotal = p.buckets.Export()
+// export fills in the durable snapshot: shard buckets as skeletons,
+// per-shard counters, and the corpus cursor.
+func (p *CompilePool) export(st *checkpoint.State) {
+	st.SpentExecs = int64(p.cursor)
 	cs := &checkpoint.CompileCampaignState{Cursor: p.cursor, CorpusLen: len(p.corpus)}
-	for _, sh := range p.shards {
-		snaps, total := sh.buckets.Export()
-		for i := range snaps {
-			snaps[i].Outcome = nil // skeleton: keys, counts, signatures
-			snaps[i].Compile = nil
-		}
-		cs.Shards = append(cs.Shards, checkpoint.CompileShardState{
-			Index:           sh.index,
-			Dead:            sh.dead,
+	for si, sh := range p.shards {
+		ss := checkpoint.CompileShardState{
+			Index:           si,
+			Dead:            p.dead[si],
 			Programs:        sh.programs,
 			Accepted:        sh.accepted,
 			FrontendRejects: sh.frontendRejects,
 			Findings:        sh.findings,
-			Buckets:         snaps,
-			BucketTotal:     total,
-		})
+		}
+		ss.Buckets, ss.BucketTotal = skeleton(sh.buckets)
+		cs.Shards = append(cs.Shards, ss)
 	}
 	st.Compile = cs
-	return st
 }
 
 // restore rebuilds pool state from a loaded snapshot.
 func (p *CompilePool) restore(st *checkpoint.State) error {
 	cs := st.Compile
-	if cs == nil {
+	switch {
+	case cs == nil:
 		return fmt.Errorf("checkpoint holds an input-fuzzing campaign, not a compile-oracle one")
-	}
-	if cs.CorpusLen != len(p.corpus) {
+	case cs.CorpusLen != len(p.corpus):
 		return fmt.Errorf("checkpoint corpus length %d != %d", cs.CorpusLen, len(p.corpus))
-	}
-	if len(cs.Shards) != len(p.shards) {
+	case len(cs.Shards) != len(p.shards):
 		return fmt.Errorf("checkpoint has %d shards, pool has %d", len(cs.Shards), len(p.shards))
-	}
-	if cs.Cursor < 0 || cs.Cursor > len(p.corpus) {
+	case cs.Cursor < 0 || cs.Cursor > len(p.corpus):
 		return fmt.Errorf("checkpoint cursor %d out of range", cs.Cursor)
 	}
 	p.cursor = cs.Cursor
-	p.buckets = triage.RestoreBucketStore(st.Buckets, st.BucketTotal)
 	for i, ss := range cs.Shards {
-		sh := p.shards[i]
-		sh.buckets = triage.RestoreBucketStore(ss.Buckets, ss.BucketTotal)
-		sh.bucketsSynced = len(ss.Buckets)
-		sh.dead = ss.Dead
-		sh.programs = ss.Programs
-		sh.accepted = ss.Accepted
-		sh.frontendRejects = ss.FrontendRejects
-		sh.findings = ss.Findings
+		p.dead[i] = ss.Dead
+		p.shards[i] = &compileShard{
+			programCounts: programCounts{ss.Programs, ss.Accepted, ss.FrontendRejects, ss.Findings},
+			buckets:       triage.RestoreBucketStore(ss.Buckets, ss.BucketTotal),
+			bucketsSynced: len(ss.Buckets),
+		}
 	}
 	return nil
 }
 
-// snapshotCompile aggregates shard counters into a telemetry record.
-// Execs counts processed programs (each is one k-way compile).
-func (p *CompilePool) snapshotCompile() telemetry.Snapshot {
-	var s telemetry.Snapshot
+// snapshot aggregates shard counters into a telemetry record. Execs
+// counts processed programs (each is one k-way compile).
+func (p *CompilePool) snapshot() telemetry.Snapshot {
+	s := p.snapshotBase()
 	for _, sh := range p.shards {
 		s.Programs += sh.programs
 	}
 	s.Execs = s.Programs
-	s.UniqueBuckets = p.buckets.Len()
-	kinds := p.buckets.KindCounts()
-	s.CompileDivergences = kinds[triage.KindCompileDivergence]
-	s.ICEs = kinds[triage.KindICE]
-	s.DiagMismatches = kinds[triage.KindDiagMismatch]
 	return s
 }
 
 // Stats summarizes the campaign so far.
 func (p *CompilePool) Stats() CompilePoolStats {
 	st := CompilePoolStats{
-		Shards:    len(p.shards),
-		Cursor:    p.cursor,
-		CorpusLen: len(p.corpus),
+		Shards:      len(p.shards),
+		Cursor:      p.cursor,
+		CorpusLen:   len(p.corpus),
+		ShardErrors: p.shardErrors(),
 	}
 	for _, sh := range p.shards {
 		st.Programs += sh.programs
 		st.Accepted += sh.accepted
 		st.FrontendRejects += sh.frontendRejects
 		st.Findings += sh.findings
-		st.ShardErrors = append(st.ShardErrors, sh.err)
 	}
-	st.UniqueBuckets = p.buckets.Len()
-	kinds := p.buckets.KindCounts()
-	st.CompileDivergences = kinds[triage.KindCompileDivergence]
-	st.ICEs = kinds[triage.KindICE]
-	st.DiagMismatches = kinds[triage.KindDiagMismatch]
-	st.RuntimeBuckets = kinds[triage.KindRuntime]
+	st.UniqueBuckets, st.CompileDivergences, st.ICEs, st.DiagMismatches, st.RuntimeBuckets = bucketCounts(p.buckets)
 	return st
-}
-
-// CacheStats exposes the compiled-program cache counters: hits are
-// corpus revisits served without recompilation. Deliberately not part
-// of CompilePoolStats — the counters are process-local (a resumed
-// pool starts cold), while the stats struct is the cross-resume
-// determinism fingerprint.
-func (p *CompilePool) CacheStats() progcache.Stats { return p.cache.Stats() }
-
-// BucketStore exposes the pool-wide store (reports, tables).
-func (p *CompilePool) BucketStore() *triage.BucketStore { return p.buckets }
-
-// BucketKeys is the sorted bucket-key set — the order-independent
-// fingerprint of the campaign's findings.
-func (p *CompilePool) BucketKeys() []uint64 { return p.buckets.Keys() }
-
-// ImplNames returns the implementation names, suite order.
-func (p *CompilePool) ImplNames() []string {
-	names := make([]string, len(p.cfgs))
-	for i, cfg := range p.cfgs {
-		names[i] = cfg.Name()
-	}
-	return names
-}
-
-// CheckpointSeq is the last durable checkpoint's sequence number (0
-// when none was written).
-func (p *CompilePool) CheckpointSeq() int {
-	if p.saver == nil {
-		return 0
-	}
-	return p.saver.Seq()
-}
-
-// Snapshots returns the recorded progress series — one entry per
-// synchronization barrier, plus the final post-cancel snapshot when a
-// run was cancelled (empty when stats are disabled).
-func (p *CompilePool) Snapshots() []telemetry.Snapshot {
-	if p.recorder == nil {
-		return nil
-	}
-	return p.recorder.Snapshots()
-}
-
-// Close releases observability resources (the stats recorder). A
-// no-op when the recorder was already closed by a cancelled Run.
-func (p *CompilePool) Close() {
-	if p.recorder != nil {
-		_ = p.recorder.Close()
-	}
 }

@@ -3,12 +3,11 @@ package difffuzz
 // Tests for the compile-oracle campaign pool: the three compile-stage
 // finding classes land in distinct buckets, an ICE-provoking program
 // never retires its shard, the runtime cross-check still fires on
-// universally-accepted programs, and the checkpoint/resume machinery
-// upholds the same equivalence and fault-tolerance properties as the
-// input-fuzzing pool's.
+// universally-accepted programs, and resume is equivalent to an
+// uninterrupted run. The fault-tolerance properties every mode shares
+// run in engine_test.go.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -203,7 +202,7 @@ func TestCompilePoolResumeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	first.epochHook = func(epoch int) {
+	first.hook = func(epoch, _ int) {
 		if epoch == 3 {
 			cancel()
 		}
@@ -222,93 +221,6 @@ func TestCompilePoolResumeEquivalence(t *testing.T) {
 	}
 	resumed.Run(context.Background())
 	compareCompilePools(t, fresh, resumed)
-}
-
-// TestCompilePoolResumeReExportIdentical: restore must be lossless —
-// re-exporting a just-loaded checkpoint reproduces it byte-for-byte,
-// compile outcomes and ICE texts included.
-func TestCompilePoolResumeReExportIdentical(t *testing.T) {
-	corpus := compileCorpus()
-	opts := CompilePoolOptions{Shards: 2, SyncEvery: 3, CheckpointDir: t.TempDir()}
-	p, err := NewCompilePool(corpus, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Run(context.Background())
-
-	want, _, err := checkpoint.Load(opts.CheckpointDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := ResumeCompilePool(corpus, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := resumed.exportCompileState()
-
-	wb, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gb, err := json.Marshal(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wb, gb) {
-		t.Fatalf("re-exported state differs from the loaded checkpoint:\nloaded    %s\nre-export %s", wb, gb)
-	}
-}
-
-// TestCompilePoolCheckpointFaultInjection kills the saver at assorted
-// file operations during a barrier save and checks the directory still
-// resumes from the last durable checkpoint, equivalent to a fresh run.
-func TestCompilePoolCheckpointFaultInjection(t *testing.T) {
-	corpus := compileCorpus()
-	opts := CompilePoolOptions{Shards: 2, SyncEvery: 2}
-
-	freshOpts := opts
-	freshOpts.CheckpointDir = t.TempDir()
-	fresh, err := NewCompilePool(corpus, freshOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh.Run(context.Background())
-
-	for _, ops := range []int{0, 2, 6} {
-		ckptOpts := opts
-		ckptOpts.CheckpointDir = t.TempDir()
-		first, err := NewCompilePool(corpus, ckptOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Two clean barriers, then the save at the third dies ops file
-		// operations in, leaving whatever a kill would leave.
-		ctx, cancel := context.WithCancel(context.Background())
-		first.epochHook = func(epoch int) {
-			switch epoch {
-			case 2:
-				first.saver.InjectFault(ops)
-			case 3:
-				cancel()
-			}
-		}
-		first.Run(ctx)
-
-		st, _, err := checkpoint.Load(ckptOpts.CheckpointDir)
-		if err != nil {
-			t.Fatalf("ops=%d: torn save corrupted the directory: %v", ops, err)
-		}
-		if c := st.Compile.Cursor; c != 4 && c != 6 {
-			t.Fatalf("ops=%d: loadable checkpoint holds cursor %d, want 4 (old) or 6 (new)", ops, c)
-		}
-
-		resumed, err := ResumeCompilePool(corpus, ckptOpts)
-		if err != nil {
-			t.Fatalf("ops=%d: resume after torn save: %v", ops, err)
-		}
-		resumed.Run(context.Background())
-		compareCompilePools(t, fresh, resumed)
-	}
 }
 
 // TestCompilePoolResumeErrorClasses: each failure mode maps to its

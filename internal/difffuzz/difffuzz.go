@@ -102,10 +102,9 @@ type Options struct {
 	// CheckpointDir, when set, makes the pool write a crash-safe
 	// campaign snapshot (internal/checkpoint) at its synchronization
 	// barriers, so a killed campaign resumes via ResumePool with the
-	// findings and determinism of an uninterrupted run. Requires the
-	// source-level constructors (NewPool / ResumePool), which compute
-	// the options hash that guards against resuming under different
-	// settings. A single-shard pool with checkpointing runs in
+	// findings and determinism of an uninterrupted run; the options hash
+	// guards against resuming under different settings. Ignored by
+	// plain Campaigns. A single-shard pool with checkpointing runs in
 	// SyncEvery-sized chunks (it needs barriers to snapshot at), so
 	// enable it on the fresh run too when comparing runs bit-for-bit.
 	CheckpointDir string
@@ -126,13 +125,6 @@ type Options struct {
 	// counters but no recorder — the pool snapshots at barriers, where
 	// all shard goroutines have joined.
 	poolShard bool
-	// resume marks a pool being rebuilt over an existing checkpoint
-	// (set only by ResumePool); without it, NewPool refuses a
-	// CheckpointDir that already holds one.
-	resume bool
-	// ckptHash is the precomputed CampaignHash (set by NewPool before
-	// it delegates to NewPoolChecked).
-	ckptHash uint64
 }
 
 // statsEnabled reports whether any stats option asks for telemetry.
@@ -168,10 +160,10 @@ type Campaign struct {
 	// metrics is nil unless Options ask for stats; every instrumented
 	// branch on the hot path is a single nil check.
 	metrics *telemetry.CampaignMetrics
-	// recorder collects snapshots for a standalone campaign. Pool
+	// recording collects snapshots for a standalone campaign. Pool
 	// shards have metrics but no recorder: the pool snapshots at its
 	// barriers instead.
-	recorder   *telemetry.Recorder
+	recording
 	statsEvery int64
 
 	// Batch executor state (Options.BatchSize > 1). Generated inputs
@@ -203,10 +195,7 @@ func New(src string, seeds [][]byte, opts Options) (*Campaign, error) {
 
 // NewChecked builds a campaign from an already-checked program.
 func NewChecked(info *sema.Info, seeds [][]byte, opts Options) (*Campaign, error) {
-	cfgs := opts.Configs
-	if len(cfgs) == 0 {
-		cfgs = compiler.DefaultSet()
-	}
+	cfgs := defaultConfigs(opts.Configs)
 
 	// B_fuzz: the fuzzer-configured binary with coverage
 	// instrumentation (and optionally a sanitizer), compiled exactly
@@ -231,11 +220,7 @@ func NewChecked(info *sema.Info, seeds [][]byte, opts Options) (*Campaign, error
 	var metrics *telemetry.CampaignMetrics
 	var recorder *telemetry.Recorder
 	if opts.statsEnabled() {
-		names := make([]string, len(cfgs))
-		for i, cfg := range cfgs {
-			names[i] = cfg.Name()
-		}
-		metrics = telemetry.NewCampaignMetrics(names)
+		metrics = telemetry.NewCampaignMetrics(implNames(cfgs))
 		if !opts.poolShard {
 			recorder, err = telemetry.NewRecorder(opts.StatsDir)
 			if err != nil {
@@ -268,7 +253,7 @@ func NewChecked(info *sema.Info, seeds [][]byte, opts Options) (*Campaign, error
 		diffs:      core.NewDiffStore(opts.DiffDir),
 		buckets:    triage.NewBucketStore(),
 		metrics:    metrics,
-		recorder:   recorder,
+		recording:  recording{recorder},
 		statsEvery: opts.StatsEvery,
 		batchSize:  batch,
 	}
@@ -454,15 +439,6 @@ func (c *Campaign) PersistErrors() int64 {
 // disabled.
 func (c *Campaign) Metrics() *telemetry.CampaignMetrics { return c.metrics }
 
-// Snapshots returns the recorded progress series (empty when stats are
-// disabled).
-func (c *Campaign) Snapshots() []telemetry.Snapshot {
-	if c.recorder == nil {
-		return nil
-	}
-	return c.recorder.Snapshots()
-}
-
 // ImplSummaries returns per-implementation outcome counts and latency
 // histograms, or nil when stats are disabled.
 func (c *Campaign) ImplSummaries() []telemetry.ImplSummary {
@@ -470,14 +446,6 @@ func (c *Campaign) ImplSummaries() []telemetry.ImplSummary {
 		return nil
 	}
 	return c.metrics.Suite.Summaries()
-}
-
-// Close releases the stats recorder's plot file, if any.
-func (c *Campaign) Close() error {
-	if c.recorder == nil {
-		return nil
-	}
-	return c.recorder.Close()
 }
 
 // Diffs returns the unique discrepancies found so far.

@@ -1,34 +1,28 @@
 package difffuzz
 
-// EvolvePool drives the evolutionary coverage-directed campaign: a
-// population of MiniC genomes (internal/evolve) is evaluated through
-// the compile-stage and runtime differential oracles each generation,
-// scored by the composite fitness (pass coverage, divergence
-// proximity, parsimony), and bred into the next generation at a
-// single-threaded barrier. Evaluation is sharded — genome i is owned
-// by shard i mod Shards — but every fitness input is merged at the
-// barrier in genome-index order, so the population sequence is
+// EvolvePool drives the evolutionary coverage-directed campaign on the
+// campaign engine: a population of MiniC genomes (internal/evolve) is
+// evaluated through the compile-stage and runtime differential oracles
+// each generation, scored by the composite fitness (pass coverage,
+// divergence proximity, parsimony), and bred into the next generation
+// at the single-threaded barrier. Evaluation is sharded — genome i is
+// owned by shard i mod Shards — but every fitness input is merged at
+// the barrier in genome-index order, so the population sequence is
 // invariant under the shard count. Checkpoints are taken only at
-// generation barriers; a kill mid-generation resumes by re-evaluating
-// the checkpointed population, which is deterministic, so resume is
+// generation barriers; a generation cut short by cancellation or a
+// shard panic is dropped unmerged, and resume re-evaluates the
+// checkpointed population, which is deterministic, so resume is
 // indistinguishable from an uninterrupted run.
 
 import (
 	"context"
 	"fmt"
-	"log"
 	"math/bits"
-	"runtime/debug"
-	"sync"
 
 	"compdiff/internal/checkpoint"
 	"compdiff/internal/compiler"
-	"compdiff/internal/core"
 	"compdiff/internal/evolve"
-	"compdiff/internal/hash"
-	"compdiff/internal/progcache"
 	"compdiff/internal/telemetry"
-	"compdiff/internal/triage"
 )
 
 // EvolvePoolOptions configures an evolutionary campaign.
@@ -67,23 +61,6 @@ type EvolvePoolOptions struct {
 	// number of generation barriers between them (default 1).
 	CheckpointDir   string
 	CheckpointEvery int64
-
-	// resume marks pools built by ResumeEvolvePool.
-	resume bool
-}
-
-func (o EvolvePoolOptions) configs() []compiler.Config {
-	if len(o.Configs) > 0 {
-		return o.Configs
-	}
-	return compiler.DefaultSet()
-}
-
-func (o EvolvePoolOptions) runtimeInputs() [][]byte {
-	if len(o.RuntimeInputs) > 0 {
-		return o.RuntimeInputs
-	}
-	return [][]byte{nil}
 }
 
 func (o EvolvePoolOptions) withDefaults() EvolvePoolOptions {
@@ -93,17 +70,8 @@ func (o EvolvePoolOptions) withDefaults() EvolvePoolOptions {
 	if o.Generations == 0 {
 		o.Generations = 20
 	}
-	if o.Shards < 1 {
-		o.Shards = 1
-	}
+	o.Shards = max(o.Shards, 1)
 	return o
-}
-
-// evolveOpts maps the pool knobs onto the evolve engine's options.
-// The engine's remaining knobs stay at their defaults, which the
-// campaign hash therefore pins implicitly.
-func (o EvolvePoolOptions) evolveOpts() evolve.Options {
-	return evolve.Options{Seed: o.Seed}
 }
 
 // EvolvePoolStats is the campaign summary.
@@ -141,50 +109,28 @@ type EvolvePoolStats struct {
 	// fingerprint.
 	PopulationSignature uint64
 	// ShardErrors has one entry per shard; non-nil marks a shard that
-	// panicked during the last evaluation.
+	// panicked during an evaluation.
 	ShardErrors []error
-}
-
-// genomeEval is one genome's raw oracle measurements, produced by a
-// shard and folded into fitness at the barrier.
-type genomeEval struct {
-	eval     evolve.Eval
-	co       *core.CompileOutcome // non-nil when some implementation rejected/ICEd
-	outcomes []*core.Outcome      // diverged runtime outcomes
 }
 
 // EvolvePool is the sharded evolutionary campaign.
 type EvolvePool struct {
+	engine
+	*programOracle
 	opts EvolvePoolOptions
-	cfgs []compiler.Config
 
 	pop        []*evolve.Genome
 	generation int
+	// evals holds the generation's raw measurements, positional.
+	evals []verdict
 	// cum is the cumulative per-implementation fired-rewrite bitmap —
 	// the base the NewBits fitness term is scored against.
 	cum []compiler.PassBits
 
-	buckets *triage.BucketStore
-	cache   *progcache.Cache
+	programCounts
+	lastBest, lastMean float64
 
-	programs        int64
-	frontendRejects int64
-	findings        int64
-	lastBest        float64
-	lastMean        float64
-	shardErrs       []error
-
-	saver       *checkpoint.Saver
-	ckptEvery   int64
-	sinceCkpt   int64
-	ckptLogged  bool
-	optionsHash uint64
-
-	recorder *telemetry.Recorder
-
-	// genHook runs at the top of each generation; evalHook before each
-	// genome evaluation (test seams, like the other pools').
-	genHook  func(gen int)
+	// evalHook runs before each genome evaluation (test seam).
 	evalHook func(gen, genome int)
 }
 
@@ -195,16 +141,10 @@ type EvolvePool struct {
 // and cache knobs are excluded, as in the other campaign hashes.
 func EvolveCampaignHash(opts EvolvePoolOptions) uint64 {
 	opts = opts.withDefaults()
-	d := hash.New128(0xe701)
-	for _, cfg := range opts.configs() {
-		fmt.Fprintf(d, "cfg:%s\n", cfg.Name())
-	}
+	d := optionsDigest(0xe701, opts.Configs)
 	fmt.Fprintf(d, "pop:%d gens:%d seed:%d shards:%d step:%d\n",
 		opts.Pop, opts.Generations, opts.Seed, opts.Shards, opts.StepLimit)
-	for _, in := range opts.runtimeInputs() {
-		fmt.Fprintf(d, "input:%d:", len(in))
-		d.Write(in)
-	}
+	writeBlobs(d, "input", defaultInputs(opts.RuntimeInputs))
 	h1, _ := d.Sum128()
 	return h1
 }
@@ -212,6 +152,10 @@ func EvolveCampaignHash(opts EvolvePoolOptions) uint64 {
 // NewEvolvePool builds a fresh evolutionary campaign: the founder
 // population is progen on consecutive seeds from opts.Seed.
 func NewEvolvePool(opts EvolvePoolOptions) (*EvolvePool, error) {
+	return newEvolvePool(opts, false)
+}
+
+func newEvolvePool(opts EvolvePoolOptions, resume bool) (*EvolvePool, error) {
 	opts = opts.withDefaults()
 	if opts.Pop < 2 {
 		return nil, fmt.Errorf("difffuzz: evolve population must be at least 2, got %d", opts.Pop)
@@ -219,41 +163,24 @@ func NewEvolvePool(opts EvolvePoolOptions) (*EvolvePool, error) {
 	if opts.Generations < 1 {
 		return nil, fmt.Errorf("difffuzz: evolve needs at least 1 generation, got %d", opts.Generations)
 	}
-	cfgs := opts.configs()
-	if len(cfgs) < 2 {
-		return nil, fmt.Errorf("difffuzz: need at least 2 compiler implementations, got %d", len(cfgs))
+	oracle, err := newProgramOracle(opts.Configs, opts.RuntimeInputs, opts.CacheBudget, opts.StepLimit, opts.Parallelism)
+	if err != nil {
+		return nil, err
 	}
-	if opts.CheckpointDir != "" && !opts.resume && checkpoint.Exists(opts.CheckpointDir) {
-		return nil, fmt.Errorf("difffuzz: checkpoint directory %s already holds a campaign (resume it, or use a fresh directory)", opts.CheckpointDir)
-	}
-
 	p := &EvolvePool{
-		opts:        opts,
-		cfgs:        cfgs,
-		pop:         evolve.SeedPopulation(opts.Seed, opts.Pop),
-		cum:         make([]compiler.PassBits, len(cfgs)),
-		buckets:     triage.NewBucketStore(),
-		cache:       progcache.New(opts.CacheBudget),
-		shardErrs:   make([]error, opts.Shards),
-		optionsHash: EvolveCampaignHash(opts),
+		programOracle: oracle,
+		opts:          opts,
+		pop:           evolve.SeedPopulation(opts.Seed, opts.Pop),
+		cum:           make([]compiler.PassBits, len(oracle.cfgs)),
 	}
-	if opts.StatsDir != "" {
-		rec, err := telemetry.NewRecorder(opts.StatsDir)
-		if err != nil {
-			return nil, fmt.Errorf("difffuzz: stats: %w", err)
-		}
-		p.recorder = rec
-	}
-	if opts.CheckpointDir != "" {
-		saver, err := checkpoint.NewSaver(opts.CheckpointDir)
-		if err != nil {
-			return nil, fmt.Errorf("difffuzz: %w", err)
-		}
-		p.saver = saver
-		p.ckptEvery = opts.CheckpointEvery
-		if p.ckptEvery < 1 {
-			p.ckptEvery = 1
-		}
+	err = p.open(p, engineConfig{
+		shards: opts.Shards, names: implNames(oracle.cfgs), hash: EvolveCampaignHash(opts),
+		ckptDir: opts.CheckpointDir, ckptEvery: opts.CheckpointEvery,
+		stats: opts.StatsDir != "", statsDir: opts.StatsDir, resume: resume,
+		dropOnPanic: true,
+	})
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -262,229 +189,68 @@ func NewEvolvePool(opts EvolvePoolOptions) (*EvolvePool, error) {
 // opts.CheckpointDir. Error classification matches the other pools:
 // ErrNoCheckpoint, ErrMismatch, ErrCorrupt.
 func ResumeEvolvePool(opts EvolvePoolOptions) (*EvolvePool, error) {
-	if opts.CheckpointDir == "" {
-		return nil, fmt.Errorf("difffuzz: resume requires CheckpointDir")
-	}
-	st, _, err := checkpoint.Load(opts.CheckpointDir)
-	if err != nil {
-		return nil, err
-	}
-	h := EvolveCampaignHash(opts)
-	if st.OptionsHash != h {
-		return nil, fmt.Errorf("%w: checkpoint options hash %016x, this campaign hashes to %016x (same seed, population, and campaign options required)",
-			checkpoint.ErrMismatch, st.OptionsHash, h)
-	}
-	opts.resume = true
-	p, err := NewEvolvePool(opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.restore(st); err != nil {
-		return nil, fmt.Errorf("%w: %v", checkpoint.ErrCorrupt, err)
-	}
-	return p, nil
+	return resume(opts.CheckpointDir, EvolveCampaignHash(opts), func() (*EvolvePool, error) {
+		return newEvolvePool(opts, true)
+	})
 }
 
 // Run evolves from the current generation to the configured total (or
 // until ctx is cancelled), evaluating each generation sharded and
 // breeding at the barrier. Safe to call again after cancellation.
 func (p *EvolvePool) Run(ctx context.Context) EvolvePoolStats {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	for p.generation < p.opts.Generations && ctx.Err() == nil {
-		if p.genHook != nil {
-			p.genHook(p.generation)
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		evals, complete := p.evaluate(ctx)
-		if !complete {
-			// Cancelled mid-generation: nothing is merged, so the
-			// checkpointed barrier state stays the resume point and
-			// resume re-evaluates this generation identically.
-			break
-		}
-		fits := p.barrier(evals)
-		p.pop = evolve.NextGeneration(p.pop, fits, p.generation, p.opts.evolveOpts())
-		p.generation++
-		if p.recorder != nil {
-			p.recorder.Record(p.snapshotEvolve())
-		}
-		if p.saver != nil {
-			p.sinceCkpt++
-			if p.sinceCkpt >= p.ckptEvery {
-				p.saveEvolveCheckpoint()
-			}
-		}
-	}
-	if p.saver != nil && p.sinceCkpt > 0 {
-		p.saveEvolveCheckpoint()
-	}
-	if p.recorder != nil {
-		// Mirror the compile pool's cancellation discipline: on a
-		// cancelled run, record the final state and close outright so a
-		// signal-driven exit cannot lose the plot tail.
-		if ctx.Err() != nil {
-			p.recorder.Record(p.snapshotEvolve())
-			_ = p.recorder.Sync()
-			_ = p.recorder.Close()
-		} else {
-			_ = p.recorder.Sync()
-		}
-	}
+	p.run(ctx)
 	return p.Stats()
 }
 
-// evaluate measures every genome through the oracles, sharded by
-// genome index. Results are positional; complete is false when ctx
-// was cancelled before every live shard finished its slice.
-func (p *EvolvePool) evaluate(ctx context.Context) ([]genomeEval, bool) {
-	evals := make([]genomeEval, len(p.pop))
-	nshards := p.opts.Shards
-	var wg sync.WaitGroup
-	var cancelled bool
-	var mu sync.Mutex
-	for s := 0; s < nshards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					p.shardErrs[s] = fmt.Errorf("difffuzz: evolve shard %d panicked: %v\n%s", s, r, debug.Stack())
-					cancelled = true
-					mu.Unlock()
-				}
-			}()
-			for i := s; i < len(p.pop); i += nshards {
-				if p.evalHook != nil {
-					p.evalHook(p.generation, i)
-				}
-				if ctx.Err() != nil {
-					mu.Lock()
-					cancelled = true
-					mu.Unlock()
-					return
-				}
-				evals[i] = p.evalGenome(p.pop[i])
-			}
-		}(s)
-	}
-	wg.Wait()
-	return evals, !cancelled
+func (p *EvolvePool) next() bool {
+	p.evals = make([]verdict, len(p.pop))
+	return p.generation < p.opts.Generations
 }
 
-// evalGenome runs one genome through the k-way compile (cached) and,
-// when universally accepted, the runtime oracle on every input.
-func (p *EvolvePool) evalGenome(g *evolve.Genome) genomeEval {
-	var ge genomeEval
-	comp := p.cache.Get(g.Src, p.cfgs, p.opts.Parallelism)
-	if comp.FrontendErr != nil {
-		ge.eval.FrontendReject = true
-		return ge
-	}
-	ge.eval.ImplBits = make([]compiler.PassBits, len(comp.Results))
-	for i := range comp.Results {
-		ge.eval.ImplBits[i] = comp.Results[i].PassBits
-	}
-	suite, co, err := core.AssembleDifferential(comp.Results, p.cfgs, core.Options{
-		StepLimit:   p.opts.StepLimit,
-		Parallelism: p.opts.Parallelism,
-	})
-	if err != nil {
-		ge.eval.FrontendReject = true
-		return ge
-	}
-	if suite == nil {
-		ge.co = co
-		return ge
-	}
-	ge.eval.Classes = 1
-	for _, in := range p.opts.runtimeInputs() {
-		o := suite.Run(in)
-		if o == nil {
-			continue
+// epoch measures shard si's genomes through the oracles. It stops
+// early, dropping the generation, when ctx is cancelled.
+func (p *EvolvePool) epoch(ctx context.Context, si int) bool {
+	for i := si; i < len(p.pop); i += p.opts.Shards {
+		if p.evalHook != nil {
+			p.evalHook(p.generation, i)
 		}
-		if c := distinctHashes(o.Hashes); c > ge.eval.Classes {
-			ge.eval.Classes = c
+		if ctx.Err() != nil {
+			return false
 		}
-		if o.Diverged {
-			ge.outcomes = append(ge.outcomes, o)
-		}
+		p.evals[i] = p.check(p.pop[i].Src)
 	}
-	return ge
+	return true
 }
 
-// distinctHashes counts output-checksum partition classes.
-func distinctHashes(hs []uint64) int {
-	n := 0
-	for i, h := range hs {
-		fresh := true
-		for j := 0; j < i; j++ {
-			if hs[j] == h {
-				fresh = false
-				break
-			}
-		}
-		if fresh {
-			n++
-		}
-	}
-	return n
-}
-
-// barrier folds the generation's raw measurements into the global
+// merge folds the generation's raw measurements into the global
 // bucket store, cumulative coverage, and fitness — single-threaded,
 // in genome-index order, so the result is independent of how
-// evaluation was sharded.
-func (p *EvolvePool) barrier(evals []genomeEval) []float64 {
-	cumStart := make([]compiler.PassBits, len(p.cum))
-	copy(cumStart, p.cum)
-	fits := make([]float64, len(evals))
+// evaluation was sharded — then breeds the next generation.
+func (p *EvolvePool) merge() {
+	// The evolve engine's knobs other than the seed stay at their
+	// defaults, which the campaign hash therefore pins implicitly.
+	eopts := evolve.Options{Seed: p.opts.Seed}
+	cumStart := append([]compiler.PassBits(nil), p.cum...)
+	fits := make([]float64, len(p.evals))
 	var sum float64
 	best := 0.0
-	for i := range evals {
-		ge := &evals[i]
-		p.programs++
-		if ge.eval.FrontendReject {
-			p.frontendRejects++
-		}
-		if ge.co != nil {
-			if b, fresh := p.buckets.AddCompile(ge.co); b != nil {
-				p.findings++
-				ge.eval.Findings++
-				if fresh {
-					ge.eval.NewBuckets++
-				}
-			} else {
-				p.frontendRejects++ // uniform reject: not a finding
-			}
-		}
-		for _, o := range ge.outcomes {
-			_, fresh := p.buckets.Add(o)
-			p.findings++
-			ge.eval.Findings++
-			if fresh {
-				ge.eval.NewBuckets++
-			}
-		}
-		for k, b := range ge.eval.ImplBits {
-			ge.eval.NewBits += bits.OnesCount32(uint32(b &^ cumStart[k]))
+	for i, v := range p.evals {
+		ev := evolve.Eval{FrontendReject: v.reject, ImplBits: v.bits, Classes: v.classes}
+		ev.Findings, ev.NewBuckets = p.tally(p.buckets, v)
+		for k, b := range v.bits {
+			ev.NewBits += bits.OnesCount32(uint32(b &^ cumStart[k]))
 			p.cum[k] |= b
 		}
-		fits[i] = evolve.Fitness(p.pop[i], ge.eval, p.opts.evolveOpts())
+		fits[i] = evolve.Fitness(p.pop[i], ev, eopts)
 		sum += fits[i]
 		if i == 0 || fits[i] > best {
 			best = fits[i]
 		}
 	}
-	p.lastBest = best
-	if len(evals) > 0 {
-		p.lastMean = sum / float64(len(evals))
-	}
-	return fits
+	// The population is never empty (Pop >= 2).
+	p.lastBest, p.lastMean = best, sum/float64(len(p.evals))
+	p.pop = evolve.NextGeneration(p.pop, fits, p.generation, eopts)
+	p.generation++
 }
 
 // passCoverage counts distinct (implementation, pass) pairs fired.
@@ -496,27 +262,10 @@ func (p *EvolvePool) passCoverage() int {
 	return n
 }
 
-// saveEvolveCheckpoint snapshots the pool at a generation barrier.
-// Failures never stop the campaign.
-func (p *EvolvePool) saveEvolveCheckpoint() {
-	p.sinceCkpt = 0
-	if err := p.saver.Save(p.exportEvolveState()); err != nil {
-		if !p.ckptLogged {
-			log.Printf("difffuzz: checkpoint save failed (campaign continues on the previous checkpoint): %v", err)
-			p.ckptLogged = true
-		}
-	}
-}
-
-// exportEvolveState builds the durable snapshot: the population,
-// generation, cumulative coverage, counters, and pool buckets in full.
-func (p *EvolvePool) exportEvolveState() *checkpoint.State {
-	st := &checkpoint.State{
-		Version:     checkpoint.Version,
-		OptionsHash: p.optionsHash,
-		SpentExecs:  p.programs,
-	}
-	st.Buckets, st.BucketTotal = p.buckets.Export()
+// export fills in the durable snapshot: the population, generation,
+// cumulative coverage, and counters.
+func (p *EvolvePool) export(st *checkpoint.State) {
+	st.SpentExecs = p.programs
 	es := &checkpoint.EvolveCampaignState{
 		Generation:      p.generation,
 		CumBits:         make([]uint32, len(p.cum)),
@@ -533,53 +282,40 @@ func (p *EvolvePool) exportEvolveState() *checkpoint.State {
 		es.Genomes = append(es.Genomes, *g)
 	}
 	st.Evolve = es
-	return st
 }
 
 // restore rebuilds pool state from a loaded snapshot.
 func (p *EvolvePool) restore(st *checkpoint.State) error {
 	es := st.Evolve
-	if es == nil {
+	switch {
+	case es == nil:
 		return fmt.Errorf("checkpoint does not hold an evolutionary campaign")
-	}
-	if len(es.Genomes) != p.opts.Pop {
+	case len(es.Genomes) != p.opts.Pop:
 		return fmt.Errorf("checkpoint population %d != %d", len(es.Genomes), p.opts.Pop)
-	}
-	if es.Generation < 0 || es.Generation > p.opts.Generations {
+	case es.Generation < 0 || es.Generation > p.opts.Generations:
 		return fmt.Errorf("checkpoint generation %d out of range", es.Generation)
-	}
-	if len(es.CumBits) != len(p.cfgs) {
+	case len(es.CumBits) != len(p.cfgs):
 		return fmt.Errorf("checkpoint has %d coverage maps, %d implementations", len(es.CumBits), len(p.cfgs))
 	}
 	p.generation = es.Generation
 	p.pop = p.pop[:0]
 	for i := range es.Genomes {
-		g := es.Genomes[i]
-		p.pop = append(p.pop, &g)
+		p.pop = append(p.pop, &es.Genomes[i])
 	}
 	for i, b := range es.CumBits {
 		p.cum[i] = compiler.PassBits(b)
 	}
-	p.programs = es.Programs
-	p.frontendRejects = es.FrontendRejects
-	p.findings = es.Findings
-	p.lastBest = es.BestFitness
-	p.lastMean = es.MeanFitness
-	p.buckets = triage.RestoreBucketStore(st.Buckets, st.BucketTotal)
+	p.programCounts = programCounts{programs: es.Programs, frontendRejects: es.FrontendRejects, findings: es.Findings}
+	p.lastBest, p.lastMean = es.BestFitness, es.MeanFitness
 	return nil
 }
 
-// snapshotEvolve aggregates the campaign into a telemetry record.
-// Execs counts genome evaluations (each is one k-way compile).
-func (p *EvolvePool) snapshotEvolve() telemetry.Snapshot {
-	var s telemetry.Snapshot
+// snapshot aggregates the campaign into a telemetry record. Execs
+// counts genome evaluations (each is one k-way compile).
+func (p *EvolvePool) snapshot() telemetry.Snapshot {
+	s := p.snapshotBase()
 	s.Programs = p.programs
 	s.Execs = p.programs
-	s.UniqueBuckets = p.buckets.Len()
-	kinds := p.buckets.KindCounts()
-	s.CompileDivergences = kinds[triage.KindCompileDivergence]
-	s.ICEs = kinds[triage.KindICE]
-	s.DiagMismatches = kinds[triage.KindDiagMismatch]
 	s.Generation = p.generation
 	s.BestFitness = p.lastBest
 	s.MeanFitness = p.lastMean
@@ -597,18 +333,13 @@ func (p *EvolvePool) Stats() EvolvePoolStats {
 		Programs:            p.programs,
 		FrontendRejects:     p.frontendRejects,
 		Findings:            p.findings,
-		UniqueBuckets:       p.buckets.Len(),
 		PassCoverage:        p.passCoverage(),
 		BestFitness:         p.lastBest,
 		MeanFitness:         p.lastMean,
 		PopulationSignature: evolve.Signature(p.pop),
-		ShardErrors:         append([]error(nil), p.shardErrs...),
+		ShardErrors:         p.shardErrors(),
 	}
-	kinds := p.buckets.KindCounts()
-	st.CompileDivergences = kinds[triage.KindCompileDivergence]
-	st.ICEs = kinds[triage.KindICE]
-	st.DiagMismatches = kinds[triage.KindDiagMismatch]
-	st.RuntimeBuckets = kinds[triage.KindRuntime]
+	st.UniqueBuckets, st.CompileDivergences, st.ICEs, st.DiagMismatches, st.RuntimeBuckets = bucketCounts(p.buckets)
 	return st
 }
 
@@ -619,54 +350,7 @@ func (p *EvolvePool) PassCoverageBits() []compiler.PassBits {
 	return append([]compiler.PassBits(nil), p.cum...)
 }
 
-// CacheStats exposes the compiled-program cache counters (hits are
-// elite and revisited-offspring re-evaluations served without
-// recompiling). Process-local, like the compile pool's.
-func (p *EvolvePool) CacheStats() progcache.Stats { return p.cache.Stats() }
-
-// BucketStore exposes the pool-wide store (reports, tables).
-func (p *EvolvePool) BucketStore() *triage.BucketStore { return p.buckets }
-
-// BucketKeys is the sorted bucket-key set — the order-independent
-// fingerprint of the campaign's findings.
-func (p *EvolvePool) BucketKeys() []uint64 { return p.buckets.Keys() }
-
 // Population returns the current genomes (read-only view).
 func (p *EvolvePool) Population() []*evolve.Genome {
 	return append([]*evolve.Genome(nil), p.pop...)
-}
-
-// ImplNames returns the implementation names, suite order.
-func (p *EvolvePool) ImplNames() []string {
-	names := make([]string, len(p.cfgs))
-	for i, cfg := range p.cfgs {
-		names[i] = cfg.Name()
-	}
-	return names
-}
-
-// CheckpointSeq is the last durable checkpoint's sequence number (0
-// when none was written).
-func (p *EvolvePool) CheckpointSeq() int {
-	if p.saver == nil {
-		return 0
-	}
-	return p.saver.Seq()
-}
-
-// Snapshots returns the recorded progress series — one entry per
-// generation barrier, plus the final post-cancel snapshot when a run
-// was cancelled (empty when stats are disabled).
-func (p *EvolvePool) Snapshots() []telemetry.Snapshot {
-	if p.recorder == nil {
-		return nil
-	}
-	return p.recorder.Snapshots()
-}
-
-// Close releases observability resources (the stats recorder).
-func (p *EvolvePool) Close() {
-	if p.recorder != nil {
-		_ = p.recorder.Close()
-	}
 }

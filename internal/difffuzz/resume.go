@@ -1,6 +1,6 @@
 package difffuzz
 
-// Checkpoint/resume wiring for the sharded campaign pool. The pool
+// Checkpoint/resume for the sharded campaign pool. The engine
 // snapshots at synchronization barriers — the single-threaded moment
 // when shard stores, the shared stores, and the telemetry counters are
 // mutually consistent — and ResumePool rebuilds an equivalent pool: a
@@ -14,9 +14,7 @@ import (
 	"sync/atomic"
 
 	"compdiff/internal/checkpoint"
-	"compdiff/internal/compiler"
 	"compdiff/internal/core"
-	"compdiff/internal/hash"
 	"compdiff/internal/triage"
 )
 
@@ -31,88 +29,40 @@ import (
 // campaign may legitimately resume with more workers, a different
 // batch size, or a different stats directory.
 func CampaignHash(src string, seeds [][]byte, opts Options) uint64 {
-	d := hash.New128(0xca3b)
-	cfgs := opts.Configs
-	if len(cfgs) == 0 {
-		cfgs = compiler.DefaultSet()
-	}
-	for _, cfg := range cfgs {
-		fmt.Fprintf(d, "cfg:%s\n", cfg.Name())
-	}
-	shards := opts.Shards
-	if shards < 1 {
-		shards = 1
-	}
+	d := optionsDigest(0xca3b, opts.Configs)
 	fmt.Fprintf(d, "seed:%d step:%d maxlen:%d san:%d skipdet:%t divfb:%t shards:%d sync:%d norm:%t\n",
 		opts.FuzzSeed, opts.StepLimit, opts.MaxInputLen, opts.Sanitizer,
-		opts.SkipDeterministic, opts.DivergenceFeedback, shards, opts.SyncEvery,
+		opts.SkipDeterministic, opts.DivergenceFeedback, max(opts.Shards, 1), opts.SyncEvery,
 		opts.Normalizer != nil)
 	fmt.Fprintf(d, "src:%d:%s", len(src), src)
-	for _, s := range seeds {
-		fmt.Fprintf(d, "corpus:%d:", len(s))
-		d.Write(s)
-	}
+	writeBlobs(d, "corpus", seeds)
 	h1, _ := d.Sum128()
 	return h1
 }
 
 // ResumePool rebuilds a pool from the checkpoint in
 // opts.CheckpointDir and restores its state, ready for further Run
-// calls. Errors are classified for callers: checkpoint.ErrNoCheckpoint
-// (nothing to resume — start fresh), checkpoint.ErrMismatch (the
-// campaign options differ from the checkpointed ones — a user error),
-// and checkpoint.ErrCorrupt (damaged files).
+// calls. Errors are classified as for every mode: ErrNoCheckpoint,
+// ErrMismatch, ErrCorrupt.
 func ResumePool(src string, seeds [][]byte, opts Options) (*Pool, error) {
-	if opts.CheckpointDir == "" {
-		return nil, fmt.Errorf("difffuzz: resume requires CheckpointDir")
-	}
-	st, _, err := checkpoint.Load(opts.CheckpointDir)
-	if err != nil {
-		return nil, err
-	}
-	h := CampaignHash(src, seeds, opts)
-	if st.OptionsHash != h {
-		return nil, fmt.Errorf("%w: checkpoint options hash %016x, this campaign hashes to %016x (same source, seeds, and campaign options required)",
-			checkpoint.ErrMismatch, st.OptionsHash, h)
-	}
-	opts.resume = true
-	p, err := NewPool(src, seeds, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.restore(st); err != nil {
-		p.Close()
-		return nil, fmt.Errorf("%w: %v", checkpoint.ErrCorrupt, err)
-	}
-	return p, nil
+	return resume(opts.CheckpointDir, CampaignHash(src, seeds, opts), func() (*Pool, error) {
+		return newPool(src, seeds, opts, true)
+	})
 }
 
 // SpentExecs is the cumulative per-shard execution budget consumed
 // across all Run calls, including runs before a resume.
 func (p *Pool) SpentExecs() int64 { return p.spentTotal.Load() }
 
-// CheckpointSeq is the sequence number of the last durable checkpoint
-// (0 when checkpointing is off or nothing has been saved).
-func (p *Pool) CheckpointSeq() int {
-	if p.saver == nil {
-		return 0
-	}
-	return p.saver.Seq()
-}
-
-// exportState assembles the pool's complete snapshot. Called only at
-// barriers (and after Run), when no shard goroutine is running.
-func (p *Pool) exportState() *checkpoint.State {
-	st := &checkpoint.State{
-		Version:       checkpoint.Version,
-		OptionsHash:   p.optionsHash,
-		SpentExecs:    p.spentTotal.Load(),
-		PersistErrors: p.persistErrs.Load(),
-	}
+// export fills in the pool's snapshot. Called only at barriers (and
+// after Run), when no shard goroutine is running.
+func (p *Pool) export(st *checkpoint.State) {
+	st.SpentExecs = p.spentTotal.Load()
+	st.PersistErrors = p.persistErrs.Load()
 	for si, s := range p.shards {
 		ss := checkpoint.ShardState{
 			Index:         si,
-			Dead:          s.dead,
+			Dead:          p.dead[si],
 			Fuzzer:        s.c.fuzzer.ExportState(),
 			DiffExecs:     atomic.LoadInt64(&s.c.DiffExecs),
 			PersistErrors: atomic.LoadInt64(&s.c.persistErrs),
@@ -131,12 +81,7 @@ func (p *Pool) exportState() *checkpoint.State {
 			ss.Diffs = append(ss.Diffs, &core.StoredDiff{Signature: d.Signature, Count: d.Count})
 		}
 		ss.DiffTotal = s.c.diffs.Total()
-		snaps, btotal := s.c.buckets.Export()
-		for i := range snaps {
-			snaps[i].Outcome = nil
-		}
-		ss.Buckets = snaps
-		ss.BucketTotal = btotal
+		ss.Buckets, ss.BucketTotal = skeleton(s.c.buckets)
 		if m := s.c.metrics; m != nil {
 			ss.Metrics = &checkpoint.MetricsState{
 				Execs:     m.Execs.Load(),
@@ -149,8 +94,6 @@ func (p *Pool) exportState() *checkpoint.State {
 	}
 	st.Diffs = p.store.Unique()
 	st.DiffTotal = p.store.Total()
-	st.Buckets, st.BucketTotal = p.buckets.Export()
-	return st
 }
 
 // restore overwrites the pool's state with a loaded checkpoint. The
@@ -160,12 +103,11 @@ func (p *Pool) restore(st *checkpoint.State) error {
 	if len(st.Shards) != len(p.shards) {
 		return fmt.Errorf("difffuzz: checkpoint has %d shards, pool has %d", len(st.Shards), len(p.shards))
 	}
-	// The shared stores are replaced wholesale; the DiffDir files from
+	// The shared store is replaced wholesale; the DiffDir files from
 	// the original run are already on disk, so the restored store does
 	// not rewrite them (and O_EXCL keeps any name collisions from new
 	// findings non-destructive).
 	p.store = core.RestoreDiffStore(p.opts.DiffDir, st.Diffs, st.DiffTotal)
-	p.buckets = triage.RestoreBucketStore(st.Buckets, st.BucketTotal)
 	p.spentTotal.Store(st.SpentExecs)
 	p.persistErrs.Store(st.PersistErrors)
 	for i, s := range p.shards {
@@ -176,7 +118,7 @@ func (p *Pool) restore(st *checkpoint.State) error {
 		if err := s.c.restoreShard(ss); err != nil {
 			return fmt.Errorf("difffuzz: shard %d: %w", i, err)
 		}
-		s.dead = ss.Dead
+		p.dead[i] = ss.Dead
 		// Barrier cursors always equal the store lengths at a barrier,
 		// which is when the snapshot was taken.
 		s.diffsSynced = len(ss.Diffs)
@@ -188,7 +130,6 @@ func (p *Pool) restore(st *checkpoint.State) error {
 	}
 	// The caches a concurrent Stats reader sees must reflect the
 	// restored shard state, not the discarded construction-time state.
-	p.statCrashes = nil
 	p.refreshStatCache()
 	return nil
 }

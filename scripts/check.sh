@@ -16,6 +16,12 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
+# benchmark/ is a nested module, so ./... above never reaches it. Its
+# driver-equals-pool tests pin the campaign engine's behavior for
+# every mode, including byte-identical Pool checkpoint JSON.
+echo "== benchmark module (vet, test)"
+(cd benchmark && go vet . && go test .)
+
 # The interpreter differential self-test must hold under the race
 # detector: the fast loop and the reference loop share machine state,
 # and this is the gate that keeps them observationally identical. The
