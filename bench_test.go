@@ -351,11 +351,11 @@ func BenchmarkCompileTenImplementations(b *testing.B) {
 func BenchmarkFuzzerCampaign(b *testing.B) {
 	tg := targets.ByName("curl")
 	for i := 0; i < b.N; i++ {
-		c, err := compdiff.NewCampaign(tg.Src, tg.Seeds, compdiff.CampaignOptions{FuzzSeed: int64(i) + 1})
+		c, err := compdiff.NewCampaignPool(tg.Src, tg.Seeds, compdiff.CampaignOptions{FuzzSeed: int64(i) + 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		c.Run(500)
+		c.Run(context.Background(), 500)
 	}
 }
 
@@ -371,14 +371,14 @@ func feedbackAblation(b *testing.B, on bool) {
 	tg := targets.ByName("readelf")
 	var found int
 	for i := 0; i < b.N; i++ {
-		c, err := compdiff.NewCampaign(tg.Src, tg.Seeds, compdiff.CampaignOptions{
+		c, err := compdiff.NewCampaignPool(tg.Src, tg.Seeds, compdiff.CampaignOptions{
 			FuzzSeed:           77,
 			DivergenceFeedback: on,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		c.Run(4_000)
+		c.Run(context.Background(), 4_000)
 		found = len(c.Diffs())
 	}
 	b.ReportMetric(float64(found), "unique-diffs")
@@ -392,14 +392,14 @@ func detStageAblation(b *testing.B, skip bool) {
 	tg := targets.ByName("exiv2")
 	var found int
 	for i := 0; i < b.N; i++ {
-		c, err := compdiff.NewCampaign(tg.Src, tg.Seeds, compdiff.CampaignOptions{
+		c, err := compdiff.NewCampaignPool(tg.Src, tg.Seeds, compdiff.CampaignOptions{
 			FuzzSeed:          31,
 			SkipDeterministic: skip,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		c.Run(4_000)
+		c.Run(context.Background(), 4_000)
 		found = len(c.Diffs())
 	}
 	b.ReportMetric(float64(found), "unique-diffs")

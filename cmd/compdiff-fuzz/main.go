@@ -39,7 +39,7 @@
 //	-diffdir DIR    persist diverging inputs under DIR/diffs/
 //	-stats DIR      record AFL-plot-style snapshots to DIR/plot.jsonl
 //	                and print a per-implementation summary table
-//	-stats-every N  snapshot every N generated inputs (single shard;
+//	-stats-every N  snapshot every N generated inputs (-shards 1 only;
 //	                sharded pools snapshot at every barrier)
 //	-checkpoint DIR write a crash-safe campaign snapshot under DIR at
 //	                every synchronization barrier
@@ -283,10 +283,13 @@ func (c cliConfig) validate() error {
 	if c.statsEvery < 0 {
 		return fmt.Errorf("-stats-every %d: the snapshot interval cannot be negative", c.statsEvery)
 	}
+	if c.statsEvery > 0 && c.shards > 1 {
+		return fmt.Errorf("-stats-every needs -shards 1: sharded pools snapshot at every barrier")
+	}
 	if c.ckptEvery < 0 {
 		return fmt.Errorf("-checkpoint-every %d: the checkpoint interval cannot be negative", c.ckptEvery)
 	}
-	if c.ckptEvery > 0 && c.checkpoint == "" {
+	if c.ckptEvery > 0 && c.checkpoint == "" && c.serve == "" {
 		return fmt.Errorf("-checkpoint-every needs -checkpoint DIR")
 	}
 	if c.resume && c.checkpoint == "" {
@@ -331,7 +334,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&cfg.san, "san", "none", "sanitizer on the fuzz binary: none|asan|ubsan|msan")
 	fs.StringVar(&cfg.diffdir, "diffdir", "", "persist diverging inputs")
 	fs.StringVar(&cfg.statsDir, "stats", "", "record telemetry snapshots to DIR/plot.jsonl")
-	fs.Int64Var(&cfg.statsEvery, "stats-every", 0, "snapshot every N generated inputs (0 = final only)")
+	fs.Int64Var(&cfg.statsEvery, "stats-every", 0, "snapshot every N generated inputs (-shards 1 only; 0 = barriers only)")
 	fs.StringVar(&cfg.checkpoint, "checkpoint", "", "write crash-safe campaign snapshots under DIR")
 	fs.Int64Var(&cfg.ckptEvery, "checkpoint-every", 0, "sync barriers between snapshots (0 = every barrier)")
 	fs.BoolVar(&cfg.resume, "resume", false, "continue the campaign checkpointed in -checkpoint DIR")
@@ -430,8 +433,8 @@ func sanMode(name string) compdiff.SanMode {
 	return compdiff.SanNone
 }
 
-// runFuzzCampaign is the classic single-process mode: a sharded pool
-// when -shards > 1 or -checkpoint is set, a plain campaign otherwise.
+// runFuzzCampaign is the classic single-process mode: a campaign pool
+// of -shards fuzzers (one by default).
 func runFuzzCampaign(cfg cliConfig, seeds *seedList, stdout, stderr io.Writer) error {
 	src, corpus, normalizer, err := loadFuzzInput(cfg, seeds)
 	if err != nil {
@@ -455,60 +458,43 @@ func runFuzzCampaign(cfg cliConfig, seeds *seedList, stdout, stderr io.Writer) e
 		opts.BarrierHook = heartbeatHook(cfg.heartbeat)
 	}
 
-	// Checkpointing runs through the pool even single-sharded: the
-	// pool's synchronization barriers are the snapshot points.
+	// A signal cancels at the next barrier. A single shard without a
+	// checkpoint has only the final one, so there ^C keeps its default
+	// meaning and stops the process at once.
+	ctx := context.Background()
 	if cfg.shards > 1 || cfg.checkpoint != "" {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		var stop context.CancelFunc
+		ctx, stop = signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		pool, err := openCampaign(cfg, stderr,
-			func() (*compdiff.CampaignPool, error) { return compdiff.NewCampaignPool(src, corpus, opts) },
-			func() (*compdiff.CampaignPool, error) { return compdiff.ResumeCampaignPool(src, corpus, opts) },
-			func(p *compdiff.CampaignPool) string {
-				return fmt.Sprintf("%d execs per shard already spent", p.SpentExecs())
-			})
-		if err != nil {
-			return err
-		}
-		defer pool.Close()
-
-		budget := cfg.execs
-		if cfg.execsTotal > 0 {
-			// Cumulative budget: spend only what the checkpointed
-			// watermark has not already covered. A resumed-and-complete
-			// campaign runs nothing and just reprints its findings.
-			budget = cfg.execsTotal - pool.SpentExecs()
-		}
-		var stats compdiff.PoolStats
-		if budget > 0 {
-			stats = pool.Run(ctx, budget)
-		} else {
-			stats = pool.Stats()
-			fmt.Fprintf(stderr, "compdiff-fuzz: budget already spent (%d of %d execs per shard); reporting checkpointed findings\n",
-				pool.SpentExecs(), cfg.execsTotal)
-		}
-
-		printPoolStats(stdout, pool, stats, cfg.checkpoint != "")
-		return nil
 	}
-
-	campaign, err := compdiff.NewCampaign(src, corpus, opts)
+	pool, err := openCampaign(cfg, stderr,
+		func() (*compdiff.CampaignPool, error) { return compdiff.NewCampaignPool(src, corpus, opts) },
+		func() (*compdiff.CampaignPool, error) { return compdiff.ResumeCampaignPool(src, corpus, opts) },
+		func(p *compdiff.CampaignPool) string {
+			return fmt.Sprintf("%d execs per shard already spent", p.SpentExecs())
+		})
 	if err != nil {
 		return err
 	}
-	defer campaign.Close()
-	stats := campaign.Run(cfg.execs)
+	defer pool.Close()
 
-	fmt.Fprintf(stdout, "executions     : %d\n", stats.Execs)
-	fmt.Fprintf(stdout, "corpus         : %d seeds\n", stats.Seeds)
-	fmt.Fprintf(stdout, "unique crashes : %d\n", stats.UniqueCrashes)
-	fmt.Fprintf(stdout, "diff inputs    : %d (%d unique discrepancies, %d triage buckets)\n",
-		campaign.TotalDiffInputs(), len(campaign.Diffs()), len(campaign.Buckets()))
-	fmt.Fprintf(stdout, "diff execs     : %d across %d implementations\n",
-		campaign.DiffExecs, len(campaign.ImplNames()))
-	fmt.Fprintf(stdout, "persist errors : %d\n", campaign.PersistErrors())
-	printTelemetry(stdout, campaign.ImplSummaries(), campaign.Snapshots())
-	fmt.Fprintln(stdout)
-	printReports(stdout, campaign.Buckets(), campaign.ImplNames(), campaign.Crashes())
+	budget := cfg.execs
+	if cfg.execsTotal > 0 {
+		// Cumulative budget: spend only what the checkpointed
+		// watermark has not already covered. A resumed-and-complete
+		// campaign runs nothing and just reprints its findings.
+		budget = cfg.execsTotal - pool.SpentExecs()
+	}
+	var stats compdiff.PoolStats
+	if budget > 0 {
+		stats = pool.Run(ctx, budget)
+	} else {
+		stats = pool.Stats()
+		fmt.Fprintf(stderr, "compdiff-fuzz: budget already spent (%d of %d execs per shard); reporting checkpointed findings\n",
+			pool.SpentExecs(), cfg.execsTotal)
+	}
+
+	printPoolStats(stdout, pool, stats, cfg.checkpoint != "")
 	return nil
 }
 
@@ -598,41 +584,9 @@ func runServe(cfg cliConfig, seeds *seedList, stdout, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("cannot locate own binary for worker re-exec: %w", err)
 	}
-	total := cfg.execsTotal
-	if total == 0 {
-		total = cfg.execs
-	}
-
+	total := farmBudget(cfg)
 	command := func(index int, dirs checkpoint.WorkerDirs) *exec.Cmd {
-		args := []string{
-			"-execs-total", fmt.Sprint(total),
-			"-seed", fmt.Sprint(supervisor.WorkerSeed(cfg.seed, index)),
-			"-shards", fmt.Sprint(cfg.shards),
-			"-jobs", fmt.Sprint(cfg.jobs),
-			"-checkpoint", dirs.Checkpoint,
-			"-stats", dirs.Stats,
-			"-diffdir", dirs.Diff,
-			"-heartbeat", dirs.Heartbeat,
-			"-resume",
-		}
-		if cfg.syncSet {
-			args = append(args, "-sync", fmt.Sprint(cfg.sync))
-		}
-		if cfg.ckptEvery > 0 {
-			args = append(args, "-checkpoint-every", fmt.Sprint(cfg.ckptEvery))
-		}
-		if cfg.san != "none" {
-			args = append(args, "-san", cfg.san)
-		}
-		if cfg.target != "" {
-			args = append(args, "-target", cfg.target)
-		} else {
-			args = append(args, "-src", cfg.src)
-			for _, p := range seeds.paths {
-				args = append(args, "-seedfile", p)
-			}
-		}
-		return exec.Command(exe, args...)
+		return exec.Command(exe, workerArgs(cfg, seeds, index, dirs)...)
 	}
 
 	sup, err := supervisor.New(supervisor.Config{
@@ -711,6 +665,55 @@ loop:
 		return fmt.Errorf("%d worker(s) abandoned after exceeding the restart budget", failed)
 	}
 	return nil
+}
+
+// farmBudget is the cumulative per-shard budget of every farm worker.
+func farmBudget(cfg cliConfig) int64 {
+	if cfg.execsTotal > 0 {
+		return cfg.execsTotal
+	}
+	return cfg.execs
+}
+
+// workerArgs is the command line of farm worker index: this binary in
+// single-process checkpointed mode over the worker's farm subtree,
+// carrying every input-fuzzing flag the supervisor was given.
+func workerArgs(cfg cliConfig, seeds *seedList, index int, dirs checkpoint.WorkerDirs) []string {
+	args := []string{
+		"-execs-total", fmt.Sprint(farmBudget(cfg)),
+		"-seed", fmt.Sprint(supervisor.WorkerSeed(cfg.seed, index)),
+		"-shards", fmt.Sprint(cfg.shards),
+		"-jobs", fmt.Sprint(cfg.jobs),
+		"-checkpoint", dirs.Checkpoint,
+		"-stats", dirs.Stats,
+		"-diffdir", dirs.Diff,
+		"-heartbeat", dirs.Heartbeat,
+		"-resume",
+	}
+	if cfg.syncSet {
+		args = append(args, "-sync", fmt.Sprint(cfg.sync))
+	}
+	if cfg.ckptEvery > 0 {
+		args = append(args, "-checkpoint-every", fmt.Sprint(cfg.ckptEvery))
+	}
+	if cfg.batch > 1 {
+		args = append(args, "-batch", fmt.Sprint(cfg.batch))
+	}
+	if cfg.statsEvery > 0 {
+		args = append(args, "-stats-every", fmt.Sprint(cfg.statsEvery))
+	}
+	if cfg.san != "none" {
+		args = append(args, "-san", cfg.san)
+	}
+	if cfg.target != "" {
+		args = append(args, "-target", cfg.target)
+	} else {
+		args = append(args, "-src", cfg.src)
+		for _, p := range seeds.paths {
+			args = append(args, "-seedfile", p)
+		}
+	}
+	return args
 }
 
 // runProgramsCampaign is the -programs mode: a compile-oracle campaign

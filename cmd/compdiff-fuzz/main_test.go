@@ -1,8 +1,11 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"compdiff/internal/checkpoint"
 )
 
 // validCfg is a baseline that passes validation; cases mutate it.
@@ -166,6 +169,18 @@ func TestValidateFlags(t *testing.T) {
 		// no barriers to disable.
 		{"explicit-sync-zero-solo", func(c *cliConfig) { c.sync = 0; c.syncSet = true }, ""},
 		{"negative-stats-every", func(c *cliConfig) { c.statsEvery = -5 }, "-stats-every -5"},
+		// Periodic snapshots come from inside a single shard; a sharded
+		// pool snapshots at its barriers only.
+		{"stats-every-checkpoint", func(c *cliConfig) { c.statsEvery = 400; c.checkpoint = "ckpt" }, ""},
+		{"stats-every-sharded", func(c *cliConfig) { c.statsEvery = 400; c.shards = 2 },
+			"-stats-every needs -shards 1"},
+		{"serve-stats-every-sharded", func(c *cliConfig) {
+			c.serve = ":0"
+			c.farm = "farm"
+			c.workers = 2
+			c.shards = 2
+			c.statsEvery = 400
+		}, "-stats-every needs -shards 1"},
 		{"bad-san", func(c *cliConfig) { c.san = "tsan" }, `-san "tsan"`},
 		{"negative-checkpoint-every", func(c *cliConfig) { c.checkpoint = "ckpt"; c.ckptEvery = -3 },
 			"-checkpoint-every -3"},
@@ -204,6 +219,13 @@ func TestValidateFlags(t *testing.T) {
 			c.farm = "farm"
 			c.workers = 2
 			c.execsTotal = 100_000
+		}, ""},
+		// Workers get a derived -checkpoint, so their cadence may be set.
+		{"serve-checkpoint-every", func(c *cliConfig) {
+			c.serve = ":0"
+			c.farm = "farm"
+			c.workers = 2
+			c.ckptEvery = 3
 		}, ""},
 		{"serve-without-farm", func(c *cliConfig) { c.serve = ":0"; c.workers = 2 },
 			"-serve needs -farm"},
@@ -273,6 +295,40 @@ func TestValidateFlags(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("validate(%+v) = %q, want substring %q", cfg, err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestWorkerArgsForwardFlags: every input-fuzzing flag set on the farm
+// supervisor must reach the worker command line, or workers silently
+// fuzz with defaults.
+func TestWorkerArgsForwardFlags(t *testing.T) {
+	cases := []struct {
+		flag, value string
+		mutate      func(*cliConfig)
+	}{
+		{"-batch", "64", func(c *cliConfig) { c.batch = 64 }},
+		{"-stats-every", "400", func(c *cliConfig) { c.statsEvery = 400 }},
+		{"-san", "asan", func(c *cliConfig) { c.san = "asan" }},
+		{"-sync", "250", func(c *cliConfig) { c.sync = 250; c.syncSet = true }},
+		{"-checkpoint-every", "3", func(c *cliConfig) { c.ckptEvery = 3 }},
+		{"-shards", "4", func(c *cliConfig) { c.shards = 4 }},
+		{"-jobs", "2", func(c *cliConfig) { c.jobs = 2 }},
+	}
+	dirs := checkpoint.WorkerLayout("farm", 1)
+	for _, tc := range cases {
+		t.Run(tc.flag, func(t *testing.T) {
+			cfg := validCfg()
+			cfg.serve, cfg.farm, cfg.workers = ":0", "farm", 2
+			tc.mutate(&cfg)
+			if err := cfg.validate(); err != nil {
+				t.Fatalf("supervisor config rejected: %v", err)
+			}
+			args := workerArgs(cfg, &seedList{}, 1, dirs)
+			i := slices.Index(args, tc.flag)
+			if i < 0 || i+1 >= len(args) || args[i+1] != tc.value {
+				t.Fatalf("worker argv %q does not carry %s %s", args, tc.flag, tc.value)
 			}
 		})
 	}

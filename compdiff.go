@@ -20,14 +20,10 @@
 //	outcome := suite.Run(input)
 //	if outcome.Diverged { ... unstable code found ... }
 //
-// Fuzzing integration (CompDiff-AFL++, Algorithm 1):
-//
-//	c, err := compdiff.NewCampaign(src, seeds, compdiff.CampaignOptions{})
-//	c.Run(100000)
-//	for _, d := range c.Diffs() { fmt.Println(d.Report(c.ImplNames())) }
-//
-// Sharded campaigns (the paper's 64-core AFL++ -M/-S topology, §4)
-// and parallel differential execution:
+// Fuzzing integration (CompDiff-AFL++, Algorithm 1) runs as a campaign
+// pool: one fuzzer by default, or CampaignOptions.Shards instances in
+// the paper's 64-core AFL++ -M/-S topology (§4), optionally with
+// parallel differential execution:
 //
 //	p, err := compdiff.NewCampaignPool(src, seeds, compdiff.CampaignOptions{Shards: 8, Parallelism: 4})
 //	p.Run(ctx, 100000) // per-shard budget; barriers sync corpora and diffs
@@ -35,8 +31,6 @@
 package compdiff
 
 import (
-	"io"
-
 	"compdiff/internal/checkpoint"
 	"compdiff/internal/compiler"
 	"compdiff/internal/core"
@@ -85,15 +79,12 @@ type DiffStore = core.DiffStore
 // StoredDiff is one unique discrepancy with a representative input.
 type StoredDiff = core.StoredDiff
 
-// Campaign is a CompDiff-AFL++ fuzzing session: an AFL++-style fuzzer
-// whose every generated input is cross-checked over the CompDiff
-// binaries.
-type Campaign = difffuzz.Campaign
-
 // CampaignOptions configures a campaign.
 type CampaignOptions = difffuzz.Options
 
-// CampaignPool runs CampaignOptions.Shards fuzzer instances AFL
+// CampaignPool is a CompDiff-AFL++ campaign: CampaignOptions.Shards
+// AFL++-style fuzzer instances (one by default) whose every generated
+// input is cross-checked over the CompDiff binaries, run AFL
 // -M/-S-style with periodic corpus/diff synchronization through a
 // shared DiffStore — the paper's 64-core campaign topology (§4).
 type CampaignPool = difffuzz.Pool
@@ -135,17 +126,12 @@ func New(src string, impls []Implementation, opts Options) (*Suite, error) {
 	return core.BuildSource(src, impls, opts)
 }
 
-// NewCampaign builds a CompDiff-AFL++ campaign over MiniC source with
-// the given seed corpus.
-func NewCampaign(src string, seeds [][]byte, opts CampaignOptions) (*Campaign, error) {
-	return difffuzz.New(src, seeds, opts)
-}
-
-// NewCampaignPool builds a sharded campaign: opts.Shards fuzzer
-// instances with distinct RNG seeds derived from opts.FuzzSeed,
-// synchronized every opts.SyncEvery executions. With Shards <= 1 the
-// pool degenerates to (and byte-identically reproduces) a single
-// Campaign. With opts.CheckpointDir set, the pool writes a crash-safe
+// NewCampaignPool builds a CompDiff-AFL++ campaign over MiniC source
+// with the given seed corpus: opts.Shards fuzzer instances with
+// distinct RNG seeds derived from opts.FuzzSeed, synchronized every
+// opts.SyncEvery executions. With Shards <= 1 it is a single fuzzer
+// that runs its whole budget in one epoch, fuzzing with opts.FuzzSeed
+// itself. With opts.CheckpointDir set, the pool writes a crash-safe
 // snapshot at its synchronization barriers; ResumeCampaignPool picks
 // a killed campaign back up from the latest one.
 func NewCampaignPool(src string, seeds [][]byte, opts CampaignOptions) (*CampaignPool, error) {
@@ -201,13 +187,6 @@ func NewDiffStore(dir string) *DiffStore {
 // the VM's line traces).
 type Localization = core.Localization
 
-// CampaignMetrics holds a campaign's live telemetry counters: B_fuzz
-// and CompDiff execution totals, per-class outcome counts, and
-// per-implementation latency histograms. Enable collection with
-// CampaignOptions.Stats (or StatsDir / StatsEvery); read it via
-// Campaign.Metrics.
-type CampaignMetrics = telemetry.CampaignMetrics
-
 // CampaignSnapshot is one AFL-plot-style progress record; campaigns
 // append them to an in-memory series and (with StatsDir set) to
 // StatsDir/plot.jsonl.
@@ -220,20 +199,13 @@ type ShardSnapshot = telemetry.ShardSnapshot
 // counts by class and a latency histogram.
 type ImplSummary = telemetry.ImplSummary
 
-// Outcome classes for CampaignMetrics / ImplSummary counters.
+// Outcome classes for ImplSummary counters.
 const (
 	ClassOK            = telemetry.ClassOK
 	ClassCrash         = telemetry.ClassCrash
 	ClassStepLimitHang = telemetry.ClassStepLimitHang
 	ClassDiff          = telemetry.ClassDiff
 )
-
-// WriteMetricsJSON dumps a campaign's metrics registry to w as one
-// JSON object, expvar style: counters, per-class outcome counts, and
-// per-implementation latency histograms keyed by registration name.
-func WriteMetricsJSON(w io.Writer, m *CampaignMetrics) error {
-	return m.Registry().WriteJSON(w)
-}
 
 // Fingerprint is a divergence fingerprint: the implementation
 // agreement partition, the per-implementation outcome classes, and the

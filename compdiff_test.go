@@ -1,6 +1,7 @@
 package compdiff_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -76,11 +77,11 @@ func TestPublicAPIRecommendedPair(t *testing.T) {
 }
 
 func TestPublicAPICampaign(t *testing.T) {
-	c, err := compdiff.NewCampaign(unstableProg, [][]byte{{0}}, compdiff.CampaignOptions{FuzzSeed: 1})
+	c, err := compdiff.NewCampaignPool(unstableProg, [][]byte{{0}}, compdiff.CampaignOptions{FuzzSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Run(200)
+	c.Run(context.Background(), 200)
 	if len(c.Diffs()) == 0 {
 		t.Fatal("campaign found nothing on a trivially unstable program")
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,7 +39,9 @@ int main() {
 
 func main() {
 	seeds := [][]byte{[]byte("LN\x01\x00\x00\x00\x02\x00\x00\x00")}
-	campaign, err := compdiff.NewCampaign(target, seeds, compdiff.CampaignOptions{
+	// A campaign pool with the default single shard: one fuzzer running
+	// its whole budget, as in the paper's Algorithm 1.
+	campaign, err := compdiff.NewCampaignPool(target, seeds, compdiff.CampaignOptions{
 		FuzzSeed:    7,
 		MaxInputLen: 10,
 	})
@@ -48,10 +51,10 @@ func main() {
 
 	fmt.Println("== CompDiff-AFL++ campaign (paper Algorithm 1) ==")
 	fmt.Printf("implementations: %v\n", campaign.ImplNames())
-	stats := campaign.Run(30_000)
+	stats := campaign.Run(context.Background(), 30_000)
 	fmt.Printf("executions: %d  corpus: %d seeds  crashes: %d\n",
-		stats.Execs, stats.Seeds, stats.UniqueCrashes)
-	fmt.Printf("differential executions: %d (the ~10x oversight cost §5 discusses)\n\n", campaign.DiffExecs)
+		stats.Execs, stats.ShardStats[0].Seeds, stats.UniqueCrashes)
+	fmt.Printf("differential executions: %d (the ~10x oversight cost §5 discusses)\n\n", stats.DiffExecs)
 
 	diffs := campaign.Diffs()
 	fmt.Printf("unique discrepancies found: %d (from %d diverging inputs)\n\n",

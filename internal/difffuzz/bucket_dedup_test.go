@@ -48,7 +48,7 @@ func TestPoolBucketDedupAcrossShards(t *testing.T) {
 	// Both shards must have hit the bug locally; the seeds alone
 	// guarantee it, since each shard ingests the full seed corpus.
 	for si := 0; si < 2; si++ {
-		if n := p.ShardCampaign(si).BucketStore().Len(); n != 1 {
+		if n := p.shards[si].c.buckets.Len(); n != 1 {
 			t.Fatalf("shard %d has %d buckets, want 1", si, n)
 		}
 	}

@@ -70,7 +70,7 @@ type Pool struct {
 
 // shard is one fuzzer instance plus its synchronization bookkeeping.
 type shard struct {
-	c *Campaign
+	c *campaign
 
 	diffsSynced   int             // shard-local store entries already merged
 	bucketsSynced int             // shard-local buckets already merged
@@ -104,9 +104,8 @@ type PoolStats struct {
 	// ShardErrors has one entry per shard; non-nil marks a shard that
 	// panicked and was retired. The campaign itself keeps running.
 	ShardErrors []error
-	// PersistErrors counts DiffStore persistence failures (shared store
-	// and shards). Non-zero means the campaign completed but DiffDir is
-	// missing evidence files.
+	// PersistErrors counts shared-store persistence failures. Non-zero
+	// means the campaign completed but DiffDir is missing evidence files.
 	PersistErrors int64
 	// SpentExecs is the cumulative per-shard budget across Run calls,
 	// including runs before a resume.
@@ -135,25 +134,29 @@ func newPool(src string, seeds [][]byte, opts Options, resume bool) (*Pool, erro
 	for si := 0; si < n; si++ {
 		sopts := opts
 		sopts.FuzzSeed = ShardSeed(opts.FuzzSeed, si)
-		sopts.DiffDir = "" // shard-local stores stay in memory
-		if opts.statsEnabled() {
-			// Shards keep their counters but the pool owns the snapshot
-			// series and the plot file.
-			sopts.Stats = true
-			sopts.StatsDir = ""
-			sopts.StatsEvery = 0
-			sopts.poolShard = true
-		}
 		if si > 0 {
 			// Secondaries skip the deterministic stage, AFL -S style:
 			// systematic shallow exploration is the main's job.
 			sopts.SkipDeterministic = true
 		}
-		c, err := NewChecked(info, seeds, sopts)
+		c, err := newCampaign(info, seeds, sopts)
 		if err != nil {
 			return nil, fmt.Errorf("difffuzz: shard %d: %w", si, err)
 		}
 		p.shards = append(p.shards, &shard{c: c, queueSeen: map[uint64]bool{}})
+	}
+	if every := opts.StatsEvery; n == 1 && every > 0 {
+		// A single shard may run its whole budget as one epoch, so its
+		// periodic records come from inside the shard, AFL plot_data
+		// style, into the pool's mutex-guarded recorder.
+		c := p.shards[0].c
+		c.statsTick = func(execs int64) {
+			if execs%every == 0 {
+				s := c.snapshot()
+				s.PersistErrors = p.persistErrs.Load()
+				p.recorder.Record(s)
+			}
+		}
 	}
 	p.refreshStatCache()
 	if opts.BarrierHook != nil {
@@ -177,7 +180,7 @@ func newPool(src string, seeds [][]byte, opts Options, resume bool) (*Pool, erro
 func (p *Pool) refreshStatCache() {
 	stats := make([]fuzz.Stats, len(p.shards))
 	for si, s := range p.shards {
-		stats[si] = s.c.Stats()
+		stats[si] = s.c.fuzzer.Stats()
 	}
 	crashes := len(p.Crashes())
 	p.mu.Lock()
@@ -186,9 +189,9 @@ func (p *Pool) refreshStatCache() {
 }
 
 // ShardSeed derives shard si's fuzzer RNG seed from the base seed.
-// Shard 0 keeps the base seed verbatim, so a single-shard pool is
-// byte-identical to a plain Campaign; the rest get splitmix64-mixed
-// values, distinct even for adjacent bases.
+// Shard 0 keeps the base seed verbatim, so a single-shard pool fuzzes
+// with the seed it was given; the rest get splitmix64-mixed values,
+// distinct even for adjacent bases.
 func ShardSeed(base int64, si int) int64 {
 	if si == 0 {
 		return base
@@ -213,10 +216,9 @@ func (p *Pool) Run(ctx context.Context, budget int64) PoolStats {
 		p.chunk = budget / 8
 	}
 	// A single shard needs no barriers, so the whole budget runs in one
-	// chunk — keeping Shards=1 byte-identical to a plain Campaign. With
-	// checkpointing on, barriers are the snapshot points, so the shard
-	// chunks like a multi-shard pool; fresh and resumed runs then share
-	// the same chunking, which is what makes resume
+	// chunk. With checkpointing on, barriers are the snapshot points, so
+	// the shard chunks like a multi-shard pool; fresh and resumed runs
+	// then share the same chunking, which is what makes resume
 	// execution-equivalent.
 	if len(p.shards) == 1 && p.saver == nil || p.chunk < 1 {
 		p.chunk = budget
@@ -231,7 +233,7 @@ func (p *Pool) next() bool {
 }
 
 func (p *Pool) epoch(_ context.Context, si int) bool {
-	p.shards[si].c.Run(p.step)
+	p.shards[si].c.run(p.step)
 	return true
 }
 
@@ -274,21 +276,11 @@ func (p *Pool) snapshot() telemetry.Snapshot {
 	s.UniqueDiffs = p.store.Len()
 	s.TotalDiffInputs = p.store.Total()
 	s.UniqueCrashes = len(p.Crashes())
-	s.PersistErrors = p.persistErrors()
+	s.PersistErrors = p.persistErrs.Load()
 	if plateau > 0 {
 		s.PlateauExecs = plateau
 	}
 	return s
-}
-
-// persistErrors totals persistence failures across the shared store
-// and the shards. Every term is atomic, so this is safe mid-epoch.
-func (p *Pool) persistErrors() int64 {
-	n := p.persistErrs.Load()
-	for _, s := range p.shards {
-		n += atomic.LoadInt64(&s.c.persistErrs)
-	}
-	return n
 }
 
 // merge is the barrier body. It runs single-threaded (all shard
@@ -379,12 +371,12 @@ func (p *Pool) Stats() PoolStats {
 		st.Execs += fs.Execs
 	}
 	for _, s := range p.shards {
-		st.DiffExecs += atomic.LoadInt64(&s.c.DiffExecs)
+		st.DiffExecs += atomic.LoadInt64(&s.c.diffExecs)
 	}
 	st.UniqueDiffs = p.store.Len()
 	st.TotalDiffInputs = p.store.Total()
 	st.UniqueBuckets, st.CompileDivergences, st.ICEs, st.DiagMismatches, _ = bucketCounts(p.buckets)
-	st.PersistErrors = p.persistErrors()
+	st.PersistErrors = p.persistErrs.Load()
 	st.SpentExecs = p.spentTotal.Load()
 	return st
 }
@@ -415,7 +407,7 @@ func (p *Pool) Crashes() []*fuzz.Crash {
 	seen := map[string]bool{}
 	var out []*fuzz.Crash
 	for _, s := range p.shards {
-		for _, cr := range s.c.Crashes() {
+		for _, cr := range s.c.fuzzer.Crashes() {
 			if !seen[string(cr.Input)] {
 				seen[string(cr.Input)] = true
 				out = append(out, cr)
@@ -424,10 +416,6 @@ func (p *Pool) Crashes() []*fuzz.Crash {
 	}
 	return out
 }
-
-// ShardCampaign exposes shard si's campaign (read-only use between
-// Run calls; campaigns are not concurrency-safe).
-func (p *Pool) ShardCampaign(si int) *Campaign { return p.shards[si].c }
 
 // ImplSummaries merges the per-implementation telemetry across shards
 // (shards share the implementation set, so position identifies the

@@ -52,7 +52,7 @@ func TestPoolDeterministicSignatures(t *testing.T) {
 	// The shared store's totals must equal the sum over shards.
 	var wantTotal int
 	for si := 0; si < 4; si++ {
-		wantTotal += a.ShardCampaign(si).TotalDiffInputs()
+		wantTotal += a.shards[si].c.diffs.Total()
 	}
 	if got := a.TotalDiffInputs(); got != wantTotal {
 		t.Fatalf("pool TotalDiffInputs = %d, want shard sum %d", got, wantTotal)
@@ -60,17 +60,16 @@ func TestPoolDeterministicSignatures(t *testing.T) {
 }
 
 // TestPoolSingleShardMatchesCampaign: Shards=1 + Parallelism=1 must
-// reproduce a plain Campaign byte-for-byte — same signatures in the
-// same discovery order, same representative inputs, same stats.
+// reproduce a bare shard run over the whole budget byte-for-byte —
+// same signatures in the same discovery order, same representative
+// inputs, same stats.
 func TestPoolSingleShardMatchesCampaign(t *testing.T) {
 	tg := poolTarget(t)
 	opts := Options{FuzzSeed: 7}
 
-	c, err := New(tg.Src, tg.Seeds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := c.Run(2000)
+	c := newSolo(t, tg.Src, tg.Seeds, opts)
+	c.run(2000)
+	cs := c.fuzzer.Stats()
 
 	p := runPool(t, opts, 2000)
 	ps := p.Stats()
@@ -79,7 +78,7 @@ func TestPoolSingleShardMatchesCampaign(t *testing.T) {
 		t.Fatalf("pool stats (execs=%d crashes=%d) != campaign (execs=%d crashes=%d)",
 			ps.Execs, ps.UniqueCrashes, cs.Execs, cs.UniqueCrashes)
 	}
-	cd, pd := c.Diffs(), p.Diffs()
+	cd, pd := c.diffs.Unique(), p.Diffs()
 	if len(cd) != len(pd) {
 		t.Fatalf("pool found %d unique diffs, campaign %d", len(pd), len(cd))
 	}
@@ -94,8 +93,8 @@ func TestPoolSingleShardMatchesCampaign(t *testing.T) {
 			t.Fatalf("diff %d: count %d != %d", i, pd[i].Count, cd[i].Count)
 		}
 	}
-	if p.TotalDiffInputs() != c.TotalDiffInputs() {
-		t.Fatalf("total diff inputs %d != %d", p.TotalDiffInputs(), c.TotalDiffInputs())
+	if p.TotalDiffInputs() != c.diffs.Total() {
+		t.Fatalf("total diff inputs %d != %d", p.TotalDiffInputs(), c.diffs.Total())
 	}
 }
 
@@ -216,21 +215,18 @@ func TestPoolCancellation(t *testing.T) {
 // its own coverage discovered (ForceSeed imports at barriers).
 func TestPoolCrossPollination(t *testing.T) {
 	tg := poolTarget(t)
-	solo, err := New(tg.Src, tg.Seeds, Options{FuzzSeed: ShardSeed(7, 1), SkipDeterministic: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	solo.Run(1000)
+	solo := newSolo(t, tg.Src, tg.Seeds, Options{FuzzSeed: ShardSeed(7, 1), SkipDeterministic: true})
+	solo.run(1000)
 
 	p, err := NewPool(tg.Src, tg.Seeds, Options{FuzzSeed: 7, Shards: 2, SyncEvery: 250})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Run(context.Background(), 1000)
-	pooled := p.ShardCampaign(1)
+	pooled := p.shards[1].c
 
-	if pooled.Stats().Seeds <= solo.Stats().Seeds {
+	if pooled.fuzzer.Stats().Seeds <= solo.fuzzer.Stats().Seeds {
 		t.Fatalf("sharded secondary has %d seeds, solo run %d — no evidence of imports",
-			pooled.Stats().Seeds, solo.Stats().Seeds)
+			pooled.fuzzer.Stats().Seeds, solo.fuzzer.Stats().Seeds)
 	}
 }

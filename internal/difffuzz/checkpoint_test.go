@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -249,53 +250,37 @@ func TestPoolResumeErrorClasses(t *testing.T) {
 
 // TestPoolCountsPersistErrors: a DiffDir whose diffs/ path cannot be
 // created must not kill the campaign, but every dropped evidence file
-// must be counted and surfaced through PoolStats.
+// must be counted and surfaced through PoolStats — for a single shard
+// as for several.
 func TestPoolCountsPersistErrors(t *testing.T) {
 	tg := poolTarget(t)
-	dir := t.TempDir()
-	// Occupy the diffs/ path with a regular file so persistence fails.
-	if err := os.WriteFile(filepath.Join(dir, "diffs"), []byte("in the way"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			// Occupy the diffs/ path with a regular file so persistence fails.
+			if err := os.WriteFile(filepath.Join(dir, "diffs"), []byte("in the way"), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	p, err := NewPool(tg.Src, tg.Seeds, Options{FuzzSeed: 7, Shards: 2, SyncEvery: 500, DiffDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := p.Run(context.Background(), 1000)
-	if stats.UniqueDiffs == 0 {
-		t.Fatal("campaign found no discrepancies; the persist-error check is vacuous")
-	}
-	if stats.PersistErrors == 0 {
-		t.Fatal("persistence failures were swallowed: PoolStats.PersistErrors = 0")
-	}
-	// The healthy-path counterpart: a writable DiffDir reports zero.
-	q, err := NewPool(tg.Src, tg.Seeds, Options{FuzzSeed: 7, Shards: 2, SyncEvery: 500, DiffDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := q.Run(context.Background(), 1000); s.PersistErrors != 0 {
-		t.Fatalf("healthy campaign reports %d persist errors", s.PersistErrors)
-	}
-}
-
-// TestCampaignCountsPersistErrors: the single-campaign Add path must
-// count (not swallow) persistence failures too.
-func TestCampaignCountsPersistErrors(t *testing.T) {
-	tg := poolTarget(t)
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "diffs"), []byte("in the way"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(tg.Src, tg.Seeds, Options{FuzzSeed: 7, DiffDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Run(2000)
-	if len(c.Diffs()) == 0 {
-		t.Fatal("campaign found no discrepancies; the persist-error check is vacuous")
-	}
-	if c.PersistErrors() == 0 {
-		t.Fatal("persistence failures were swallowed: Campaign.PersistErrors() = 0")
+			p, err := NewPool(tg.Src, tg.Seeds, Options{FuzzSeed: 7, Shards: shards, SyncEvery: 500, DiffDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats := p.Run(context.Background(), 1000)
+			if stats.UniqueDiffs == 0 {
+				t.Fatal("campaign found no discrepancies; the persist-error check is vacuous")
+			}
+			if stats.PersistErrors == 0 {
+				t.Fatal("persistence failures were swallowed: PoolStats.PersistErrors = 0")
+			}
+			// The healthy-path counterpart: a writable DiffDir reports zero.
+			q, err := NewPool(tg.Src, tg.Seeds, Options{FuzzSeed: 7, Shards: shards, SyncEvery: 500, DiffDir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := q.Run(context.Background(), 1000); s.PersistErrors != 0 {
+				t.Fatalf("healthy campaign reports %d persist errors", s.PersistErrors)
+			}
+		})
 	}
 }

@@ -9,14 +9,11 @@
 package difffuzz
 
 import (
-	"fmt"
-	"log"
 	"sync/atomic"
 
 	"compdiff/internal/compiler"
 	"compdiff/internal/core"
 	"compdiff/internal/fuzz"
-	"compdiff/internal/minic/parser"
 	"compdiff/internal/minic/sema"
 	"compdiff/internal/telemetry"
 	"compdiff/internal/triage"
@@ -73,17 +70,17 @@ type Options struct {
 	// is inherently per-exec.
 	BatchSize int
 
-	// Shards is the number of parallel fuzzer instances NewPool runs,
+	// Shards is the number of parallel fuzzer instances a pool runs,
 	// mirroring AFL++'s -M/-S multi-instance setup: shard 0 is the
 	// main (deterministic stage enabled), secondaries run havoc-only,
 	// and every shard derives a distinct RNG seed from FuzzSeed.
-	// Values <= 1 mean a single shard. Ignored by New.
+	// Values <= 1 mean a single shard.
 	Shards int
 
 	// SyncEvery is the per-shard execution count a pool runs between
 	// corpus/diff synchronization barriers. Zero picks budget/8. A
-	// single-shard pool always runs its whole budget in one chunk,
-	// which makes Shards=1 byte-identical to a plain Campaign.
+	// single-shard pool without a checkpoint runs its whole budget in
+	// one chunk: it has no siblings to synchronize with.
 	SyncEvery int64
 
 	// Stats enables the telemetry layer: outcome classification of
@@ -94,19 +91,19 @@ type Options struct {
 	// StatsDir, when set (implies Stats), receives plot.jsonl: one JSON
 	// snapshot per line, append-only, AFL plot_data style.
 	StatsDir string
-	// StatsEvery emits a periodic snapshot every N generated inputs
-	// (implies Stats). Zero leaves only the per-Run final snapshot (and,
-	// for pools, the per-barrier snapshots).
+	// StatsEvery makes a single-shard pool emit a snapshot every N
+	// generated inputs, besides the per-barrier ones (implies Stats).
+	// Pools with Shards > 1 ignore it: they snapshot at every barrier.
 	StatsEvery int64
 
 	// CheckpointDir, when set, makes the pool write a crash-safe
 	// campaign snapshot (internal/checkpoint) at its synchronization
 	// barriers, so a killed campaign resumes via ResumePool with the
 	// findings and determinism of an uninterrupted run; the options hash
-	// guards against resuming under different settings. Ignored by
-	// plain Campaigns. A single-shard pool with checkpointing runs in
-	// SyncEvery-sized chunks (it needs barriers to snapshot at), so
-	// enable it on the fresh run too when comparing runs bit-for-bit.
+	// guards against resuming under different settings. A single-shard
+	// pool with checkpointing runs in SyncEvery-sized chunks (it needs
+	// barriers to snapshot at), so enable it on the fresh run too when
+	// comparing runs bit-for-bit.
 	CheckpointDir string
 	// CheckpointEvery is the number of synchronization barriers between
 	// snapshots; <= 0 means every barrier.
@@ -117,14 +114,8 @@ type Options struct {
 	// telemetry snapshot, and any checkpoint save — with the pool's
 	// barrier-consistent stats. Worker processes under a supervisor use
 	// it to publish an atomic heartbeat file per barrier. Observability
-	// only: excluded from CampaignHash, ignored by plain Campaigns
-	// (which have no barriers).
+	// only: excluded from CampaignHash.
 	BarrierHook func(PoolStats)
-
-	// poolShard marks a campaign built as a pool shard: it keeps its
-	// counters but no recorder — the pool snapshots at barriers, where
-	// all shard goroutines have joined.
-	poolShard bool
 }
 
 // statsEnabled reports whether any stats option asks for telemetry.
@@ -132,39 +123,34 @@ func (o Options) statsEnabled() bool {
 	return o.Stats || o.StatsDir != "" || o.StatsEvery > 0
 }
 
-// Campaign is a CompDiff-AFL++ fuzzing session on one target. A
-// Campaign is single-goroutine (the pool gives each shard its own);
-// only DiffExecs may be read concurrently, via atomic load.
-type Campaign struct {
+// campaign is one pool shard: a CompDiff-AFL++ fuzzer on one target
+// whose every generated input is cross-checked over the CompDiff
+// binaries. A campaign is single-goroutine (the pool gives each shard
+// its own); only diffExecs may be read concurrently, via atomic load.
+type campaign struct {
 	fuzzer *fuzz.Fuzzer
 	suite  *core.Suite
-	diffs  *core.DiffStore
+	// diffs is the shard-local, in-memory signature store; evidence
+	// files are written only by the pool's shared store.
+	diffs *core.DiffStore
 	// buckets deduplicates the diverging outcomes by divergence
 	// fingerprint (the triage layer). The signature-keyed DiffStore
 	// stays authoritative for persistence and DivergenceFeedback;
 	// buckets is the reporting view.
 	buckets *triage.BucketStore
 
-	// DiffExecs counts executions spent on the CompDiff binaries
+	// diffExecs counts executions spent on the CompDiff binaries
 	// (k per generated input) — the overhead the paper discusses.
 	// Updated atomically so pool-level progress reporting can read it
 	// while the shard runs.
-	DiffExecs int64
-
-	// persistErrs counts DiffStore persistence failures (disk-full,
-	// permission loss). The campaign keeps running on such errors, but
-	// they must not vanish: the count surfaces in snapshots, stats, and
-	// the CLI summary, and the first occurrence is logged.
-	persistErrs int64
+	diffExecs int64
 
 	// metrics is nil unless Options ask for stats; every instrumented
 	// branch on the hot path is a single nil check.
 	metrics *telemetry.CampaignMetrics
-	// recording collects snapshots for a standalone campaign. Pool
-	// shards have metrics but no recorder: the pool snapshots at its
-	// barriers instead.
-	recording
-	statsEvery int64
+	// statsTick, when set, runs after every counted input with the
+	// running exec count; a single-shard pool uses it for StatsEvery.
+	statsTick func(execs int64)
 
 	// Batch executor state (Options.BatchSize > 1). Generated inputs
 	// are copied into batchBuf (the fuzzer reuses its mutation buffer,
@@ -180,21 +166,8 @@ type Campaign struct {
 	batchOuts []*core.Outcome
 }
 
-// New builds a campaign for the MiniC source with initial seeds.
-func New(src string, seeds [][]byte, opts Options) (*Campaign, error) {
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("difffuzz: parse: %w", err)
-	}
-	info, err := sema.Check(prog)
-	if err != nil {
-		return nil, fmt.Errorf("difffuzz: check: %w", err)
-	}
-	return NewChecked(info, seeds, opts)
-}
-
-// NewChecked builds a campaign from an already-checked program.
-func NewChecked(info *sema.Info, seeds [][]byte, opts Options) (*Campaign, error) {
+// newCampaign builds a pool shard from an already-checked program.
+func newCampaign(info *sema.Info, seeds [][]byte, opts Options) (*campaign, error) {
 	cfgs := defaultConfigs(opts.Configs)
 
 	// B_fuzz: the fuzzer-configured binary with coverage
@@ -218,15 +191,8 @@ func NewChecked(info *sema.Info, seeds [][]byte, opts Options) (*Campaign, error
 	})
 
 	var metrics *telemetry.CampaignMetrics
-	var recorder *telemetry.Recorder
 	if opts.statsEnabled() {
 		metrics = telemetry.NewCampaignMetrics(implNames(cfgs))
-		if !opts.poolShard {
-			recorder, err = telemetry.NewRecorder(opts.StatsDir)
-			if err != nil {
-				return nil, fmt.Errorf("difffuzz: stats: %w", err)
-			}
-		}
 	}
 
 	copts := core.Options{
@@ -248,14 +214,12 @@ func NewChecked(info *sema.Info, seeds [][]byte, opts Options) (*Campaign, error
 		// deferring verdicts would starve it, so clamp to per-exec.
 		batch = 1
 	}
-	c := &Campaign{
-		suite:      suite,
-		diffs:      core.NewDiffStore(opts.DiffDir),
-		buckets:    triage.NewBucketStore(),
-		metrics:    metrics,
-		recording:  recording{recorder},
-		statsEvery: opts.StatsEvery,
-		batchSize:  batch,
+	c := &campaign{
+		suite:     suite,
+		diffs:     core.NewDiffStore(""),
+		buckets:   triage.NewBucketStore(),
+		metrics:   metrics,
+		batchSize: batch,
 	}
 	if batch > 1 {
 		c.batchOffs = make([]int, 1, batch+1)
@@ -270,7 +234,7 @@ func NewChecked(info *sema.Info, seeds [][]byte, opts Options) (*Campaign, error
 			// Batch path: defer the cross-check until batchSize inputs
 			// have accumulated. Initial-corpus ingestion (c.fuzzer nil)
 			// always takes the per-exec path so seed verdicts are
-			// available the moment New returns, batched or not.
+			// available the moment newCampaign returns, batched or not.
 			if c.batchSize > 1 && c.fuzzer != nil {
 				c.enqueue(input, res)
 				return
@@ -292,7 +256,7 @@ func NewChecked(info *sema.Info, seeds [][]byte, opts Options) (*Campaign, error
 // enqueue copies one generated input into the pending batch and
 // flushes when it reaches batchSize. The copy is required: the fuzzer
 // owns input and reuses the buffer for its next mutation.
-func (c *Campaign) enqueue(input []byte, res *vm.Result) {
+func (c *campaign) enqueue(input []byte, res *vm.Result) {
 	c.batchBuf = append(c.batchBuf, input...)
 	c.batchOffs = append(c.batchOffs, len(c.batchBuf))
 	if c.metrics != nil {
@@ -308,7 +272,7 @@ func (c *Campaign) enqueue(input []byte, res *vm.Result) {
 // flushBatch cross-checks every pending input in one RunBatch call
 // and feeds the outcomes through the same observation path the
 // per-exec mode uses, in the same order the fuzzer generated them.
-func (c *Campaign) flushBatch() {
+func (c *campaign) flushBatch() {
 	nb := len(c.batchOffs) - 1
 	if nb <= 0 {
 		return
@@ -329,7 +293,7 @@ func (c *Campaign) flushBatch() {
 		if c.metrics != nil {
 			cls = c.batchCls[i]
 		}
-		// Feedback is always off here: NewChecked clamps batchSize to 1
+		// Feedback is always off here: newCampaign clamps batchSize to 1
 		// when DivergenceFeedback is requested.
 		c.observe(o.Input, o, cls, false)
 		c.batchOuts[i] = nil
@@ -342,18 +306,15 @@ func (c *Campaign) flushBatch() {
 // observe records one cross-checked input: divergence bookkeeping,
 // optional fuzzer feedback, and telemetry. Shared verbatim by the
 // per-exec and batch paths so their observable state is identical.
-func (c *Campaign) observe(input []byte, o *core.Outcome, cls telemetry.Class, feedback bool) {
-	atomic.AddInt64(&c.DiffExecs, int64(len(c.suite.Impls)))
+func (c *campaign) observe(input []byte, o *core.Outcome, cls telemetry.Class, feedback bool) {
+	atomic.AddInt64(&c.diffExecs, int64(len(c.suite.Impls)))
 	if o.Diverged {
 		fresh, err := c.diffs.Add(o)
 		if err != nil {
-			// Persistence failure must not kill the campaign —
-			// the in-memory record is kept regardless — but it
-			// must not vanish either: the on-disk evidence is now
-			// incomplete, so count it and log the first one.
-			if atomic.AddInt64(&c.persistErrs, 1) == 1 {
-				log.Printf("difffuzz: diff persistence failed (campaign continues, on-disk evidence incomplete): %v", err)
-			}
+			// The shard store has no directory, so Add cannot fail;
+			// if it ever does, the pool's per-shard recover retires
+			// the shard with this error.
+			panic(err)
 		}
 		c.buckets.Add(o)
 		// c.fuzzer is nil while the initial corpus is being
@@ -374,11 +335,8 @@ func (c *Campaign) observe(input []byte, o *core.Outcome, cls telemetry.Class, f
 			cls = telemetry.ClassDiff
 		}
 		m.Classes.Inc(cls)
-		// Periodic snapshot, AFL plot_data style. Skipped while
-		// fuzz.New ingests the initial corpus (c.fuzzer nil).
-		if c.recorder != nil && c.statsEvery > 0 &&
-			execs%c.statsEvery == 0 && c.fuzzer != nil {
-			c.recorder.Record(c.snapshot())
+		if c.statsTick != nil {
+			c.statsTick(execs)
 		}
 	}
 }
@@ -392,25 +350,19 @@ func O1ForSan(san vm.SanMode) compiler.OptLevel {
 	return compiler.O2
 }
 
-// Run fuzzes for the given number of executions on B_fuzz. With stats
-// enabled, a final snapshot is recorded when the budget is spent.
-func (c *Campaign) Run(budget int64) fuzz.Stats {
-	st := c.fuzzer.Run(budget)
+// run fuzzes for the given number of executions on B_fuzz.
+func (c *campaign) run(budget int64) {
+	c.fuzzer.Run(budget)
 	// Drain any partial batch so the campaign's observable state
-	// (diffs, buckets, counters) is complete at every Run boundary —
+	// (diffs, buckets, counters) is complete at every run boundary —
 	// this is what makes pool barriers, checkpoints, and end-of-budget
 	// reporting batch-size-invariant.
 	c.flushBatch()
-	if c.recorder != nil {
-		c.recorder.Record(c.snapshot())
-	}
-	return st
 }
 
-// snapshot assembles the campaign's current progress record. Callers
-// hold no locks: every source is either atomic or owned by the
-// campaign goroutine.
-func (c *Campaign) snapshot() telemetry.Snapshot {
+// snapshot assembles the shard's live progress record. Called on the
+// shard goroutine: every source is either atomic or owned by it.
+func (c *campaign) snapshot() telemetry.Snapshot {
 	m := c.metrics
 	st := c.fuzzer.Stats()
 	s := telemetry.Snapshot{
@@ -422,52 +374,7 @@ func (c *Campaign) snapshot() telemetry.Snapshot {
 		UniqueBuckets:   c.buckets.Len(),
 		UniqueCrashes:   st.UniqueCrashes,
 		PlateauExecs:    st.Execs - st.LastNewPath,
-		PersistErrors:   atomic.LoadInt64(&c.persistErrs),
 	}
 	s.SetClasses(m.Classes.Snapshot())
 	return s
 }
-
-// PersistErrors is the number of DiffStore persistence failures so
-// far. Non-zero means the campaign ran to completion but dir-backed
-// evidence is incomplete.
-func (c *Campaign) PersistErrors() int64 {
-	return atomic.LoadInt64(&c.persistErrs)
-}
-
-// Metrics returns the campaign's live counters, or nil when stats are
-// disabled.
-func (c *Campaign) Metrics() *telemetry.CampaignMetrics { return c.metrics }
-
-// ImplSummaries returns per-implementation outcome counts and latency
-// histograms, or nil when stats are disabled.
-func (c *Campaign) ImplSummaries() []telemetry.ImplSummary {
-	if c.metrics == nil {
-		return nil
-	}
-	return c.metrics.Suite.Summaries()
-}
-
-// Diffs returns the unique discrepancies found so far.
-func (c *Campaign) Diffs() []*core.StoredDiff { return c.diffs.Unique() }
-
-// Buckets returns the fingerprint-deduplicated findings in discovery
-// order.
-func (c *Campaign) Buckets() []*triage.Bucket { return c.buckets.Buckets() }
-
-// BucketStore exposes the campaign's triage store (reporting and
-// pool-merge use).
-func (c *Campaign) BucketStore() *triage.BucketStore { return c.buckets }
-
-// TotalDiffInputs is the number of diverging inputs seen, pre-dedup.
-func (c *Campaign) TotalDiffInputs() int { return c.diffs.Total() }
-
-// Crashes returns B_fuzz crashes (AFL++'s native findings, including
-// sanitizer aborts when a sanitizer is enabled).
-func (c *Campaign) Crashes() []*fuzz.Crash { return c.fuzzer.Crashes() }
-
-// Stats returns fuzzer statistics.
-func (c *Campaign) Stats() fuzz.Stats { return c.fuzzer.Stats() }
-
-// ImplNames lists the CompDiff implementation names.
-func (c *Campaign) ImplNames() []string { return c.suite.Names() }

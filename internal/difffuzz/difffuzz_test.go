@@ -1,6 +1,9 @@
 package difffuzz
 
 import (
+	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -50,15 +53,33 @@ int main() {
 }
 `
 
-func TestCampaignFindsUnstableCode(t *testing.T) {
-	c, err := New(listing1Target, [][]byte{[]byte("DT\x01\x02\x03\x04\x05\x06")}, Options{
-		FuzzSeed:    7,
-		MaxInputLen: 8,
-	})
+// runSolo runs a single-shard pool for budget executions.
+func runSolo(t testing.TB, src string, seeds [][]byte, opts Options, budget int64) *Pool {
+	t.Helper()
+	p, err := NewPool(src, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Run(30_000)
+	p.Run(context.Background(), budget)
+	return p
+}
+
+// newSolo builds the shard of a single-shard pool, for tests that drive
+// a bare shard run with no barrier.
+func newSolo(t testing.TB, src string, seeds [][]byte, opts Options) *campaign {
+	t.Helper()
+	p, err := NewPool(src, seeds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.shards[0].c
+}
+
+func TestCampaignFindsUnstableCode(t *testing.T) {
+	c := runSolo(t, listing1Target, [][]byte{[]byte("DT\x01\x02\x03\x04\x05\x06")}, Options{
+		FuzzSeed:    7,
+		MaxInputLen: 8,
+	}, 30_000)
 	if len(c.Diffs()) == 0 {
 		t.Fatalf("no discrepancies found; stats=%+v", c.Stats())
 	}
@@ -68,17 +89,13 @@ func TestCampaignFindsUnstableCode(t *testing.T) {
 		t.Fatalf("bad report:\n%s", rep)
 	}
 	// The diff-triggering input must reproduce deterministically.
-	if c.DiffExecs == 0 {
+	if c.Stats().DiffExecs == 0 {
 		t.Fatal("differential oracle never ran")
 	}
 }
 
 func TestCampaignCrashesStillCaught(t *testing.T) {
-	c, err := New(crashTarget, [][]byte{[]byte("AA")}, Options{FuzzSeed: 3, MaxInputLen: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Run(20_000)
+	c := runSolo(t, crashTarget, [][]byte{[]byte("AA")}, Options{FuzzSeed: 3, MaxInputLen: 8}, 20_000)
 	if len(c.Crashes()) == 0 {
 		t.Fatal("fuzzer lost its native crash detection")
 	}
@@ -104,14 +121,10 @@ int main() {
     return 0;
 }
 `
-	c, err := New(src, [][]byte{[]byte("HO\x0f")}, Options{
+	c := runSolo(t, src, [][]byte{[]byte("HO\x0f")}, Options{
 		FuzzSeed:  11,
 		Sanitizer: vm.SanASan,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Run(5_000)
+	}, 5_000)
 	found := false
 	for _, cr := range c.Crashes() {
 		if cr.Result.San != nil && cr.Result.San.Kind == "heap-buffer-overflow" {
@@ -131,15 +144,11 @@ func TestCampaignWithSubsetOfImplementations(t *testing.T) {
 		{Family: compiler.GCC, Opt: compiler.O0},
 		{Family: compiler.Clang, Opt: compiler.O3},
 	}
-	c, err := New(listing1Target, [][]byte{[]byte("DT\x01\x02\x03\x04\x05\x06")}, Options{
+	c := runSolo(t, listing1Target, [][]byte{[]byte("DT\x01\x02\x03\x04\x05\x06")}, Options{
 		FuzzSeed:    7,
 		Configs:     cfgs,
 		MaxInputLen: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Run(30_000)
+	}, 30_000)
 	if len(c.Diffs()) == 0 {
 		t.Fatal("the O0/O3 cross-family pair should still catch Listing 1")
 	}
@@ -150,20 +159,23 @@ func TestCampaignWithSubsetOfImplementations(t *testing.T) {
 
 func TestDiffDirPersistsInputs(t *testing.T) {
 	dir := t.TempDir()
-	c, err := New(listing1Target, [][]byte{[]byte("DT\x7f\xff\xff\x7f\xff\x7f")}, Options{
+	c := runSolo(t, listing1Target, [][]byte{[]byte("DT\x7f\xff\xff\x7f\xff\x7f")}, Options{
 		FuzzSeed:    1,
 		MaxInputLen: 8,
 		DiffDir:     dir,
-	})
+	}, 20_000)
+	if len(c.Diffs()) == 0 {
+		t.Fatal("campaign found nothing; the persistence check is vacuous")
+	}
+	if c.TotalDiffInputs() < len(c.Diffs()) {
+		t.Fatal("total < unique")
+	}
+	// The store wrote exactly one representative input per unique diff.
+	files, err := os.ReadDir(filepath.Join(dir, "diffs"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Run(20_000)
-	if len(c.Diffs()) == 0 {
-		t.Skip("campaign found nothing with this seed; covered elsewhere")
-	}
-	// The store wrote at least one representative input.
-	if c.TotalDiffInputs() < len(c.Diffs()) {
-		t.Fatal("total < unique")
+	if len(files) != len(c.Diffs()) {
+		t.Fatalf("%s holds %d files for %d unique diffs", filepath.Join(dir, "diffs"), len(files), len(c.Diffs()))
 	}
 }

@@ -93,7 +93,8 @@ type engine struct {
 	ckptEvery   int64
 	sinceCkpt   int64
 	ckptLogged  bool
-	recording
+	// recorder is nil when stats are disabled.
+	recorder *telemetry.Recorder
 
 	// barrierHook, when set, runs last at every barrier.
 	barrierHook func()
@@ -307,27 +308,24 @@ func (e *engine) CheckpointSeq() int {
 	return e.saver.Seq()
 }
 
-// recording is the optional telemetry recorder of a campaign or a
-// pool; nil when stats are disabled.
-type recording struct{ recorder *telemetry.Recorder }
-
 // Snapshots returns the recorded progress series (empty when stats are
 // disabled). A pool records one entry per barrier, plus the final
-// post-cancel snapshot when a run was cancelled.
-func (r recording) Snapshots() []telemetry.Snapshot {
-	if r.recorder == nil {
+// post-cancel snapshot when a run was cancelled; a single-shard input
+// pool with StatsEvery adds its periodic ones.
+func (e *engine) Snapshots() []telemetry.Snapshot {
+	if e.recorder == nil {
 		return nil
 	}
-	return r.recorder.Snapshots()
+	return e.recorder.Snapshots()
 }
 
 // Close releases the stats recorder's plot file, if any. A no-op when
 // a cancelled pool run already closed it.
-func (r recording) Close() error {
-	if r.recorder == nil {
+func (e *engine) Close() error {
+	if e.recorder == nil {
 		return nil
 	}
-	return r.recorder.Close()
+	return e.recorder.Close()
 }
 
 // BucketStore exposes the pool-wide triage store (reports, tables).

@@ -37,35 +37,30 @@ int main() {
 
 func runStaged(t *testing.T, feedback bool, budget int64) int {
 	t.Helper()
-	c, err := New(stagedTarget, [][]byte{[]byte("STG\x01\x02\x03")}, Options{
+	c := runSolo(t, stagedTarget, [][]byte{[]byte("STG\x01\x02\x03")}, Options{
 		FuzzSeed:           99,
 		MaxInputLen:        16,
 		DivergenceFeedback: feedback,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Run(budget)
+	}, budget)
 	return len(c.Diffs())
 }
 
 func TestDivergenceFeedbackMechanism(t *testing.T) {
-	c, err := New(stagedTarget, [][]byte{[]byte("STG\x01")}, Options{
+	// A bare shard run: a pool barrier would feed the diff inputs back
+	// into the queue with or without feedback.
+	c := newSolo(t, stagedTarget, [][]byte{[]byte("STG\x01")}, Options{
 		FuzzSeed:           5,
 		MaxInputLen:        16,
 		DivergenceFeedback: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := c.Stats().Seeds
-	c.Run(2_000)
-	if len(c.Diffs()) == 0 {
+	before := c.fuzzer.Stats().Seeds
+	c.run(2_000)
+	if c.diffs.Len() == 0 {
 		t.Fatal("no discrepancies found")
 	}
 	// The diverging seed input itself must have been promoted into the
 	// queue (coverage alone would not add it: the path is the seed's).
-	if c.Stats().Seeds <= before {
+	if c.fuzzer.Stats().Seeds <= before {
 		t.Fatalf("queue did not grow beyond %d", before)
 	}
 }

@@ -61,11 +61,10 @@ func (p *Pool) export(st *checkpoint.State) {
 	st.PersistErrors = p.persistErrs.Load()
 	for si, s := range p.shards {
 		ss := checkpoint.ShardState{
-			Index:         si,
-			Dead:          p.dead[si],
-			Fuzzer:        s.c.fuzzer.ExportState(),
-			DiffExecs:     atomic.LoadInt64(&s.c.DiffExecs),
-			PersistErrors: atomic.LoadInt64(&s.c.persistErrs),
+			Index:     si,
+			Dead:      p.dead[si],
+			Fuzzer:    s.c.fuzzer.ExportState(),
+			DiffExecs: atomic.LoadInt64(&s.c.diffExecs),
 		}
 		ss.QueueSeen = make([]uint64, 0, len(s.queueSeen))
 		for h := range s.queueSeen {
@@ -139,14 +138,13 @@ func (p *Pool) restore(st *checkpoint.State) error {
 // replaces the queue, the stores are replaced, and the counters are
 // overwritten with checkpointed values (which already include the
 // original run's construction-time ingestion).
-func (c *Campaign) restoreShard(ss *checkpoint.ShardState) error {
+func (c *campaign) restoreShard(ss *checkpoint.ShardState) error {
 	if err := c.fuzzer.RestoreState(ss.Fuzzer); err != nil {
 		return err
 	}
 	c.diffs = core.RestoreDiffStore("", ss.Diffs, ss.DiffTotal)
 	c.buckets = triage.RestoreBucketStore(ss.Buckets, ss.BucketTotal)
-	atomic.StoreInt64(&c.DiffExecs, ss.DiffExecs)
-	atomic.StoreInt64(&c.persistErrs, ss.PersistErrors)
+	atomic.StoreInt64(&c.diffExecs, ss.DiffExecs)
 	if m := c.metrics; m != nil && ss.Metrics != nil {
 		m.Execs.Store(ss.Metrics.Execs)
 		m.DiffExecs.Store(ss.Metrics.DiffExecs)

@@ -14,13 +14,10 @@ import (
 	"compdiff/internal/telemetry"
 )
 
-func statsCampaign(t *testing.T, opts Options) *Campaign {
+// statsCampaign runs a single-shard pool on listing1Target.
+func statsCampaign(t *testing.T, opts Options, budget int64) *Pool {
 	t.Helper()
-	c, err := New(listing1Target, [][]byte{[]byte("DT\x01\x02\x03\x04\x05\x06")}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
+	return runSolo(t, listing1Target, [][]byte{[]byte("DT\x01\x02\x03\x04\x05\x06")}, opts, budget)
 }
 
 // TestCampaignTelemetryDeterminism: with a fixed seed, two runs of the
@@ -28,8 +25,7 @@ func statsCampaign(t *testing.T, opts Options) *Campaign {
 // counting must not perturb (or depend on) the fuzzing schedule.
 func TestCampaignTelemetryDeterminism(t *testing.T) {
 	final := func() (telemetry.Snapshot, []telemetry.ImplSummary) {
-		c := statsCampaign(t, Options{FuzzSeed: 7, MaxInputLen: 8, Stats: true})
-		c.Run(3000)
+		c := statsCampaign(t, Options{FuzzSeed: 7, MaxInputLen: 8, Stats: true}, 3000)
 		snaps := c.Snapshots()
 		if len(snaps) != 1 {
 			t.Fatalf("want exactly the final snapshot, got %d", len(snaps))
@@ -67,9 +63,8 @@ func TestCampaignTelemetryDeterminism(t *testing.T) {
 // exactly one class, so the per-class counts sum to Execs, and each
 // implementation observed at least one VM run per generated input.
 func TestCampaignTelemetryClassPartition(t *testing.T) {
-	c := statsCampaign(t, Options{FuzzSeed: 11, MaxInputLen: 8, Stats: true})
-	c.Run(3000)
-	m := c.Metrics()
+	c := statsCampaign(t, Options{FuzzSeed: 11, MaxInputLen: 8, Stats: true}, 3000)
+	m := c.shards[0].c.metrics
 	if m == nil {
 		t.Fatal("Stats: true built no metrics")
 	}
@@ -102,8 +97,7 @@ func TestCampaignTelemetryClassPartition(t *testing.T) {
 // TestCampaignPeriodicSnapshots: StatsEvery emits a snapshot every N
 // generated inputs, with monotonically nondecreasing counters.
 func TestCampaignPeriodicSnapshots(t *testing.T) {
-	c := statsCampaign(t, Options{FuzzSeed: 7, MaxInputLen: 8, StatsEvery: 500})
-	c.Run(2500)
+	c := statsCampaign(t, Options{FuzzSeed: 7, MaxInputLen: 8, StatsEvery: 500}, 2500)
 	snaps := c.Snapshots()
 	// Seed ingestion plus the fuzz loop generate a touch more than the
 	// budget, so at least budget/StatsEvery periodic snapshots plus the
@@ -228,9 +222,8 @@ func TestPoolTelemetryBarrierSnapshots(t *testing.T) {
 // TestPoolStatsOffByDefault: without stats options the campaign runs
 // uninstrumented — no metrics, no recorder, no snapshot series.
 func TestPoolStatsOffByDefault(t *testing.T) {
-	c := statsCampaign(t, Options{FuzzSeed: 7, MaxInputLen: 8})
-	c.Run(500)
-	if c.Metrics() != nil || c.Snapshots() != nil || c.ImplSummaries() != nil {
+	c := statsCampaign(t, Options{FuzzSeed: 7, MaxInputLen: 8}, 500)
+	if c.shards[0].c.metrics != nil || c.Snapshots() != nil || c.ImplSummaries() != nil {
 		t.Fatal("stats collected without being asked for")
 	}
 	if err := c.Close(); err != nil {

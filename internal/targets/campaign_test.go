@@ -1,34 +1,29 @@
 package targets
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"compdiff/internal/core"
 	"compdiff/internal/difffuzz"
-	"compdiff/internal/minic/parser"
-	"compdiff/internal/minic/sema"
 )
 
 // End-to-end §4.3: CompDiff-AFL++ campaigns against the real-world
 // targets discover planted bugs from benign seeds — the paper's
 // pipeline, not just trigger-replay.
 
-func runCampaign(t *testing.T, name string, budget int64) *difffuzz.Campaign {
+func runCampaign(t *testing.T, name string, budget int64) *difffuzz.Pool {
 	t.Helper()
 	tg := ByName(name)
 	if tg == nil {
 		t.Fatalf("no target %s", name)
 	}
-	info, err := sema.Check(parser.MustParse(tg.Src))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var norm *core.Normalizer
 	if tg.NeedsNormalizer {
 		norm = core.DefaultNormalizer()
 	}
-	c, err := difffuzz.NewChecked(info, tg.Seeds, difffuzz.Options{
+	c, err := difffuzz.NewPool(tg.Src, tg.Seeds, difffuzz.Options{
 		FuzzSeed:    1337,
 		MaxInputLen: 64,
 		Normalizer:  norm,
@@ -36,7 +31,7 @@ func runCampaign(t *testing.T, name string, budget int64) *difffuzz.Campaign {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Run(budget)
+	c.Run(context.Background(), budget)
 	return c
 }
 

@@ -89,6 +89,19 @@ grep -q '"execs_per_sec":[0-9]*[1-9]' "$STATS_DIR/plot.jsonl" || {
 	cat "$STATS_DIR/plot.jsonl" >&2
 	exit 1
 }
+# One-shard leg: the default run is a one-shard pool whose -stats-every
+# records come from inside the shard — 7 periodic ones at 3000 execs,
+# plus the final barrier's.
+echo "== telemetry smoke (1 shard, 3000 execs, -stats-every 400)"
+SOLO_STATS="$STATS_DIR/solo"
+go run ./cmd/compdiff-fuzz -target tcpdump -execs 3000 -stats "$SOLO_STATS" \
+	-stats-every 400 >/dev/null
+LINES="$(wc -l <"$SOLO_STATS/plot.jsonl" | tr -d " ")"
+if [ "$LINES" -lt 8 ]; then
+	echo "telemetry smoke: one-shard plot.jsonl has $LINES lines, want >= 8" >&2
+	cat "$SOLO_STATS/plot.jsonl" >&2
+	exit 1
+fi
 
 # Resume smoke: start a checkpointed campaign, SIGKILL it mid-run the
 # moment a checkpoint is durable, and resume. The resumed summary must
