@@ -13,6 +13,7 @@ import (
 	"compdiff"
 	"compdiff/internal/bench"
 	"compdiff/internal/compiler"
+	"compdiff/internal/ir"
 	"compdiff/internal/juliet"
 	"compdiff/internal/minic/parser"
 	"compdiff/internal/minic/sema"
@@ -338,6 +339,28 @@ int main() {
 		}
 	}
 }
+
+// BenchmarkMachineNew is machine construction alone: vm.New of
+// wireshark's ten compiled binaries, the per-program cost the compile,
+// evolve and reduce modes pay for every corpus entry, genome or
+// reduction candidate.
+func BenchmarkMachineNew(b *testing.B) {
+	info := sema.MustCheck(parser.MustParse(targets.ByName("wireshark").Src))
+	var bins []*ir.Program
+	for _, cfg := range compiler.DefaultSet() {
+		bins = append(bins, compiler.MustCompile(info, cfg))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, bin := range bins {
+			machineSink = vm.New(bin, vm.Options{})
+		}
+	}
+}
+
+// machineSink keeps BenchmarkMachineNew's constructions observable.
+var machineSink *vm.Machine
 
 func BenchmarkCompileTenImplementations(b *testing.B) {
 	tg := targets.ByName("wireshark")

@@ -554,6 +554,7 @@ func printPoolStats(stdout io.Writer, pool *compdiff.CampaignPool, stats compdif
 	fmt.Fprintf(stdout, "diff execs     : %d across %d implementations\n",
 		stats.DiffExecs, len(pool.ImplNames()))
 	fmt.Fprintf(stdout, "persist errors : %d\n", stats.PersistErrors)
+	fmt.Fprintf(stdout, "plot errors    : %d\n", stats.PlotWriteErrors)
 	for si, fs := range stats.ShardStats {
 		role := "S"
 		if si == 0 {
@@ -765,6 +766,7 @@ func runProgramsCampaign(cfg cliConfig, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "programs       : %d of %d processed (%d accepted everywhere, %d uniform rejects)\n",
 		stats.Programs, stats.CorpusLen, stats.Accepted, stats.FrontendRejects)
 	fmt.Fprintf(stdout, "findings       : %d (%d triage buckets)\n", stats.Findings, stats.UniqueBuckets)
+	fmt.Fprintf(stdout, "plot errors    : %d\n", stats.PlotWriteErrors)
 	printProgramSummary(stdout, pool, "compile classes",
 		stats.CompileDivergences, stats.ICEs, stats.DiagMismatches, stats.RuntimeBuckets, stats.ShardErrors)
 	return nil
@@ -835,6 +837,7 @@ func runEvolveCampaign(cfg cliConfig, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "fitness        : best %.1f, mean %.1f (last generation)\n",
 		stats.BestFitness, stats.MeanFitness)
 	fmt.Fprintf(stdout, "findings       : %d (%d triage buckets)\n", stats.Findings, stats.UniqueBuckets)
+	fmt.Fprintf(stdout, "plot errors    : %d\n", stats.PlotWriteErrors)
 	printProgramSummary(stdout, pool, "finding classes",
 		stats.CompileDivergences, stats.ICEs, stats.DiagMismatches, stats.RuntimeBuckets, stats.ShardErrors)
 	return nil

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -331,5 +335,37 @@ func TestWorkerArgsForwardFlags(t *testing.T) {
 				t.Fatalf("worker argv %q does not carry %s %s", args, tc.flag, tc.value)
 			}
 		})
+	}
+}
+
+// TestSummaryReportsPlotWriteErrors: every campaign summary carries the
+// plot-write error count, zero for a healthy -stats directory and
+// non-zero when plot.jsonl sits on a full device.
+func TestSummaryReportsPlotWriteErrors(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	modes := map[string][]string{
+		"fuzz":   {"-target", "readelf", "-execs", "300"},
+		"evolve": {"-evolve", "-pop", "4", "-generations", "2"},
+	}
+	line := regexp.MustCompile(`(?m)^plot errors    : (\d+)$`)
+	for name, args := range modes {
+		for _, full := range []bool{false, true} {
+			stats := t.TempDir()
+			if full {
+				if err := os.Symlink("/dev/full", filepath.Join(stats, "plot.jsonl")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var stdout, stderr bytes.Buffer
+			if code := realMain(append(args, "-stats", stats), &stdout, &stderr); code != 0 {
+				t.Fatalf("%s: exit %d: %s", name, code, stderr.String())
+			}
+			m := line.FindStringSubmatch(stdout.String())
+			if m == nil || (m[1] != "0") == !full {
+				t.Fatalf("%s (full device %v): summary plot-error line %q", name, full, m)
+			}
+		}
 	}
 }

@@ -107,6 +107,9 @@ type PoolStats struct {
 	// PersistErrors counts shared-store persistence failures. Non-zero
 	// means the campaign completed but DiffDir is missing evidence files.
 	PersistErrors int64
+	// PlotWriteErrors counts telemetry snapshots that did not reach
+	// plot.jsonl and failed flushes of it.
+	PlotWriteErrors int64
 	// SpentExecs is the cumulative per-shard budget across Run calls,
 	// including runs before a resume.
 	SpentExecs int64
@@ -377,6 +380,7 @@ func (p *Pool) Stats() PoolStats {
 	st.TotalDiffInputs = p.store.Total()
 	st.UniqueBuckets, st.CompileDivergences, st.ICEs, st.DiagMismatches, _ = bucketCounts(p.buckets)
 	st.PersistErrors = p.persistErrs.Load()
+	st.PlotWriteErrors = p.plotWriteErrors()
 	st.SpentExecs = p.spentTotal.Load()
 	return st
 }

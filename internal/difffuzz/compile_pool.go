@@ -91,6 +91,9 @@ type CompilePoolStats struct {
 	// ShardErrors has one entry per shard; non-nil marks a retired
 	// shard. ICEs never retire a shard — only a harness bug does.
 	ShardErrors []error
+	// PlotWriteErrors counts telemetry snapshots that did not reach
+	// plot.jsonl and failed flushes of it.
+	PlotWriteErrors int64
 }
 
 // compileShard is one worker's slice of the campaign. Its counters
@@ -274,5 +277,6 @@ func (p *CompilePool) Stats() CompilePoolStats {
 		st.Findings += sh.findings
 	}
 	st.UniqueBuckets, st.CompileDivergences, st.ICEs, st.DiagMismatches, st.RuntimeBuckets = bucketCounts(p.buckets)
+	st.PlotWriteErrors = p.plotWriteErrors()
 	return st
 }

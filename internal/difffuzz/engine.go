@@ -211,7 +211,7 @@ func (e *engine) run(ctx context.Context) {
 		e.recorder.Record(e.w.snapshot())
 		defer e.recorder.Close()
 	}
-	_ = e.recorder.Sync()
+	_ = e.recorder.Sync() // a failure is counted in plotWriteErrors
 }
 
 // fanOut runs one epoch, a goroutine per live shard. It reports false
@@ -317,6 +317,15 @@ func (e *engine) Snapshots() []telemetry.Snapshot {
 		return nil
 	}
 	return e.recorder.Snapshots()
+}
+
+// plotWriteErrors counts the plot.jsonl lines and flushes the stats
+// recorder failed to write; zero when stats are disabled.
+func (e *engine) plotWriteErrors() int64 {
+	if e.recorder == nil {
+		return 0
+	}
+	return e.recorder.WriteErrors()
 }
 
 // Close releases the stats recorder's plot file, if any. A no-op when

@@ -32,6 +32,8 @@ type modeCampaign struct {
 	eng         *engine
 	run         func(ctx context.Context)
 	fingerprint func() string
+	// plotWriteErrors reads the mode's Stats().PlotWriteErrors.
+	plotWriteErrors func() int64
 }
 
 // engineMode is one campaign mode under test. Every mode's campaign
@@ -83,6 +85,7 @@ func engineModes() []engineMode {
 						}
 						return fmt.Sprint(p.Stats(), p.Signatures(), p.BucketKeys(), p.BucketStore().Counts(), diffs)
 					},
+					plotWriteErrors: func() int64 { return p.Stats().PlotWriteErrors },
 				}, nil
 			},
 			mismatch: func(ckpt string) error {
@@ -110,6 +113,7 @@ func engineModes() []engineMode {
 					fingerprint: func() string {
 						return fmt.Sprint(p.Stats(), p.BucketKeys(), p.BucketStore().Counts())
 					},
+					plotWriteErrors: func() int64 { return p.Stats().PlotWriteErrors },
 				}, nil
 			},
 			mismatch: func(ckpt string) error {
@@ -137,6 +141,7 @@ func engineModes() []engineMode {
 					fingerprint: func() string {
 						return fmt.Sprint(p.Stats(), p.BucketKeys(), p.BucketStore().Counts(), p.PassCoverageBits())
 					},
+					plotWriteErrors: func() int64 { return p.Stats().PlotWriteErrors },
 				}, nil
 			},
 			mismatch: func(ckpt string) error {
@@ -340,6 +345,37 @@ func TestEngineCancelFlushesTelemetry(t *testing.T) {
 				t.Fatalf("Close after cancel-close: %v", err)
 			}
 		})
+	}
+}
+
+// TestEnginePlotWriteErrors: a plot file on a full device loses every
+// line. The campaign still completes with its full in-memory series,
+// and every mode's Stats counts each lost line, plus the final flush
+// when the device also refuses it.
+func TestEnginePlotWriteErrors(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	for _, m := range engineModes() {
+		t.Run(m.name, func(t *testing.T) {
+			stats := t.TempDir()
+			if err := os.Symlink("/dev/full", filepath.Join(stats, "plot.jsonl")); err != nil {
+				t.Fatal(err)
+			}
+			c := mustOpen(t, m, false, "", stats)
+			c.run(context.Background())
+			lines := int64(len(c.eng.Snapshots()))
+			if got := c.plotWriteErrors(); lines == 0 || got < lines || got > lines+1 {
+				t.Fatalf("PlotWriteErrors = %d with %d lost lines; want the lines plus at most the flush", got, lines)
+			}
+		})
+	}
+	for _, m := range engineModes() {
+		c := mustOpen(t, m, false, "", t.TempDir())
+		c.run(context.Background())
+		if got := c.plotWriteErrors(); got != 0 {
+			t.Fatalf("%s: healthy plot file reports %d write errors", m.name, got)
+		}
 	}
 }
 

@@ -111,6 +111,9 @@ type EvolvePoolStats struct {
 	// ShardErrors has one entry per shard; non-nil marks a shard that
 	// panicked during an evaluation.
 	ShardErrors []error
+	// PlotWriteErrors counts telemetry snapshots that did not reach
+	// plot.jsonl and failed flushes of it.
+	PlotWriteErrors int64
 }
 
 // EvolvePool is the sharded evolutionary campaign.
@@ -338,6 +341,7 @@ func (p *EvolvePool) Stats() EvolvePoolStats {
 		MeanFitness:         p.lastMean,
 		PopulationSignature: evolve.Signature(p.pop),
 		ShardErrors:         p.shardErrors(),
+		PlotWriteErrors:     p.plotWriteErrors(),
 	}
 	st.UniqueBuckets, st.CompileDivergences, st.ICEs, st.DiagMismatches, st.RuntimeBuckets = bucketCounts(p.buckets)
 	return st

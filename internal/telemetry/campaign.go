@@ -235,6 +235,9 @@ type Recorder struct {
 	start time.Time
 	snaps []Snapshot
 	f     *os.File
+	// writeErrs counts snapshots that did not reach the plot file and
+	// failed flushes.
+	writeErrs int64
 }
 
 // NewRecorder creates a recorder; with a non-empty dir, snapshots are
@@ -257,8 +260,9 @@ func NewRecorder(dir string) (*Recorder, error) {
 
 // Record stamps the snapshot's wall-clock fields and rate, appends it
 // to the series and the plot file, and returns the stamped snapshot.
-// File-write errors are swallowed: losing a plot line must never kill
-// a campaign (the in-memory series still has the snapshot).
+// A failed encode or write is counted in WriteErrors, not returned:
+// losing a plot line must never kill a campaign (the in-memory series
+// still has the snapshot).
 func (r *Recorder) Record(s Snapshot) Snapshot {
 	now := time.Now()
 	r.mu.Lock()
@@ -272,9 +276,12 @@ func (r *Recorder) Record(s Snapshot) Snapshot {
 	s.ExecsPerSec = float64(s.Execs) / elapsed.Seconds()
 	r.snaps = append(r.snaps, s)
 	if r.f != nil {
-		if line, err := json.Marshal(s); err == nil {
-			line = append(line, '\n')
-			_, _ = r.f.Write(line)
+		line, err := json.Marshal(s)
+		if err == nil {
+			_, err = r.f.Write(append(line, '\n'))
+		}
+		if err != nil {
+			r.writeErrs++
 		}
 	}
 	return s
@@ -298,14 +305,27 @@ func (m *SuiteMetrics) Restore(sums []ImplSummary) {
 
 // Sync flushes the plot file to disk, if any — campaigns call it
 // after a final snapshot so an imminent process exit cannot lose the
-// tail line.
+// tail line. A failure is also counted in WriteErrors.
 func (r *Recorder) Sync() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.f == nil {
 		return nil
 	}
-	return r.f.Sync()
+	err := r.f.Sync()
+	if err != nil {
+		r.writeErrs++
+	}
+	return err
+}
+
+// WriteErrors counts the snapshots that did not reach the plot file
+// and the flushes that failed. Non-zero means plot.jsonl is missing
+// lines the in-memory series has.
+func (r *Recorder) WriteErrors() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.writeErrs
 }
 
 // Snapshots returns a copy of the recorded series.

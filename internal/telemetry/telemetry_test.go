@@ -294,3 +294,39 @@ func TestRecorderMemoryOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRecorderCountsLostWrites: with its plot file closed underneath
+// it, the recorder loses every later line and the flush. It counts each
+// loss and keeps the in-memory series whole.
+func TestRecorderCountsLostWrites(t *testing.T) {
+	dir := t.TempDir()
+	r, err := NewRecorder(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Record(Snapshot{Execs: 1})
+	if err := r.Sync(); err != nil || r.WriteErrors() != 0 {
+		t.Fatalf("healthy recorder: Sync %v, %d write errors", err, r.WriteErrors())
+	}
+	if err := r.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r.Record(Snapshot{Execs: 2})
+	r.Record(Snapshot{Execs: 3})
+	if err := r.Sync(); err == nil {
+		t.Fatal("Sync of a closed plot file succeeded")
+	}
+	if got := r.WriteErrors(); got != 3 {
+		t.Fatalf("WriteErrors = %d, want 3 (two lines and the flush)", got)
+	}
+	if n := len(r.Snapshots()); n != 3 {
+		t.Fatalf("in-memory series has %d snapshots, want 3", n)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "plot.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(data, []byte("\n")); n != 1 {
+		t.Fatalf("plot.jsonl has %d lines, want the 1 written before the close", n)
+	}
+}

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"bytes"
 	"math/bits"
 
 	"compdiff/internal/hash"
@@ -71,9 +72,16 @@ const DefaultStepLimit = 4_000_000
 const CovMapSize = 1 << 16
 
 // Dirty-page tracking: writes set a bit per touched page, and reset
-// restores only those pages from the pristine image instead of the
-// whole ir.MemSize span — the fork-server loop then pays for the
-// memory a run actually used, not the address range it straddled.
+// restores only those pages instead of the whole ir.MemSize span — the
+// fork-server loop then pays for the memory a run actually used, not
+// the address range it straddled.
+//
+// A page's initial contents come from one of three sources, so no
+// machine keeps a full-size copy of memory it can recompute. Pages
+// below ir.NullTop are zero. The rodata and globals pages come from
+// small per-machine images of just those pages. Every other page holds
+// the implementation's fill pattern, which is 64-byte periodic from
+// the page-aligned ir.NullTop, so one pattern page serves them all.
 const (
 	// 256-byte pages: typical runs dirty a few stack slots, one
 	// globals region, and the input buffer, so fine pages keep the
@@ -100,8 +108,8 @@ type slot struct {
 }
 
 // Machine executes one compiled binary. It plays the role of the
-// AFL++ forkserver: the binary is loaded once, and each Run resets
-// memory from a pristine snapshot instead of re-launching.
+// AFL++ forkserver: the binary is loaded once, and each Run restores
+// the pages the previous run dirtied instead of re-launching.
 //
 // A Machine is single-goroutine (all run state lives on it); parallel
 // execution layers (core's worker pool, difffuzz's shards) give each
@@ -111,8 +119,14 @@ type Machine struct {
 	opts Options
 	prof ir.Profile
 
-	mem      []byte
-	pristine []byte
+	mem []byte
+
+	// Page-restore sources (see the dirty-page comment): one page of
+	// the fill pattern, and page-rounded images of the rodata and
+	// globals pages, based at ir.RodataBase and ir.GlobalsBase.
+	pattern    [pageSize]byte
+	rodataImg  []byte
+	globalsImg []byte
 
 	// Sanitizer shadow state.
 	asanShadow []byte // 0 ok, else poison kind
@@ -152,7 +166,7 @@ type Machine struct {
 	prevLoc uint16
 
 	// Dirty-page bitmap: bit p set means page p of mem (and the shadow
-	// planes) may differ from the pristine image. reset() restores
+	// planes) may differ from its initial contents. reset() restores
 	// exactly these pages. dirtySum summarizes the bitmap — bit w set
 	// iff dirty[w] != 0 — so reset skips clean words without loading
 	// them.
@@ -162,8 +176,6 @@ type Machine struct {
 	// Line trace (TraceLines mode).
 	trace     []int32
 	lastTrace int32
-
-	msanPristine []byte
 
 	// res is the machine-owned Result that RunShared hands out; its
 	// byte slices alias the machine's output buffers.
@@ -211,19 +223,21 @@ func New(prog *ir.Program, opts Options) *Machine {
 		opts.MaxTrace = 1 << 16
 	}
 	m := &Machine{prog: prog, opts: opts, prof: prog.Profile}
-	m.buildPristine()
-	m.mem = make([]byte, ir.MemSize)
-	copy(m.mem, m.pristine)
+	m.buildImages()
+	// bytes.Repeat skips zeroing memory it is about to overwrite.
+	m.mem = bytes.Repeat(m.pattern[:], numPages)
+	clear(m.mem[:ir.NullTop])
+	copy(m.mem[ir.RodataBase:], m.rodataImg)
+	copy(m.mem[ir.GlobalsBase:], m.globalsImg)
 	if opts.San == SanASan {
 		m.asanShadow = make([]byte, ir.MemSize)
 	}
 	if opts.San == SanMSan {
 		m.msanInit = make([]byte, ir.MemSize)
-		m.msanPristine = make([]byte, ir.MemSize)
-		for i := ir.RodataBase; i < ir.GlobalsBase+int(m.prog.GlobalsLen); i++ {
-			m.msanPristine[i] = 1
+		end := m.msanInitEnd()
+		for a := uint64(ir.RodataBase); a < end; a += pageSize {
+			copy(m.msanInit[a:end], initPage[:])
 		}
-		copy(m.msanInit, m.msanPristine)
 	}
 	m.ops = make([]slot, 256)
 	m.temps = make([]slot, 64)
@@ -242,32 +256,78 @@ func New(prog *ir.Program, opts Options) *Machine {
 	return m
 }
 
-// buildPristine constructs the initial memory image: the
-// implementation's fill pattern everywhere (what "uninitialized"
-// memory contains), rodata, and zeroed+initialized globals.
-func (m *Machine) buildPristine() {
-	img := make([]byte, ir.MemSize)
-	var pat [64]byte
+// buildImages derives the page-restore sources: the implementation's
+// fill pattern (what "uninitialized" memory contains), the rodata
+// pages, and the zeroed+initialized globals pages, each image padded
+// with the fill pattern to a whole page.
+func (m *Machine) buildImages() {
 	k := m.prof.Key
 	for i := 0; i < 64; i += 8 {
 		k = k*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9
 		for j := 0; j < 8; j++ {
-			pat[i+j] = byte(k >> (8 * j))
+			m.pattern[i+j] = byte(k >> (8 * j))
 		}
 	}
-	for i := ir.NullTop; i < len(img); i += 64 {
-		copy(img[i:], pat[:])
+	for i := 64; i < pageSize; i += 64 {
+		copy(m.pattern[i:], m.pattern[:64])
 	}
-	copy(img[ir.RodataBase:], m.prog.Rodata)
+
+	m.rodataImg = m.segmentImage(len(m.prog.Rodata))
+	copy(m.rodataImg, m.prog.Rodata)
+
 	// C guarantees zero-initialization of the data segment.
-	gl := img[ir.GlobalsBase : ir.GlobalsBase+m.prog.GlobalsLen]
-	for i := range gl {
-		gl[i] = 0
-	}
+	m.globalsImg = m.segmentImage(int(m.prog.GlobalsLen))
+	clear(m.globalsImg[:m.prog.GlobalsLen])
 	for _, gi := range m.prog.GlobalInit {
-		copy(img[ir.GlobalsBase+gi.Offset:], gi.Data)
+		copy(m.globalsImg[gi.Offset:], gi.Data)
 	}
-	m.pristine = img
+}
+
+// segmentImage returns the fill pattern for the pages that n bytes of
+// a page-aligned segment occupy.
+func (m *Machine) segmentImage(n int) []byte {
+	return bytes.Repeat(m.pattern[:], (n+pageSize-1)/pageSize)
+}
+
+// msanInitEnd bounds the range [ir.RodataBase, msanInitEnd()) that
+// MSan treats as initialized at load: rodata and the globals.
+func (m *Machine) msanInitEnd() uint64 {
+	return ir.GlobalsBase + uint64(m.prog.GlobalsLen)
+}
+
+// initPage is a page of MSan "initialized" bytes.
+var initPage = func() (p [pageSize]byte) {
+	for i := range p {
+		p[i] = 1
+	}
+	return p
+}()
+
+// restorePage returns the page at address lo, in mem and in the
+// shadow planes, to its initial contents.
+func (m *Machine) restorePage(lo uint64) {
+	page := m.mem[lo : lo+pageSize]
+	switch {
+	case lo < ir.NullTop:
+		clear(page)
+	case lo-ir.RodataBase < uint64(len(m.rodataImg)):
+		copy(page, m.rodataImg[lo-ir.RodataBase:])
+	case lo-ir.GlobalsBase < uint64(len(m.globalsImg)):
+		copy(page, m.globalsImg[lo-ir.GlobalsBase:])
+	default:
+		copy(page, m.pattern[:])
+	}
+	if m.asanShadow != nil {
+		clear(m.asanShadow[lo : lo+pageSize])
+	}
+	if m.msanInit != nil {
+		shadow := m.msanInit[lo : lo+pageSize]
+		n := 0
+		if end := m.msanInitEnd(); lo >= ir.RodataBase && lo < end {
+			n = copy(shadow[:min(end-lo, pageSize)], initPage[:])
+		}
+		clear(shadow[n:])
+	}
 }
 
 // Program returns the loaded binary.
@@ -351,15 +411,7 @@ func (m *Machine) reset(input []byte) {
 		for word != 0 {
 			p := uint64(w*64 + bits.TrailingZeros64(word))
 			word &= word - 1
-			lo := p << pageShift
-			hi := lo + pageSize
-			copy(m.mem[lo:hi], m.pristine[lo:hi])
-			if m.asanShadow != nil {
-				clear(m.asanShadow[lo:hi])
-			}
-			if m.msanInit != nil {
-				copy(m.msanInit[lo:hi], m.msanPristine[lo:hi])
-			}
+			m.restorePage(p << pageShift)
 		}
 	}
 	m.dirtySum = 0

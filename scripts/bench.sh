@@ -8,7 +8,8 @@
 # Usage: scripts/bench.sh [outfile] [bench-regex] [benchtime]
 #   outfile      defaults to BENCH_<YYYY-MM-DD>.json
 #   bench-regex  defaults to the perf-tracked set (differential
-#                overhead + suite hot path + batch/cache/campaign)
+#                overhead + suite hot path + batch/cache/campaign +
+#                compilation and machine construction)
 #   benchtime    defaults to 1s
 #
 #        scripts/bench.sh -diff OLD.json NEW.json
@@ -67,7 +68,7 @@ if [ "${1:-}" = "-diff" ]; then
 fi
 
 OUT="${1:-BENCH_$(date +%Y-%m-%d).json}"
-BENCH="${2:-OverheadSingleBinary|OverheadRecommendedPair|OverheadFullTen|SuiteRunSequential|SuiteRunFast|SuiteRunParallel\$|SuiteRunBatch64|ProgCacheHit|CampaignFourShards|DifferentialRunListing1}"
+BENCH="${2:-OverheadSingleBinary|OverheadRecommendedPair|OverheadFullTen|SuiteRunSequential|SuiteRunFast|SuiteRunParallel\$|SuiteRunBatch64|ProgCacheHit|CampaignFourShards|DifferentialRunListing1|CompileTenImplementations|MachineNew}"
 BENCHTIME="${3:-1s}"
 
 RAW="$(mktemp)"

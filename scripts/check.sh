@@ -26,9 +26,10 @@ echo "== benchmark module (vet, test)"
 # detector: the fast loop and the reference loop share machine state,
 # and this is the gate that keeps them observationally identical. The
 # full ./... run above includes it; naming it here makes the guard
-# explicit and fails fast if the test is ever renamed away.
+# explicit and fails fast if the test is ever renamed away. The image
+# test holds the page-restore rule to the full-size reference image.
 echo "== vm differential self-test (-race)"
-go test -race -run 'TestDifferentialSelfTest|TestRunSharedMatchesRun|TestStepLimitBatchAccounting' \
+go test -race -run 'TestDifferentialSelfTest|TestRunSharedMatchesRun|TestStepLimitBatchAccounting|TestMachineImageMatchesReference' \
 	-count=1 ./internal/vm
 
 # The batch-executor self-test is the same guard one layer up:
@@ -44,14 +45,15 @@ go test -race -run 'TestRunBatchMatchesRun|TestRunBatchMatchesRunParallel|TestRu
 echo "== bench smoke (BenchmarkOverheadFullTen, 10x)"
 go test -run='^$' -bench='^BenchmarkOverheadFullTen$' -benchtime=10x -benchmem .
 
-# Batch/cache bench smoke: the persistent-mode batch executor and the
-# compiled-program cache benchmarks must exist and produce rows
-# bench.sh can parse into the trajectory record (guards both the
-# benchmarks and the bench.sh JSON pipeline).
-echo "== bench smoke (SuiteRunBatch64 + ProgCacheHit via bench.sh)"
+# Batch/cache/construction bench smoke: the persistent-mode batch
+# executor, the compiled-program cache and the machine-construction
+# benchmarks must exist and produce rows bench.sh can parse into the
+# trajectory record (guards both the benchmarks and the bench.sh JSON
+# pipeline).
+echo "== bench smoke (SuiteRunBatch64 + ProgCacheHit + MachineNew via bench.sh)"
 BENCH_SMOKE_JSON="$(mktemp)"
-scripts/bench.sh "$BENCH_SMOKE_JSON" 'SuiteRunBatch64|ProgCacheHit' 10x >/dev/null 2>&1
-for b in BenchmarkSuiteRunBatch64 BenchmarkProgCacheHit; do
+scripts/bench.sh "$BENCH_SMOKE_JSON" 'SuiteRunBatch64|ProgCacheHit|MachineNew' 10x >/dev/null 2>&1
+for b in BenchmarkSuiteRunBatch64 BenchmarkProgCacheHit BenchmarkMachineNew; do
 	grep -q "\"name\": \"$b\", \"ns_per_op\": [0-9]" "$BENCH_SMOKE_JSON" || {
 		echo "bench smoke: $b missing from bench.sh output" >&2
 		cat "$BENCH_SMOKE_JSON" >&2
