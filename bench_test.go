@@ -13,6 +13,7 @@ import (
 	"compdiff"
 	"compdiff/internal/bench"
 	"compdiff/internal/compiler"
+	"compdiff/internal/fuzz"
 	"compdiff/internal/ir"
 	"compdiff/internal/juliet"
 	"compdiff/internal/minic/parser"
@@ -369,6 +370,20 @@ func BenchmarkCompileTenImplementations(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkFuzzerExec is the fuzzer loop alone on one B_fuzz machine:
+// jq's instrumented binary under fuzz.New, b.N executions with no
+// differential hook, so the per-exec cost is one VM run plus the
+// fuzzer's coverage bookkeeping.
+func BenchmarkFuzzerExec(b *testing.B) {
+	tg := targets.ByName("jq")
+	info := sema.MustCheck(parser.MustParse(tg.Src))
+	bin := compiler.MustCompile(info, compiler.Config{Family: compiler.Clang, Opt: compiler.O2, Instrument: true})
+	f := fuzz.New(vm.New(bin, vm.Options{Coverage: true}), tg.Seeds, fuzz.Options{Seed: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	f.Run(int64(b.N))
 }
 
 func BenchmarkFuzzerCampaign(b *testing.B) {

@@ -56,26 +56,54 @@ func buildClassLookup() [256]byte {
 	return l
 }
 
-// Classify rewrites a raw hit-count map into bucketed form, in place.
-// The map is almost entirely zero on any one execution, so the scan
-// tests eight bytes per load and only touches the bytes of words that
-// have any hit at all — the dominant cost of the campaign loop is
-// these 64 KiB sweeps, not the VM steps between them.
-func Classify(cov []byte) {
+// The bitmap walkers below take the map together with its
+// touched-word summary (vm.CovWordsLen): bit b&63 of words[b>>6] marks
+// bytes [8b, 8b+8) of cov, and every non-zero byte of cov lies in a
+// marked word. They visit the marked words in ascending order and
+// nothing else, so a run costs what it touched, not the 64 KiB map.
+// A marked word may be all zero (a hit counter that wrapped); each
+// walker skips it like the dense scan skips any zero word, so the
+// results equal a full scan of cov.
+
+// summarize builds the touched-word summary of cov with one scan,
+// reusing dst: the fallback for executors that keep no summary of
+// their own.
+func summarize(dst []uint64, cov []byte) []uint64 {
+	n := (len(cov) + 511) / 512
+	if cap(dst) < n {
+		dst = make([]uint64, n)
+	}
+	dst = dst[:n]
+	clear(dst)
 	i := 0
 	for ; i+8 <= len(cov); i += 8 {
-		if binary.LittleEndian.Uint64(cov[i:]) == 0 {
-			continue
-		}
-		for j := i; j < i+8; j++ {
-			if v := cov[j]; v != 0 {
-				cov[j] = classLookup[v]
-			}
+		if binary.LittleEndian.Uint64(cov[i:]) != 0 {
+			dst[i>>9] |= 1 << (i >> 3 & 63)
 		}
 	}
 	for ; i < len(cov); i++ {
-		if v := cov[i]; v != 0 {
-			cov[i] = classLookup[v]
+		if cov[i] != 0 {
+			dst[i>>9] |= 1 << (i >> 3 & 63)
+		}
+	}
+	return dst
+}
+
+// wordAt is the marked word starting at byte i, clipped to a map whose
+// length is not a multiple of eight.
+func wordAt(cov []byte, i int) []byte { return cov[i:min(i+8, len(cov))] }
+
+// Classify rewrites a raw hit-count map into bucketed form, in place.
+// Each marked word is visited once: bucketing is not idempotent
+// (3 -> 4 -> 8).
+func Classify(cov []byte, words []uint64) {
+	for w, word := range words {
+		for ; word != 0; word &= word - 1 {
+			i := (w<<6 + bits.TrailingZeros64(word)) << 3
+			c := wordAt(cov, i)
+			for j, v := range c {
+				c[j] = classLookup[v]
+			}
 		}
 	}
 }
@@ -83,87 +111,94 @@ func Classify(cov []byte) {
 // HasNewBits reports whether classified coverage cov contains bits not
 // yet in virgin, updating virgin. Return values follow AFL: 2 when a
 // brand-new edge was hit, 1 when only hit counts changed, 0 otherwise.
-// Word-wise double skip: a zero coverage word contributes nothing,
-// and a word whose bits are all already in virgin neither updates nor
-// changes the return — after the first few executions nearly every
-// word takes one of the two skips.
-func HasNewBits(virgin, cov []byte) int {
+// A word whose bits are all already in virgin neither updates nor
+// changes the return, so after the first few executions nearly every
+// marked word is one load and a compare.
+func HasNewBits(virgin, cov []byte, words []uint64) int {
 	ret := 0
-	i := 0
-	for ; i+8 <= len(cov) && i+8 <= len(virgin); i += 8 {
-		cw := binary.LittleEndian.Uint64(cov[i:])
-		if cw == 0 || binary.LittleEndian.Uint64(virgin[i:])&cw == cw {
-			continue
-		}
-		for j := i; j < i+8; j++ {
-			v := cov[j]
-			if v == 0 {
-				continue
-			}
-			if virgin[j]&v != v {
-				if virgin[j] == 0 {
-					ret = 2
-				} else if ret == 0 {
-					ret = 1
+	for w, word := range words {
+		for ; word != 0; word &= word - 1 {
+			i := (w<<6 + bits.TrailingZeros64(word)) << 3
+			if i+8 <= len(cov) {
+				cw := binary.LittleEndian.Uint64(cov[i:])
+				if binary.LittleEndian.Uint64(virgin[i:])&cw == cw {
+					continue
 				}
-				virgin[j] |= v
 			}
-		}
-	}
-	for ; i < len(cov); i++ {
-		v := cov[i]
-		if v == 0 {
-			continue
-		}
-		if virgin[i]&v != v {
-			if virgin[i] == 0 {
-				ret = 2
-			} else if ret == 0 {
-				ret = 1
+			for k, v := range wordAt(cov, i) {
+				j := i + k
+				if virgin[j]&v != v {
+					if virgin[j] == 0 {
+						ret = 2
+					} else if ret == 0 {
+						ret = 1
+					}
+					virgin[j] |= v
+				}
 			}
-			virgin[i] |= v
 		}
 	}
 	return ret
 }
 
 // CountBits returns the number of set bucket bits (queue scoring).
-func CountBits(cov []byte) int {
+func CountBits(cov []byte, words []uint64) int {
 	n := 0
-	i := 0
-	for ; i+8 <= len(cov); i += 8 {
-		n += bits.OnesCount64(binary.LittleEndian.Uint64(cov[i:]))
-	}
-	for ; i < len(cov); i++ {
-		n += bits.OnesCount8(cov[i])
+	for w, word := range words {
+		for ; word != 0; word &= word - 1 {
+			i := (w<<6 + bits.TrailingZeros64(word)) << 3
+			for _, v := range wordAt(cov, i) {
+				n += bits.OnesCount8(v)
+			}
+		}
 	}
 	return n
 }
 
-// CovHash is a cheap fingerprint of a classified bitmap, used to
-// detect "same path" executions.
-// The zero-word skip leaves the digest byte-identical to the naive
-// byte scan (zero bytes never contribute), so persisted campaign
-// state keyed on these hashes stays valid.
-func CovHash(cov []byte) uint64 {
+// CovHash is a cheap FNV-style fingerprint of a byte map: every
+// non-zero byte contributes its index and value, in index order.
+// ForceSeed hashes raw inputs with it; coverage goes through
+// CoverageHash, which must return the same digest, because both kinds
+// of hash share one dedup set and its checkpoints.
+func CovHash(b []byte) uint64 {
 	var h uint64 = 0xcbf29ce484222325
 	i := 0
-	for ; i+8 <= len(cov); i += 8 {
-		if binary.LittleEndian.Uint64(cov[i:]) == 0 {
+	for ; i+8 <= len(b); i += 8 {
+		if binary.LittleEndian.Uint64(b[i:]) == 0 {
 			continue
 		}
 		for j := i; j < i+8; j++ {
-			if v := cov[j]; v != 0 {
-				h ^= uint64(j)<<8 | uint64(v)
-				h *= 0x100000001b3
+			h = covHashStep(h, j, b[j])
+		}
+	}
+	for ; i < len(b); i++ {
+		h = covHashStep(h, i, b[i])
+	}
+	return h
+}
+
+// CoverageHash is CovHash(cov) computed from the marked words only:
+// a fingerprint of a classified bitmap, used to detect "same path"
+// executions. Ascending words keep CovHash's index order, and the
+// unmarked words are zero, so the digest is identical.
+func CoverageHash(cov []byte, words []uint64) uint64 {
+	var h uint64 = 0xcbf29ce484222325
+	for w, word := range words {
+		for ; word != 0; word &= word - 1 {
+			i := (w<<6 + bits.TrailingZeros64(word)) << 3
+			for k, v := range wordAt(cov, i) {
+				h = covHashStep(h, i+k, v)
 			}
 		}
 	}
-	for ; i < len(cov); i++ {
-		if v := cov[i]; v != 0 {
-			h ^= uint64(i)<<8 | uint64(v)
-			h *= 0x100000001b3
-		}
-	}
 	return h
+}
+
+// covHashStep folds byte v at index j into h; zero bytes never
+// contribute.
+func covHashStep(h uint64, j int, v byte) uint64 {
+	if v == 0 {
+		return h
+	}
+	return (h ^ (uint64(j)<<8 | uint64(v))) * 0x100000001b3
 }

@@ -13,7 +13,7 @@ import (
 
 func TestClassifyBuckets(t *testing.T) {
 	cov := []byte{0, 1, 2, 3, 5, 9, 20, 60, 200}
-	Classify(cov)
+	Classify(cov, summarize(nil, cov))
 	want := []byte{0, 1, 2, 4, 8, 16, 32, 64, 128}
 	if !bytes.Equal(cov, want) {
 		t.Fatalf("got %v, want %v", cov, want)
@@ -24,20 +24,20 @@ func TestHasNewBits(t *testing.T) {
 	virgin := make([]byte, 8)
 	cov := make([]byte, 8)
 	cov[3] = 1
-	if r := HasNewBits(virgin, cov); r != 2 {
+	if r := HasNewBits(virgin, cov, summarize(nil, cov)); r != 2 {
 		t.Fatalf("first hit = %d, want 2", r)
 	}
-	if r := HasNewBits(virgin, cov); r != 0 {
+	if r := HasNewBits(virgin, cov, summarize(nil, cov)); r != 0 {
 		t.Fatalf("repeat = %d, want 0", r)
 	}
 	cov[3] = 2 // changed hit-count bucket, same edge
-	if r := HasNewBits(virgin, cov); r != 1 {
+	if r := HasNewBits(virgin, cov, summarize(nil, cov)); r != 1 {
 		t.Fatalf("bucket change = %d, want 1", r)
 	}
 }
 
 func TestCountBits(t *testing.T) {
-	if n := CountBits([]byte{0b101, 0, 0b11}); n != 4 {
+	if n := CountBits([]byte{0b101, 0, 0b11}, []uint64{1}); n != 4 {
 		t.Fatalf("n = %d", n)
 	}
 }
@@ -116,7 +116,7 @@ func TestSpliceBounds(t *testing.T) {
 // ---------------------------------------------------------------------------
 // End-to-end fuzzing against an instrumented binary
 
-func machineFor(t *testing.T, src string) *vm.Machine {
+func machineFor(t testing.TB, src string) *vm.Machine {
 	t.Helper()
 	info := sema.MustCheck(parser.MustParse(src))
 	cfg := compiler.Config{Family: compiler.Clang, Opt: compiler.O1, Instrument: true}

@@ -24,6 +24,15 @@ type SharedExecutor interface {
 	RunShared(input []byte) *vm.Result
 }
 
+// coverageWords is the optional Executor extension that keeps the
+// touched-word summary of its bitmap (see vm.CovWordsLen), so the
+// fuzzer walks only the words a run touched. *vm.Machine satisfies it;
+// for any other executor the fuzzer builds the summary itself with one
+// scan of the map per execution.
+type coverageWords interface {
+	CoverageWords() []uint64
+}
+
 // Seed is one queue entry.
 type Seed struct {
 	Data    []byte
@@ -76,6 +85,8 @@ type Options struct {
 type Fuzzer struct {
 	exec   Executor
 	shared SharedExecutor // non-nil when exec supports the zero-copy path
+	cw     coverageWords  // non-nil when exec keeps its coverage summary
+	words  []uint64       // summary scratch for executors without one
 	opts   Options
 	mut    *Mutator
 	rng    *rand.Rand
@@ -106,6 +117,9 @@ func New(exec Executor, seeds [][]byte, opts Options) *Fuzzer {
 	}
 	if se, ok := exec.(SharedExecutor); ok {
 		f.shared = se
+	}
+	if cw, ok := exec.(coverageWords); ok {
+		f.cw = cw
 	}
 	if len(seeds) == 0 {
 		seeds = [][]byte{[]byte("\x00")}
@@ -157,7 +171,14 @@ func (f *Fuzzer) ingest(data []byte) {
 	}
 	f.stats.Execs++
 	cov := f.exec.Coverage()
-	Classify(cov)
+	var words []uint64
+	if f.cw != nil {
+		words = f.cw.CoverageWords()
+	} else {
+		f.words = summarize(f.words, cov)
+		words = f.words
+	}
+	Classify(cov, words)
 
 	if f.opts.OnExec != nil {
 		f.opts.OnExec(data, res)
@@ -173,13 +194,13 @@ func (f *Fuzzer) ingest(data []byte) {
 		}
 		return
 	}
-	if HasNewBits(f.virgin, cov) > 0 {
-		h := CovHash(cov)
+	if HasNewBits(f.virgin, cov, words) > 0 {
+		h := CoverageHash(cov, words)
 		if !f.hashes[h] {
 			f.hashes[h] = true
 			f.queue = append(f.queue, &Seed{
 				Data:    append([]byte(nil), data...),
-				CovBits: CountBits(cov),
+				CovBits: CountBits(cov, words),
 				Hash:    h,
 			})
 			f.stats.LastNewPath = f.stats.Execs

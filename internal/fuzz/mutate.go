@@ -111,6 +111,12 @@ func putLE32(b []byte, v uint32) {
 func (mu *Mutator) Havoc(data []byte) []byte {
 	out := make([]byte, len(data))
 	copy(out, data)
+	if len(out) == 0 {
+		// An empty seed (an empty seed file, or a restored queue entry)
+		// gets one random byte to mutate, as an op that empties the
+		// mutant does below.
+		out = []byte{byte(mu.rng.Intn(256))}
+	}
 	stack := 1 << (1 + mu.rng.Intn(5)) // 2..32 stacked ops
 	for s := 0; s < stack; s++ {
 		out = mu.havocOne(out)

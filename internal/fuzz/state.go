@@ -82,6 +82,19 @@ func (f *Fuzzer) RestoreState(st *State) error {
 	if len(st.Queue) == 0 {
 		return fmt.Errorf("fuzz: restored queue is empty")
 	}
+	// A checkpoint's manifest checksum does not vouch for its content
+	// (a hand-edited state passes it), so reject null entries before
+	// any field of the fuzzer changes.
+	for i, s := range st.Queue {
+		if s == nil {
+			return fmt.Errorf("fuzz: queue entry %d is null", i)
+		}
+	}
+	for i, cr := range st.Crashes {
+		if cr == nil || cr.Result == nil {
+			return fmt.Errorf("fuzz: crash entry %d without result", i)
+		}
+	}
 	f.mut.Seek(st.MutCursor)
 	f.rngCS.seek(f.opts.Seed^0x5eed, st.RngCursor)
 	f.virgin = append(f.virgin[:0], st.Virgin...)
@@ -97,9 +110,6 @@ func (f *Fuzzer) RestoreState(st *State) error {
 	}
 	f.crash = make(map[uint64]*Crash, len(st.Crashes))
 	for _, cr := range st.Crashes {
-		if cr.Result == nil {
-			return fmt.Errorf("fuzz: crash entry without result")
-		}
 		f.crash[crashSig(cr.Result)] = &Crash{
 			Input:  append([]byte(nil), cr.Input...),
 			Result: cr.Result.Clone(),

@@ -165,3 +165,92 @@ func TestRestoreRejectsBadState(t *testing.T) {
 		t.Fatal("crash without result accepted")
 	}
 }
+
+// TestRestoreRejectsNullEntries: JSON nulls in the queue or the crash
+// list are errors, not nil dereferences, and a rejected restore leaves
+// the fuzzer as it was.
+func TestRestoreRejectsNullEntries(t *testing.T) {
+	f := New(machineFor(t, maze), [][]byte{[]byte("AAAA")}, Options{Seed: 1})
+	f.Run(200)
+	before, err := json.Marshal(f.ExportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []string{
+		`{"queue":[null]}`,
+		`{"queue":[{}],"crashes":[null]}`,
+	} {
+		st := &State{Virgin: make([]byte, MapSize)}
+		if err := json.Unmarshal([]byte(doc), st); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.RestoreState(st); err == nil {
+			t.Fatalf("%s accepted", doc)
+		}
+		after, err := json.Marshal(f.ExportState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatalf("rejected %s still changed the fuzzer", doc)
+		}
+	}
+}
+
+// TestFuzzerEmptySeed: an empty seed (an empty -seedfile) is fuzzed,
+// not a panic in the havoc stage.
+func TestFuzzerEmptySeed(t *testing.T) {
+	f := New(machineFor(t, maze), [][]byte{{}}, Options{Seed: 1})
+	if st := f.Run(500); st.Execs < 500 {
+		t.Fatalf("ran %d execs, want 500", st.Execs)
+	}
+}
+
+// FuzzRestoreState feeds mutated State JSON to RestoreState. It must
+// return an error or restore a fuzzer that runs, and whose exported
+// state survives a second export/restore round trip unchanged.
+func FuzzRestoreState(f *testing.F) {
+	m := machineFor(f, maze)
+	seed := New(m, [][]byte{[]byte("AAAA")}, Options{Seed: 1})
+	seed.Run(300)
+	// The seed state leaves out its 64 KiB virgin map (the fuzz body
+	// supplies one), keeping the corpus small enough to mutate quickly.
+	valid := seed.ExportState()
+	valid.Virgin = nil
+	data, err := json.Marshal(valid)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.Replace(data, []byte(`"virgin":null,`), nil, 1))
+	f.Add([]byte(`{"queue":[null]}`))
+	f.Add([]byte(`{"queue":[{}],"crashes":[null]}`))
+	f.Add([]byte(`{"queue":[{"Data":""}],"crashes":[{"Input":"eA==","Result":{}}]}`))
+	virgin := make([]byte, MapSize)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// A virgin map of the right size is the default, so mutations
+		// reach the queue and crash checks instead of stopping at the
+		// size check.
+		st := &State{Virgin: virgin}
+		if json.Unmarshal(data, st) != nil {
+			return
+		}
+		// Restoring replays the RNG streams up to the cursors, in time
+		// linear in them; cap them so one input stays fast.
+		if st.MutCursor > 1<<20 || st.RngCursor > 1<<20 {
+			return
+		}
+		fz := New(m, [][]byte{[]byte("AAAA")}, Options{Seed: 1})
+		if fz.RestoreState(st) != nil {
+			return
+		}
+		fz.Run(20)
+		first := fz.ExportState()
+		again := New(m, [][]byte{[]byte("AAAA")}, Options{Seed: 1})
+		if err := again.RestoreState(first); err != nil {
+			t.Fatalf("exported state rejected: %v", err)
+		}
+		if !reflect.DeepEqual(first, again.ExportState()) {
+			t.Fatal("export/restore round trip changed the state")
+		}
+	})
+}

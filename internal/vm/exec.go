@@ -246,9 +246,7 @@ func (m *Machine) step() {
 
 	case ir.Edge:
 		if m.cov != nil {
-			loc := m.edgeHash[in.Imm]
-			m.cov[loc^m.prevLoc]++
-			m.prevLoc = loc >> 1
+			m.hitEdge(in.Imm)
 		}
 
 	case ir.Poison:

@@ -612,9 +612,7 @@ outer:
 
 			case ir.Edge:
 				if m.cov != nil {
-					loc := m.edgeHash[in.Imm]
-					m.cov[loc^m.prevLoc]++
-					m.prevLoc = loc >> 1
+					m.hitEdge(in.Imm)
 				}
 				continue
 

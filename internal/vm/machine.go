@@ -71,6 +71,18 @@ const DefaultStepLimit = 4_000_000
 // CovMapSize is the coverage bitmap size (AFL's classic 64 KiB).
 const CovMapSize = 1 << 16
 
+// Touched-word summary of the coverage bitmap: bit w of the summary
+// (word w>>6, bit w&63) is set once any edge counter in bytes
+// [8w, 8w+8) of the bitmap is bumped. A run touches a few hundred
+// bytes of the 64 KiB map, so reset and the fuzzer's bitmap walkers
+// (fuzz.Classify and friends) visit only the marked words.
+//
+// The invariant: every non-zero byte of Coverage() lies in a marked
+// word. A marked word may still be all zero (a counter that wrapped
+// 255 -> 0), which every walker skips. Callers may rewrite coverage
+// bytes in place but must not make an unmarked word non-zero.
+const CovWordsLen = CovMapSize / 8 / 64
+
 // Dirty-page tracking: writes set a bit per touched page, and reset
 // restores only those pages instead of the whole ir.MemSize span — the
 // fork-server loop then pays for the memory a run actually used, not
@@ -133,6 +145,7 @@ type Machine struct {
 	msanInit   []byte // 1 = initialized
 
 	cov      []byte
+	covWords []uint64 // touched-word summary of cov (see CovWordsLen)
 	edgeHash []uint16
 
 	// Run state.
@@ -244,6 +257,7 @@ func New(prog *ir.Program, opts Options) *Machine {
 	m.frames = make([]frame, 0, 64)
 	if opts.Coverage {
 		m.cov = make([]byte, CovMapSize)
+		m.covWords = make([]uint64, CovWordsLen)
 		n := prog.NumEdges
 		if n == 0 {
 			n = 1
@@ -337,6 +351,21 @@ func (m *Machine) Program() *ir.Program { return m.prog }
 // is disabled).
 func (m *Machine) Coverage() []byte { return m.cov }
 
+// CoverageWords returns the touched-word summary of Coverage(): bit
+// w&63 of word w>>6 is set when bytes [8w, 8w+8) may be non-zero (nil
+// when coverage is disabled). See CovWordsLen for the invariant.
+func (m *Machine) CoverageWords() []uint64 { return m.covWords }
+
+// hitEdge counts one traversal of the edge whose instrumentation id is
+// id and marks the counter's word in the summary.
+func (m *Machine) hitEdge(id int64) {
+	loc := m.edgeHash[id]
+	i := loc ^ m.prevLoc
+	m.cov[i]++
+	m.covWords[i>>9] |= 1 << (i >> 3 & 63)
+	m.prevLoc = loc >> 1
+}
+
 // Run executes the binary on input and returns an independent Result
 // the caller may retain.
 func (m *Machine) Run(input []byte) *Result {
@@ -415,8 +444,15 @@ func (m *Machine) reset(input []byte) {
 		}
 	}
 	m.dirtySum = 0
-	if m.cov != nil {
-		clear(m.cov)
+	for w, word := range m.covWords {
+		if word == 0 {
+			continue
+		}
+		m.covWords[w] = 0
+		for ; word != 0; word &= word - 1 {
+			i := (w<<6 + bits.TrailingZeros64(word)) << 3
+			clear(m.cov[i : i+8])
+		}
 	}
 	m.input = input
 	m.stdout = m.stdout[:0]

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -216,6 +217,90 @@ func TestRunSharedMatchesRun(t *testing.T) {
 				want := owned.Run(input)
 				got := shared.RunShared(input).Clone()
 				assertSameResult(t, input, want, got)
+			}
+		})
+	}
+}
+
+// fuzzConfigs are the B_fuzz builds a campaign runs: edge-instrumented
+// Clang, at -O2 without a sanitizer and at -O1 under each one.
+var fuzzConfigs = []struct {
+	name string
+	cfg  compiler.Config
+	san  vm.SanMode
+}{
+	{"plain", compiler.Config{Family: compiler.Clang, Opt: compiler.O2, Instrument: true}, vm.SanNone},
+	{"asan", compiler.Config{Family: compiler.Clang, Opt: compiler.O1, Instrument: true, ASan: true, Sanitize: true}, vm.SanASan},
+	{"ubsan", compiler.Config{Family: compiler.Clang, Opt: compiler.O1, Instrument: true, Sanitize: true}, vm.SanUBSan},
+	{"msan", compiler.Config{Family: compiler.Clang, Opt: compiler.O1, Instrument: true, Sanitize: true}, vm.SanMSan},
+}
+
+// wrapLoopProgram drives one edge's 8-bit hit counter to and past the
+// wrap (255, 256, 257 and 512 traversals), which leaves a marked but
+// all-zero word in the coverage summary.
+var wrapLoopProgram = selfTestProgram{
+	name: "wrap_loop",
+	src: `
+int main() {
+    char buf[2];
+    long n = read_input(buf, 2L);
+    int k = 0;
+    if (n == 2) { k = (buf[0] & 255) | ((buf[1] & 255) << 8); }
+    int s = 0;
+    for (int i = 0; i < k; i++) { s = s + i; }
+    printf("%d\n", s);
+    return 0;
+}
+`,
+	inputs: [][]byte{{255, 0}, {0, 1}, {1, 1}, {0, 2}, {3, 0}},
+}
+
+// assertCoverageSummary checks the summary invariant: every non-zero
+// byte of the edge bitmap lies in a word the summary marks.
+func assertCoverageSummary(t *testing.T, input []byte, m *vm.Machine) {
+	t.Helper()
+	cov, words := m.Coverage(), m.CoverageWords()
+	if len(cov) != vm.CovMapSize || len(words) != vm.CovWordsLen {
+		t.Fatalf("input %q: map %d bytes, summary %d words", input, len(cov), len(words))
+	}
+	for i, v := range cov {
+		if v != 0 && words[i>>9]&(1<<(i>>3&63)) == 0 {
+			t.Fatalf("input %q: bitmap byte %d = %d lies in an unmarked word", input, i, v)
+		}
+	}
+}
+
+// TestDifferentialSelfTestCoverage replays the corpus on the
+// instrumented B_fuzz builds with coverage on. After every input the
+// edge bitmap and its touched-word summary must be identical under
+// both loops and satisfy the summary invariant, and the next reset
+// must leave both all zero.
+func TestDifferentialSelfTestCoverage(t *testing.T) {
+	for _, p := range append(selfTestCorpus(t), wrapLoopProgram) {
+		p := p
+		t.Run(p.name, func(t *testing.T) {
+			info := sema.MustCheck(parser.MustParse(p.src))
+			for _, fc := range fuzzConfigs {
+				bin := compiler.MustCompile(info, fc.cfg)
+				ref := vm.New(bin, vm.Options{Reference: true, Coverage: true, San: fc.san})
+				fast := vm.New(bin, vm.Options{Coverage: true, San: fc.san})
+				for _, input := range p.inputs {
+					assertSameResult(t, input, ref.Run(input), fast.Run(input))
+					if !bytes.Equal(ref.Coverage(), fast.Coverage()) {
+						t.Fatalf("%s, input %q: edge bitmaps differ between the loops", fc.name, input)
+					}
+					if !slices.Equal(ref.CoverageWords(), fast.CoverageWords()) {
+						t.Fatalf("%s, input %q: coverage summaries differ between the loops", fc.name, input)
+					}
+					assertCoverageSummary(t, input, fast)
+					for _, m := range []*vm.Machine{ref, fast} {
+						m.Reset()
+						if slices.ContainsFunc(m.Coverage(), func(b byte) bool { return b != 0 }) ||
+							slices.ContainsFunc(m.CoverageWords(), func(w uint64) bool { return w != 0 }) {
+							t.Fatalf("%s, input %q: coverage not cleared by reset", fc.name, input)
+						}
+					}
+				}
 			}
 		})
 	}

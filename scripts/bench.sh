@@ -9,7 +9,8 @@
 #   outfile      defaults to BENCH_<YYYY-MM-DD>.json
 #   bench-regex  defaults to the perf-tracked set (differential
 #                overhead + suite hot path + batch/cache/campaign +
-#                compilation and machine construction)
+#                compilation and machine construction + the
+#                fuzzer loop on one B_fuzz machine)
 #   benchtime    defaults to 1s
 #
 #        scripts/bench.sh -diff OLD.json NEW.json
@@ -68,7 +69,7 @@ if [ "${1:-}" = "-diff" ]; then
 fi
 
 OUT="${1:-BENCH_$(date +%Y-%m-%d).json}"
-BENCH="${2:-OverheadSingleBinary|OverheadRecommendedPair|OverheadFullTen|SuiteRunSequential|SuiteRunFast|SuiteRunParallel\$|SuiteRunBatch64|ProgCacheHit|CampaignFourShards|DifferentialRunListing1|CompileTenImplementations|MachineNew}"
+BENCH="${2:-OverheadSingleBinary|OverheadRecommendedPair|OverheadFullTen|SuiteRunSequential|SuiteRunFast|SuiteRunParallel\$|SuiteRunBatch64|ProgCacheHit|CampaignFourShards|DifferentialRunListing1|CompileTenImplementations|MachineNew|FuzzerExec}"
 BENCHTIME="${3:-1s}"
 
 RAW="$(mktemp)"

@@ -27,10 +27,19 @@ echo "== benchmark module (vet, test)"
 # and this is the gate that keeps them observationally identical. The
 # full ./... run above includes it; naming it here makes the guard
 # explicit and fails fast if the test is ever renamed away. The image
-# test holds the page-restore rule to the full-size reference image.
+# test holds the page-restore rule to the full-size reference image,
+# and the coverage self-test holds the edge bitmap and its touched-word
+# summary equal between the loops.
 echo "== vm differential self-test (-race)"
-go test -race -run 'TestDifferentialSelfTest|TestRunSharedMatchesRun|TestStepLimitBatchAccounting|TestMachineImageMatchesReference' \
+go test -race -run 'TestDifferentialSelfTest|TestRunSharedMatchesRun|TestStepLimitBatchAccounting|TestMachineImageMatchesReference|TestDifferentialSelfTestCoverage' \
 	-count=1 ./internal/vm
+
+# The fuzzer's bitmap walkers visit only the words the coverage summary
+# marks; this holds them to the dense reference scans per exec, and a
+# fuzzer over an executor without a summary to one over the machine.
+echo "== fuzz sparse-coverage equivalence (-race)"
+go test -race -run 'TestSparseBitmapMatchesDense|TestSparseBitmapWrappedCounters|TestFuzzerSummaryAdaptor' \
+	-count=1 ./internal/fuzz
 
 # The batch-executor self-test is the same guard one layer up:
 # Suite.RunBatch must be byte-identical to per-input Run over the
@@ -50,10 +59,10 @@ go test -run='^$' -bench='^BenchmarkOverheadFullTen$' -benchtime=10x -benchmem .
 # benchmarks must exist and produce rows bench.sh can parse into the
 # trajectory record (guards both the benchmarks and the bench.sh JSON
 # pipeline).
-echo "== bench smoke (SuiteRunBatch64 + ProgCacheHit + MachineNew via bench.sh)"
+echo "== bench smoke (SuiteRunBatch64 + ProgCacheHit + MachineNew + FuzzerExec via bench.sh)"
 BENCH_SMOKE_JSON="$(mktemp)"
-scripts/bench.sh "$BENCH_SMOKE_JSON" 'SuiteRunBatch64|ProgCacheHit|MachineNew' 10x >/dev/null 2>&1
-for b in BenchmarkSuiteRunBatch64 BenchmarkProgCacheHit BenchmarkMachineNew; do
+scripts/bench.sh "$BENCH_SMOKE_JSON" 'SuiteRunBatch64|ProgCacheHit|MachineNew|FuzzerExec' 10x >/dev/null 2>&1
+for b in BenchmarkSuiteRunBatch64 BenchmarkProgCacheHit BenchmarkMachineNew BenchmarkFuzzerExec; do
 	grep -q "\"name\": \"$b\", \"ns_per_op\": [0-9]" "$BENCH_SMOKE_JSON" || {
 		echo "bench smoke: $b missing from bench.sh output" >&2
 		cat "$BENCH_SMOKE_JSON" >&2
@@ -70,6 +79,8 @@ go test -fuzz=FuzzReduce -fuzztime="$FUZZTIME" -run='^$' ./internal/triage
 go test -fuzz=FuzzCompileOracle -fuzztime="$FUZZTIME" -run='^$' .
 go test -fuzz=FuzzProgCache -fuzztime="$FUZZTIME" -run='^$' ./internal/progcache
 go test -fuzz=FuzzEvolveMutate -fuzztime="$FUZZTIME" -run='^$' ./internal/evolve
+go test -fuzz=FuzzCoverageWords -fuzztime="$FUZZTIME" -run='^$' ./internal/fuzz
+go test -fuzz=FuzzRestoreState -fuzztime="$FUZZTIME" -run='^$' ./internal/fuzz
 
 # Coverage gate: per-package table plus hard floors on the triage
 # layer, whose whole contract lives in its tests.
