@@ -342,9 +342,10 @@ int main() {
 }
 
 // BenchmarkMachineNew is machine construction alone: vm.New of
-// wireshark's ten compiled binaries, the per-program cost the compile,
-// evolve and reduce modes pay for every corpus entry, genome or
-// reduction candidate.
+// wireshark's ten compiled binaries. The compile, evolve and reduce
+// modes pay it for each implementation once per epoch or reduction
+// and rebind those machines afterwards (BenchmarkMachineRebind); the
+// fuzzing modes pay it once per campaign.
 func BenchmarkMachineNew(b *testing.B) {
 	info := sema.MustCheck(parser.MustParse(targets.ByName("wireshark").Src))
 	var bins []*ir.Program
@@ -362,6 +363,32 @@ func BenchmarkMachineNew(b *testing.B) {
 
 // machineSink keeps BenchmarkMachineNew's constructions observable.
 var machineSink *vm.Machine
+
+// BenchmarkMachineRebind is the per-program machine cost of the
+// compile, evolve and reduce modes: each of wireshark's ten machines
+// is rebound, alternately, to its implementation's binary of one of
+// two programs (wireshark and tcpdump). One op rebinds all ten, the
+// counterpart of one BenchmarkMachineNew op.
+func BenchmarkMachineRebind(b *testing.B) {
+	var pair [2][]*ir.Program
+	for i, name := range []string{"wireshark", "tcpdump"} {
+		info := sema.MustCheck(parser.MustParse(targets.ByName(name).Src))
+		for _, cfg := range compiler.DefaultSet() {
+			pair[i] = append(pair[i], compiler.MustCompile(info, cfg))
+		}
+	}
+	machines := make([]*vm.Machine, len(pair[0]))
+	for j, bin := range pair[0] {
+		machines[j] = vm.New(bin, vm.Options{})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, m := range machines {
+			m.Rebind(pair[(i+1)%2][j])
+		}
+	}
+}
 
 func BenchmarkCompileTenImplementations(b *testing.B) {
 	tg := targets.ByName("wireshark")

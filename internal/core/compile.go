@@ -8,7 +8,6 @@ import (
 	"compdiff/internal/hash"
 	"compdiff/internal/minic/parser"
 	"compdiff/internal/minic/sema"
-	"compdiff/internal/vm"
 )
 
 // The compile-stage differential oracle: before a program ever runs,
@@ -123,6 +122,12 @@ func (co *CompileOutcome) Signature() uint64 {
 // The returned error is reserved for harness misuse (fewer than two
 // configurations); per-implementation failures are data, not errors.
 func BuildDifferential(info *sema.Info, cfgs []compiler.Config, opts Options) (*Suite, *CompileOutcome, error) {
+	return (*Spares)(nil).BuildDifferential(info, cfgs, opts)
+}
+
+// BuildDifferential is the package-level BuildDifferential with
+// machines drawn from sp.
+func (sp *Spares) BuildDifferential(info *sema.Info, cfgs []compiler.Config, opts Options) (*Suite, *CompileOutcome, error) {
 	opts = opts.withDefaults()
 	if len(cfgs) < 2 {
 		return nil, nil, fmt.Errorf("compdiff: need at least 2 compiler implementations, got %d", len(cfgs))
@@ -147,18 +152,25 @@ func BuildDifferential(info *sema.Info, cfgs []compiler.Config, opts Options) (*
 			results[i] = compiler.CompileGuarded(info, cfgs[i])
 		}
 	}
-	return AssembleDifferential(results, cfgs, opts)
+	return sp.AssembleDifferential(results, cfgs, opts)
 }
 
 // AssembleDifferential builds the compile outcome and (when all
-// implementations accepted) a fresh Suite from per-implementation
-// compile results obtained elsewhere — the progcache hit path, where
-// the k lowered programs already exist and only the outcome
-// classification and the machines need constructing. results must be
-// positional with cfgs. Each call yields an independent Suite: the
-// cached *ir.Programs are immutable and shared read-only, the
-// machines are new.
+// implementations accepted) a Suite from per-implementation compile
+// results obtained elsewhere — the progcache hit path, where the k
+// lowered programs already exist and only the outcome classification
+// and the machines need constructing. results must be positional with
+// cfgs. Each call yields an independent Suite: the cached
+// *ir.Programs are immutable and shared read-only, and the suite owns
+// its machines, new ones here or spares rebound to its binaries (see
+// Spares).
 func AssembleDifferential(results []compiler.Result, cfgs []compiler.Config, opts Options) (*Suite, *CompileOutcome, error) {
+	return (*Spares)(nil).AssembleDifferential(results, cfgs, opts)
+}
+
+// AssembleDifferential is the package-level AssembleDifferential with
+// machines drawn from sp.
+func (sp *Spares) AssembleDifferential(results []compiler.Result, cfgs []compiler.Config, opts Options) (*Suite, *CompileOutcome, error) {
 	opts = opts.withDefaults()
 	if len(cfgs) < 2 {
 		return nil, nil, fmt.Errorf("compdiff: need at least 2 compiler implementations, got %d", len(cfgs))
@@ -189,13 +201,7 @@ func AssembleDifferential(results []compiler.Result, cfgs []compiler.Config, opt
 
 	s := &Suite{opts: opts}
 	for i, cfg := range cfgs {
-		im := &Implementation{
-			Config:    cfg,
-			Prog:      results[i].Prog,
-			stepLimit: opts.StepLimit,
-		}
-		im.free = []*vm.Machine{vm.New(results[i].Prog, vm.Options{StepLimit: opts.StepLimit})}
-		s.Impls = append(s.Impls, im)
+		s.Impls = append(s.Impls, sp.implementation(cfg, results[i].Prog, opts.StepLimit))
 	}
 	return s, co, nil
 }

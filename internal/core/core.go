@@ -64,6 +64,12 @@ func (im *Implementation) acquire() *vm.Machine {
 		return m
 	}
 	im.mu.Unlock()
+	return im.newMachine()
+}
+
+// newMachine builds a machine for the implementation's binary: the one
+// constructor behind every free list.
+func (im *Implementation) newMachine() *vm.Machine {
 	return vm.New(im.Prog, vm.Options{StepLimit: im.stepLimit})
 }
 
@@ -145,6 +151,11 @@ type runScratch struct {
 
 // Build compiles the checked program under every configuration.
 func Build(info *sema.Info, cfgs []compiler.Config, opts Options) (*Suite, error) {
+	return (*Spares)(nil).Build(info, cfgs, opts)
+}
+
+// Build is the package-level Build with machines drawn from sp.
+func (sp *Spares) Build(info *sema.Info, cfgs []compiler.Config, opts Options) (*Suite, error) {
 	opts = opts.withDefaults()
 	if len(cfgs) < 2 {
 		return nil, fmt.Errorf("compdiff: need at least 2 compiler implementations, got %d", len(cfgs))
@@ -157,13 +168,7 @@ func Build(info *sema.Info, cfgs []compiler.Config, opts Options) (*Suite, error
 		if res.Err != nil {
 			return nil, res.Err
 		}
-		im := &Implementation{
-			Config:    cfg,
-			Prog:      res.Prog,
-			stepLimit: opts.StepLimit,
-		}
-		im.free = []*vm.Machine{vm.New(res.Prog, vm.Options{StepLimit: opts.StepLimit})}
-		s.Impls = append(s.Impls, im)
+		s.Impls = append(s.Impls, sp.implementation(cfg, res.Prog, opts.StepLimit))
 	}
 	return s, nil
 }

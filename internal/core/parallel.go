@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"compdiff/internal/vm"
 )
 
 // The parallel execution layer. The paper's evaluation drove CompDiff
@@ -139,7 +137,7 @@ func (s *Suite) Warm(workers int) {
 	for _, im := range s.Impls {
 		im.mu.Lock()
 		for len(im.free) < workers {
-			im.free = append(im.free, vm.New(im.Prog, vm.Options{StepLimit: im.stepLimit}))
+			im.free = append(im.free, im.newMachine())
 		}
 		im.mu.Unlock()
 	}

@@ -79,17 +79,17 @@ func progenName(seed int64) string {
 func assertSameOutcome(t *testing.T, input []byte, want, got *core.Outcome) {
 	t.Helper()
 	if want.Diverged != got.Diverged {
-		t.Fatalf("input %q: diverged per-input=%t batch=%t", input, want.Diverged, got.Diverged)
+		t.Fatalf("input %q: diverged want=%t got=%t", input, want.Diverged, got.Diverged)
 	}
 	if want.TimeoutSuspect != got.TimeoutSuspect {
-		t.Fatalf("input %q: timeout-suspect per-input=%t batch=%t", input, want.TimeoutSuspect, got.TimeoutSuspect)
+		t.Fatalf("input %q: timeout-suspect want=%t got=%t", input, want.TimeoutSuspect, got.TimeoutSuspect)
 	}
 	if len(want.Hashes) != len(got.Hashes) {
-		t.Fatalf("input %q: %d hashes per-input, %d batch", input, len(want.Hashes), len(got.Hashes))
+		t.Fatalf("input %q: %d hashes want, %d got", input, len(want.Hashes), len(got.Hashes))
 	}
 	for i := range want.Hashes {
 		if want.Hashes[i] != got.Hashes[i] {
-			t.Fatalf("input %q: hash[%d] per-input=%016x batch=%016x", input, i, want.Hashes[i], got.Hashes[i])
+			t.Fatalf("input %q: hash[%d] want=%016x got=%016x", input, i, want.Hashes[i], got.Hashes[i])
 		}
 	}
 	if !got.Diverged {
@@ -99,19 +99,19 @@ func assertSameOutcome(t *testing.T, input []byte, want, got *core.Outcome) {
 		return
 	}
 	if ws, gs := want.Signature(), got.Signature(); ws != gs {
-		t.Fatalf("input %q: signature per-input=%016x batch=%016x", input, ws, gs)
+		t.Fatalf("input %q: signature want=%016x got=%016x", input, ws, gs)
 	}
 	if len(want.Results) != len(got.Results) {
-		t.Fatalf("input %q: %d results per-input, %d batch", input, len(want.Results), len(got.Results))
+		t.Fatalf("input %q: %d results want, %d got", input, len(want.Results), len(got.Results))
 	}
 	for i := range want.Results {
 		w, g := want.Results[i], got.Results[i]
 		if w.Exit != g.Exit || w.Code != g.Code || w.Steps != g.Steps {
-			t.Fatalf("input %q: result[%d] exit per-input=%s/%d/%d batch=%s/%d/%d",
+			t.Fatalf("input %q: result[%d] exit want=%s/%d/%d got=%s/%d/%d",
 				input, i, w.Exit, w.Code, w.Steps, g.Exit, g.Code, g.Steps)
 		}
 		if !bytes.Equal(w.Stdout, g.Stdout) || !bytes.Equal(w.Stderr, g.Stderr) {
-			t.Fatalf("input %q: result[%d] output per-input=%q/%q batch=%q/%q",
+			t.Fatalf("input %q: result[%d] output want=%q/%q got=%q/%q",
 				input, i, w.Stdout, w.Stderr, g.Stdout, g.Stderr)
 		}
 	}

@@ -248,6 +248,49 @@ func TestPoolResumeErrorClasses(t *testing.T) {
 	})
 }
 
+// TestPoolResumeRejectsNullDiffs: a checkpoint re-saved with a null
+// entry in the shared diffs or in a shard's diffs loads and matches
+// its options hash, and resuming it must report ErrCorrupt instead of
+// dereferencing the entry.
+func TestPoolResumeRejectsNullDiffs(t *testing.T) {
+	tg := poolTarget(t)
+	opts := Options{FuzzSeed: 7, Shards: 2, SyncEvery: 100, CheckpointDir: t.TempDir()}
+	p, err := NewPool(tg.Src, tg.Seeds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Run(context.Background(), 200)
+	p.Close()
+	for _, c := range []struct {
+		name       string
+		breakState func(st *checkpoint.State)
+	}{
+		{"diffs", func(st *checkpoint.State) { st.Diffs = append(st.Diffs, nil) }},
+		{"shard_diffs", func(st *checkpoint.State) { st.Shards[1].Diffs = append(st.Shards[1].Diffs, nil) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, _, err := checkpoint.Load(opts.CheckpointDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.breakState(st)
+			saver, err := checkpoint.NewSaver(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := saver.Save(st); err != nil {
+				t.Fatal(err)
+			}
+			bad := opts
+			bad.CheckpointDir = dir
+			if _, err := ResumePool(tg.Src, tg.Seeds, bad); !errors.Is(err, checkpoint.ErrCorrupt) {
+				t.Fatalf("resume of a checkpoint with a null %s entry: got %v, want ErrCorrupt", c.name, err)
+			}
+		})
+	}
+}
+
 // TestPoolCountsPersistErrors: a DiffDir whose diffs/ path cannot be
 // created must not kill the campaign, but every dropped evidence file
 // must be counted and surfaced through PoolStats — for a single shard

@@ -19,6 +19,7 @@ import (
 
 	"compdiff/internal/checkpoint"
 	"compdiff/internal/compiler"
+	"compdiff/internal/core"
 	"compdiff/internal/telemetry"
 	"compdiff/internal/triage"
 )
@@ -189,9 +190,10 @@ func (p *CompilePool) next() bool {
 
 func (p *CompilePool) epoch(_ context.Context, si int) bool {
 	sh := p.shards[si]
+	spares := core.NewSpares()
 	for i := p.cursor; i < p.end; i++ {
 		if i%len(p.shards) == si {
-			sh.tally(sh.buckets, p.check(p.corpus[i]))
+			sh.tally(sh.buckets, p.check(p.corpus[i], spares))
 		}
 	}
 	return true

@@ -469,9 +469,12 @@ type verdict struct {
 // check runs src through the oracle. The cache serves revisits of an
 // already-seen source without re-running the front end or the k
 // lowerings; the record is a pure function of the source, so hits and
-// misses produce identical verdicts. Machines are built fresh per call:
-// shards share compiled programs read-only, never execution state.
-func (o *programOracle) check(src string) verdict {
+// misses produce identical verdicts. The suite's machines come from
+// the caller's spares and go back to them after the verdict: each
+// shard epoch keeps its own set, so shards share compiled programs
+// read-only, never execution state, and a rebound machine runs exactly
+// as a new one would.
+func (o *programOracle) check(src string, spares *core.Spares) verdict {
 	var v verdict
 	comp := o.cache.Get(src, o.cfgs, o.copts.Parallelism)
 	if comp.FrontendErr != nil {
@@ -482,7 +485,7 @@ func (o *programOracle) check(src string) verdict {
 	for i := range comp.Results {
 		v.bits[i] = comp.Results[i].PassBits
 	}
-	suite, co, err := core.AssembleDifferential(comp.Results, o.cfgs, o.copts)
+	suite, co, err := spares.AssembleDifferential(comp.Results, o.cfgs, o.copts)
 	if err != nil {
 		v.reject = true
 		return v
@@ -502,6 +505,7 @@ func (o *programOracle) check(src string) verdict {
 			v.outcomes = append(v.outcomes, r)
 		}
 	}
+	spares.Release(suite)
 	return v
 }
 

@@ -21,6 +21,7 @@ import (
 
 	"compdiff/internal/checkpoint"
 	"compdiff/internal/compiler"
+	"compdiff/internal/core"
 	"compdiff/internal/evolve"
 	"compdiff/internal/telemetry"
 )
@@ -213,6 +214,7 @@ func (p *EvolvePool) next() bool {
 // epoch measures shard si's genomes through the oracles. It stops
 // early, dropping the generation, when ctx is cancelled.
 func (p *EvolvePool) epoch(ctx context.Context, si int) bool {
+	spares := core.NewSpares()
 	for i := si; i < len(p.pop); i += p.opts.Shards {
 		if p.evalHook != nil {
 			p.evalHook(p.generation, i)
@@ -220,7 +222,7 @@ func (p *EvolvePool) epoch(ctx context.Context, si int) bool {
 		if ctx.Err() != nil {
 			return false
 		}
-		p.evals[i] = p.check(p.pop[i].Src)
+		p.evals[i] = p.check(p.pop[i].Src, spares)
 	}
 	return true
 }

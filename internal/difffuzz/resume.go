@@ -10,6 +10,7 @@ package difffuzz
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -102,6 +103,21 @@ func (p *Pool) restore(st *checkpoint.State) error {
 	if len(st.Shards) != len(p.shards) {
 		return fmt.Errorf("difffuzz: checkpoint has %d shards, pool has %d", len(st.Shards), len(p.shards))
 	}
+	// Refuse malformed entries before any pool field changes. A null
+	// diff entry decodes to a nil pointer that the store restore would
+	// dereference.
+	if slices.Contains(st.Diffs, nil) {
+		return fmt.Errorf("difffuzz: checkpoint diffs hold a null entry")
+	}
+	for i := range st.Shards {
+		ss := &st.Shards[i]
+		if ss.Index != i {
+			return fmt.Errorf("difffuzz: checkpoint shard %d carries index %d", i, ss.Index)
+		}
+		if slices.Contains(ss.Diffs, nil) {
+			return fmt.Errorf("difffuzz: checkpoint shard %d diffs hold a null entry", i)
+		}
+	}
 	// The shared store is replaced wholesale; the DiffDir files from
 	// the original run are already on disk, so the restored store does
 	// not rewrite them (and O_EXCL keeps any name collisions from new
@@ -111,9 +127,6 @@ func (p *Pool) restore(st *checkpoint.State) error {
 	p.persistErrs.Store(st.PersistErrors)
 	for i, s := range p.shards {
 		ss := &st.Shards[i]
-		if ss.Index != i {
-			return fmt.Errorf("difffuzz: checkpoint shard %d carries index %d", i, ss.Index)
-		}
 		if err := s.c.restoreShard(ss); err != nil {
 			return fmt.Errorf("difffuzz: shard %d: %w", i, err)
 		}

@@ -90,7 +90,7 @@ func Reduce(src string, input []byte, opts ReduceOptions) (*Reduction, error) {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
-	r := &reducer{cfgs: cfgs, sopts: opts.Suite, budget: budget}
+	r := &reducer{cfgs: cfgs, sopts: opts.Suite, budget: budget, spares: core.NewSpares()}
 
 	suite, co, err := r.buildDifferential(src)
 	if err != nil {
@@ -104,6 +104,7 @@ func Reduce(src string, input []byte, opts ReduceOptions) (*Reduction, error) {
 		r.compileMode = true
 		r.fp = fp
 		r.best = src
+		r.spares.Release(suite)
 		for !r.exhausted() {
 			if !r.reduceProgram() {
 				break
@@ -158,6 +159,9 @@ type reducer struct {
 	cfgs   []compiler.Config
 	sopts  core.Options
 	budget int
+	// spares recycles the machines of rejected candidates' suites and
+	// of each replaced bestSuite into the next candidate's suite.
+	spares *core.Spares
 
 	fp        Fingerprint
 	best      string
@@ -189,7 +193,7 @@ func (r *reducer) build(src string) (*core.Suite, error) {
 		return nil, err
 	}
 	r.builds++
-	return core.Build(info, r.cfgs, r.sopts)
+	return r.spares.Build(info, r.cfgs, r.sopts)
 }
 
 // buildDifferential compiles src under every configuration with the
@@ -205,7 +209,7 @@ func (r *reducer) buildDifferential(src string) (*core.Suite, *core.CompileOutco
 		return nil, nil, err
 	}
 	r.builds++
-	return core.BuildDifferential(info, r.cfgs, r.sopts)
+	return r.spares.BuildDifferential(info, r.cfgs, r.sopts)
 }
 
 // tryProgramCompile evaluates one candidate source against the
@@ -214,10 +218,11 @@ func (r *reducer) tryProgramCompile(src string) bool {
 	if r.exhausted() {
 		return false
 	}
-	_, co, err := r.buildDifferential(src)
+	suite, co, err := r.buildDifferential(src)
 	if err != nil {
 		return false // does not parse or does not check: rejected free
 	}
+	r.spares.Release(suite)
 	r.runs++
 	fp, ok := OfCompile(co)
 	if !ok || !fp.Equal(r.fp) {
@@ -252,8 +257,10 @@ func (r *reducer) tryProgram(src string) bool {
 	}
 	o := r.run(suite, r.input)
 	if o == nil || !o.Diverged || !Of(o).Equal(r.fp) {
+		r.spares.Release(suite)
 		return false
 	}
+	r.spares.Release(r.bestSuite)
 	r.best = src
 	r.bestSuite = suite
 	return true

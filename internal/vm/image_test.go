@@ -9,6 +9,7 @@ package vm_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"compdiff/internal/compiler"
@@ -184,36 +185,18 @@ func TestMachineImageMatchesReference(t *testing.T) {
 // just over one page — and dirties every page those edges touch.
 func testReshapedSegments(t *testing.T) {
 	info := sema.MustCheck(parser.MustParse(`int main() { return 0; }`))
-	rodata := bytes.Repeat([]byte("rodata\x00"), 40)
-	cases := []struct {
-		rodata  []byte
-		globals int64
-		init    []ir.GlobalInit
-	}{
-		{nil, 0, nil},
-		{rodata[:1], 100, []ir.GlobalInit{{Offset: 90, Data: []byte("0123456789")}}},
-		{rodata[:256], 512, []ir.GlobalInit{{Offset: 504, Data: []byte("tailtail")}}},
-		{rodata[:257], 256, []ir.GlobalInit{{Offset: 0, Data: []byte{1}}}},
-		{rodata, 700, nil},
-	}
+	cases := reshapedSegments()
 	for _, sb := range sanBuild {
 		for _, cfg := range compiler.DefaultSet() {
 			cfg.ASan, cfg.Sanitize = sb.asan, sb.sani
 			bin := compiler.MustCompile(info, cfg)
 			for _, c := range cases {
-				prog := *bin
-				prog.Rodata, prog.GlobalsLen, prog.GlobalInit = c.rodata, c.globals, c.init
-				ref := newReference(&prog, sb.san)
-				m := vm.New(&prog, vm.Options{San: sb.san})
+				prog := reshape(bin, c)
+				ref := newReference(prog, sb.san)
+				m := vm.New(prog, vm.Options{San: sb.san})
 				what := fmt.Sprintf("%s rodata %d globals %d", sb.san, len(c.rodata), c.globals)
 				assertImage(t, m, ref, what)
-				rodEnd := uint64(ir.RodataBase + len(c.rodata))
-				glEnd := uint64(ir.GlobalsBase + c.globals)
-				for _, addr := range []uint64{
-					0, ir.NullTop - 1, ir.RodataBase, rodEnd - 1, rodEnd, rodEnd + 256,
-					ir.GlobalsBase - 1, ir.GlobalsBase, glEnd - 1, glEnd, glEnd + 256,
-					ir.StackBase, ir.HeapBase, ir.HeapMax - 1,
-				} {
+				for _, addr := range segmentEdgeAddrs(prog) {
 					m.Poke(addr, 0xa5)
 				}
 				m.Reset()
@@ -223,6 +206,47 @@ func testReshapedSegments(t *testing.T) {
 				assertImage(t, m, ref, what+" after a run")
 			}
 		}
+	}
+}
+
+// segmentShape is one data-segment layout of the restore-rule edge
+// cases.
+type segmentShape struct {
+	rodata  []byte
+	globals int64
+	init    []ir.GlobalInit
+}
+
+// reshapedSegments are the segment edge cases: no globals, globals
+// ending inside a page and exactly on one, rodata of zero, one and
+// just over one page.
+func reshapedSegments() []segmentShape {
+	rodata := bytes.Repeat([]byte("rodata\x00"), 40)
+	return []segmentShape{
+		{nil, 0, nil},
+		{rodata[:1], 100, []ir.GlobalInit{{Offset: 90, Data: []byte("0123456789")}}},
+		{rodata[:256], 512, []ir.GlobalInit{{Offset: 504, Data: []byte("tailtail")}}},
+		{rodata[:257], 256, []ir.GlobalInit{{Offset: 0, Data: []byte{1}}}},
+		{rodata, 700, nil},
+	}
+}
+
+// reshape returns a copy of bin with its data segments replaced.
+func reshape(bin *ir.Program, c segmentShape) *ir.Program {
+	prog := *bin
+	prog.Rodata, prog.GlobalsLen, prog.GlobalInit = c.rodata, c.globals, c.init
+	return &prog
+}
+
+// segmentEdgeAddrs are the addresses around prog's segment edges (and
+// the other region bounds) a reshaped-segment test dirties.
+func segmentEdgeAddrs(prog *ir.Program) []uint64 {
+	rodEnd := uint64(ir.RodataBase + len(prog.Rodata))
+	glEnd := uint64(ir.GlobalsBase + prog.GlobalsLen)
+	return []uint64{
+		0, ir.NullTop - 1, ir.RodataBase, rodEnd - 1, rodEnd, rodEnd + 256,
+		ir.GlobalsBase - 1, ir.GlobalsBase, glEnd - 1, glEnd, glEnd + 256,
+		ir.StackBase, ir.HeapBase, ir.HeapMax - 1,
 	}
 }
 
@@ -240,4 +264,223 @@ func TestMachineNewAllocBound(t *testing.T) {
 	if got, limit := r.AllocedBytesPerOp(), int64(ir.MemSize+128<<10); got > limit {
 		t.Fatalf("vm.New allocates %d B per machine, want <= %d (ir.MemSize + 128 KiB)", got, limit)
 	}
+}
+
+// The rebind equivalence test: a machine rebound from binary A to
+// binary B must be indistinguishable from vm.New(B) with the same
+// options — in every memory plane, in the coverage map and its
+// summary, and in every Result field of B's runs.
+
+// printfFirstSrc and printfSecondSrc put different printf formats at
+// the same rodata address, so a plan cached for one binary's format
+// must not survive into the other's runs.
+const printfFirstSrc = `
+int main() {
+    char buf[8];
+    long n = read_input(buf, 8L);
+    printf("first %ld\n", n);
+    return 0;
+}
+`
+
+const printfSecondSrc = `
+int main() {
+    char buf[8];
+    long n = read_input(buf, 8L);
+    printf("%x <- second %d\n", (int)n, (int)n);
+    return 0;
+}
+`
+
+// timeNowSrc prints the run-sequence-derived clock, so a rebind must
+// restart the run sequence as a new machine starts it.
+const timeNowSrc = `
+int g[40];
+int main() {
+    g[39] = (int)input_size();
+    printf("%ld %ld %d\n", time_now(), time_now(), g[39]);
+    return 0;
+}
+`
+
+// rebindChain is the program sequence one machine is rebound through,
+// in order: its rodata and globals grow, shrink and vanish along the
+// way, and it includes the time_now program and the two printf
+// programs back to back.
+func rebindChain(t *testing.T) []selfTestProgram {
+	inputs := [][]byte{nil, []byte("u"), {'o', 0x9b, 0xff, 0xff, 0x7f, 0x65, 0, 0, 0}}
+	golden := map[string]selfTestProgram{}
+	for _, p := range selfTestCorpus(t) {
+		golden[p.name] = p
+	}
+	chain := []selfTestProgram{
+		{name: "wireshark", src: targets.ByName("wireshark").Src, inputs: targets.ByName("wireshark").Seeds[:1]},
+		{name: "time_now", src: timeNowSrc, inputs: inputs},
+		{name: "printf_first", src: printfFirstSrc, inputs: inputs},
+		{name: "printf_second", src: printfSecondSrc, inputs: inputs},
+		{name: "progen_3", src: progen.Generate(3).Src, inputs: inputs},
+	}
+	for _, name := range []string{"triage_uninit", "heap_reuse", "fuzz_target"} {
+		p := golden[name]
+		p.inputs = append(p.inputs[:1:1], inputs[1:]...)
+		chain = append(chain, p)
+	}
+	return chain
+}
+
+// assertSameMachine compares every memory plane, the coverage map and
+// its touched-word summary of a rebound machine with a new one.
+func assertSameMachine(t *testing.T, got, want *vm.Machine, what string) {
+	t.Helper()
+	ref := reference{mem: want.Mem(), asan: want.ASanShadow(), msan: want.MSanInit()}
+	assertImage(t, got, ref, what)
+	if !bytes.Equal(got.Coverage(), want.Coverage()) {
+		t.Fatalf("%s %s: coverage map differs from a new machine's", got.Program().Compiler, what)
+	}
+	if !slices.Equal(got.CoverageWords(), want.CoverageWords()) {
+		t.Fatalf("%s %s: coverage summary differs from a new machine's", got.Program().Compiler, what)
+	}
+}
+
+// assertSameRun runs input on both machines and compares every Result
+// field, then the machines themselves.
+func assertSameRun(t *testing.T, got, want *vm.Machine, input []byte, what string) {
+	t.Helper()
+	g, w := got.RunShared(input), want.RunShared(input)
+	assertSameResult(t, input, w, g)
+	if !slices.Equal(g.Trace, w.Trace) {
+		t.Fatalf("%s, input %q: line trace %v, want %v", what, input, g.Trace, w.Trace)
+	}
+	assertSameMachine(t, got, want, fmt.Sprintf("%s after input %q", what, input))
+}
+
+// TestMachineRebindMatchesNew extends TestMachineImageMatchesReference
+// to rebinding. For all ten implementations under every sanitizer
+// mode, with and without edge coverage, one machine runs through the
+// rebind chain; after each rebind it must match vm.New of the new
+// binary, and keep matching a new machine input by input and reset by
+// reset. The chain starts from a warm machine with dirty pages, cached
+// printf plans and an advanced run sequence. The reshaped-segment
+// shapes are then rebound into each other in both directions.
+func TestMachineRebindMatchesNew(t *testing.T) {
+	t.Run("reshaped_segments", testRebindReshaped)
+	chain := rebindChain(t)
+	infos := make([]*sema.Info, len(chain))
+	for i, p := range chain {
+		infos[i] = sema.MustCheck(parser.MustParse(p.src))
+	}
+	for _, sb := range sanBuild {
+		for _, coverage := range []bool{false, true} {
+			opts := vm.Options{San: sb.san, Coverage: coverage, TraceLines: coverage}
+			for _, cfg := range compiler.DefaultSet() {
+				cfg.ASan, cfg.Sanitize, cfg.Instrument = sb.asan, sb.sani, coverage
+				var m *vm.Machine
+				for i, p := range chain {
+					bin := compiler.MustCompile(infos[i], cfg)
+					what := fmt.Sprintf("%s coverage=%t %s", sb.san, coverage, p.name)
+					fresh := vm.New(bin, opts)
+					if m == nil {
+						m = vm.New(bin, opts)
+					} else {
+						m.Rebind(bin)
+						assertSameMachine(t, m, fresh, what+" after rebind")
+					}
+					for _, input := range p.inputs {
+						assertSameRun(t, m, fresh, input, what)
+						m.Reset()
+						fresh.Reset()
+						assertSameMachine(t, m, fresh, fmt.Sprintf("%s after input %q and reset", what, input))
+					}
+					// Leave the last run's pages dirty for the next rebind.
+					assertSameRun(t, m, fresh, p.inputs[0], what)
+				}
+			}
+		}
+	}
+}
+
+// testRebindReshaped rebinds one machine through the reshaped-segment
+// shapes, forward and back, so segments grow, shrink, vanish and
+// reappear across page edges, with every edge page dirtied before each
+// rebind.
+func testRebindReshaped(t *testing.T) {
+	info := sema.MustCheck(parser.MustParse(`int main() { return 0; }`))
+	shapes := reshapedSegments()
+	order := []int{0, 1, 2, 3, 4, 3, 2, 1, 0, 4, 0, 2, 0}
+	for _, sb := range sanBuild {
+		for _, cfg := range compiler.DefaultSet() {
+			cfg.ASan, cfg.Sanitize = sb.asan, sb.sani
+			bin := compiler.MustCompile(info, cfg)
+			var m *vm.Machine
+			for _, i := range order {
+				prog := reshape(bin, shapes[i])
+				what := fmt.Sprintf("%s rebound to rodata %d globals %d", sb.san, len(shapes[i].rodata), shapes[i].globals)
+				if m == nil {
+					m = vm.New(prog, vm.Options{San: sb.san})
+				} else {
+					m.Rebind(prog)
+				}
+				ref := newReference(prog, sb.san)
+				assertImage(t, m, ref, what)
+				m.RunShared(nil)
+				m.Reset()
+				assertImage(t, m, ref, what+" after a run")
+				for _, addr := range segmentEdgeAddrs(prog) {
+					m.Poke(addr, 0xa5)
+				}
+			}
+		}
+	}
+}
+
+// TestMachineRebindAcrossProfilesPanics: a machine's fill pattern and
+// run-time personality are its implementation's, so rebinding it to
+// another implementation's binary is a caller bug.
+func TestMachineRebindAcrossProfilesPanics(t *testing.T) {
+	info := sema.MustCheck(parser.MustParse(`int main() { return 0; }`))
+	cfgs := compiler.DefaultSet()
+	m := vm.New(compiler.MustCompile(info, cfgs[0]), vm.Options{})
+	other := compiler.MustCompile(info, cfgs[1])
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("Rebind from %s to %s did not panic", cfgs[0].Name(), cfgs[1].Name())
+		}
+	}()
+	m.Rebind(other)
+}
+
+// FuzzMachineRebind: a machine built for one generated program, run on
+// the input and rebound to a second generated program, must give every
+// Result field a new machine of the second program gives, run after
+// run.
+func FuzzMachineRebind(f *testing.F) {
+	f.Add(int64(1), int64(2), uint8(0), uint8(0), []byte("u"))
+	f.Add(int64(7), int64(3), uint8(5), uint8(3), []byte{0xff, 0, 0x7f})
+	f.Add(int64(12), int64(12), uint8(9), uint8(1), []byte(nil))
+	cfgs := compiler.DefaultSet()
+	f.Fuzz(func(t *testing.T, seedA, seedB int64, cfgIdx, sanIdx uint8, input []byte) {
+		sb := sanBuild[int(sanIdx)%len(sanBuild)]
+		cfg := cfgs[int(cfgIdx)%len(cfgs)]
+		cfg.ASan, cfg.Sanitize, cfg.Instrument = sb.asan, sb.sani, true
+		compile := func(seed int64) *ir.Program {
+			info, err := sema.Check(parser.MustParse(progen.Generate(seed).Src))
+			if err != nil {
+				t.Skip("generated program does not check")
+			}
+			res := compiler.CompileGuarded(info, cfg)
+			if res.Err != nil {
+				t.Skip("generated program does not compile")
+			}
+			return res.Prog
+		}
+		a, b := compile(seedA), compile(seedB)
+		opts := vm.Options{San: sb.san, Coverage: true, StepLimit: 200_000}
+		m := vm.New(a, opts)
+		m.RunShared(input)
+		m.Rebind(b)
+		fresh := vm.New(b, opts)
+		for run := 0; run < 2; run++ {
+			assertSameRun(t, m, fresh, input, fmt.Sprintf("%s run %d", sb.san, run))
+		}
+	})
 }

@@ -121,7 +121,8 @@ type slot struct {
 
 // Machine executes one compiled binary. It plays the role of the
 // AFL++ forkserver: the binary is loaded once, and each Run restores
-// the pages the previous run dirtied instead of re-launching.
+// the pages the previous run dirtied instead of re-launching. Rebind
+// loads another binary of the same implementation in place.
 //
 // A Machine is single-goroutine (all run state lives on it); parallel
 // execution layers (core's worker pool, difffuzz's shards) give each
@@ -236,21 +237,17 @@ func New(prog *ir.Program, opts Options) *Machine {
 		opts.MaxTrace = 1 << 16
 	}
 	m := &Machine{prog: prog, opts: opts, prof: prog.Profile}
-	m.buildImages()
+	m.buildPattern()
 	// bytes.Repeat skips zeroing memory it is about to overwrite.
 	m.mem = bytes.Repeat(m.pattern[:], numPages)
 	clear(m.mem[:ir.NullTop])
-	copy(m.mem[ir.RodataBase:], m.rodataImg)
-	copy(m.mem[ir.GlobalsBase:], m.globalsImg)
+	m.loadSegments()
 	if opts.San == SanASan {
 		m.asanShadow = make([]byte, ir.MemSize)
 	}
 	if opts.San == SanMSan {
 		m.msanInit = make([]byte, ir.MemSize)
-		end := m.msanInitEnd()
-		for a := uint64(ir.RodataBase); a < end; a += pageSize {
-			copy(m.msanInit[a:end], initPage[:])
-		}
+		m.setLoadInit(ir.RodataBase, m.msanInitEnd())
 	}
 	m.ops = make([]slot, 256)
 	m.temps = make([]slot, 64)
@@ -258,23 +255,51 @@ func New(prog *ir.Program, opts Options) *Machine {
 	if opts.Coverage {
 		m.cov = make([]byte, CovMapSize)
 		m.covWords = make([]uint64, CovWordsLen)
-		n := prog.NumEdges
-		if n == 0 {
-			n = 1
-		}
-		m.edgeHash = make([]uint16, n)
-		for i := range m.edgeHash {
-			m.edgeHash[i] = uint16(hash.Sum32([]byte{byte(i), byte(i >> 8), byte(i >> 16)}, 0xed9e) & (CovMapSize - 1))
-		}
+		m.sizeEdgeHash()
 	}
 	return m
 }
 
-// buildImages derives the page-restore sources: the implementation's
-// fill pattern (what "uninitialized" memory contains), the rodata
-// pages, and the zeroed+initialized globals pages, each image padded
-// with the fill pattern to a whole page.
-func (m *Machine) buildImages() {
+// Rebind loads prog into m in place of its current binary. It leaves
+// the machine exactly as New(prog, opts) would build it with m's
+// options: the same memory and shadow planes, a clear coverage map, no
+// cached printf plans, and a run sequence (the time_now clock) that
+// starts over. It costs the pages the last run dirtied plus both
+// binaries' segment pages instead of a 1 MiB build, so one machine per
+// implementation can serve a stream of programs, as the paper's fork
+// server does for one.
+//
+// The fill pattern and the run-time personality belong to the
+// implementation, so prog must carry the machine's profile; Rebind
+// panics otherwise. Results handed out by RunShared become invalid.
+func (m *Machine) Rebind(prog *ir.Program) {
+	if prog.Profile != m.prof {
+		panic("vm: Rebind to a binary of another implementation profile")
+	}
+	m.reset(nil) // dirty pages back to the old images; coverage cleared
+	m.fillPattern(ir.RodataBase, len(m.rodataImg))
+	m.fillPattern(ir.GlobalsBase, len(m.globalsImg))
+	oldEnd := m.msanInitEnd()
+	m.prog = prog
+	m.loadSegments()
+	if m.msanInit != nil {
+		if end := m.msanInitEnd(); end > oldEnd {
+			m.setLoadInit(oldEnd, end)
+		} else {
+			clear(m.msanInit[end:oldEnd])
+		}
+	}
+	if m.cov != nil {
+		m.sizeEdgeHash()
+	}
+	// Cached plans alias the old binary's format strings by address.
+	m.fmtCache = [1 << fmtCacheBits]fmtCacheEnt{}
+	m.runSeq = 0
+}
+
+// buildPattern derives the implementation's fill pattern: what
+// "uninitialized" memory contains.
+func (m *Machine) buildPattern() {
 	k := m.prof.Key
 	for i := 0; i < 64; i += 8 {
 		k = k*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9
@@ -285,28 +310,80 @@ func (m *Machine) buildImages() {
 	for i := 64; i < pageSize; i += 64 {
 		copy(m.pattern[i:], m.pattern[:64])
 	}
+}
 
-	m.rodataImg = m.segmentImage(len(m.prog.Rodata))
+// loadSegments builds the page-restore images of the binary's rodata
+// and of its zeroed+initialized globals, each padded with the fill
+// pattern to a whole page and reusing the previous images' storage,
+// and copies them into memory.
+func (m *Machine) loadSegments() {
+	m.rodataImg = m.segmentImage(m.rodataImg, len(m.prog.Rodata))
 	copy(m.rodataImg, m.prog.Rodata)
 
 	// C guarantees zero-initialization of the data segment.
-	m.globalsImg = m.segmentImage(int(m.prog.GlobalsLen))
+	m.globalsImg = m.segmentImage(m.globalsImg, int(m.prog.GlobalsLen))
 	clear(m.globalsImg[:m.prog.GlobalsLen])
 	for _, gi := range m.prog.GlobalInit {
 		copy(m.globalsImg[gi.Offset:], gi.Data)
 	}
+
+	copy(m.mem[ir.RodataBase:], m.rodataImg)
+	copy(m.mem[ir.GlobalsBase:], m.globalsImg)
 }
 
 // segmentImage returns the fill pattern for the pages that n bytes of
-// a page-aligned segment occupy.
-func (m *Machine) segmentImage(n int) []byte {
-	return bytes.Repeat(m.pattern[:], (n+pageSize-1)/pageSize)
+// a page-aligned segment occupy, in buf's storage when it is large
+// enough.
+func (m *Machine) segmentImage(buf []byte, n int) []byte {
+	size := (n + pageSize - 1) / pageSize * pageSize
+	if cap(buf) < size {
+		buf = make([]byte, size)
+	}
+	buf = buf[:size]
+	for off := 0; off < size; off += pageSize {
+		copy(buf[off:], m.pattern[:])
+	}
+	return buf
+}
+
+// fillPattern writes the fill pattern over the n bytes (whole pages)
+// of memory at the page-aligned address base.
+func (m *Machine) fillPattern(base uint64, n int) {
+	for a := base; a < base+uint64(n); a += pageSize {
+		copy(m.mem[a:a+pageSize], m.pattern[:])
+	}
+}
+
+// sizeEdgeHash sizes the edge-id hash table to the binary's edge
+// count. Entry i depends only on i, and every entry up to the table's
+// capacity has been computed, so a rebind only computes new ones.
+func (m *Machine) sizeEdgeHash() {
+	n := max(m.prog.NumEdges, 1)
+	if n <= cap(m.edgeHash) {
+		m.edgeHash = m.edgeHash[:n]
+		return
+	}
+	done := cap(m.edgeHash)
+	grown := make([]uint16, n)
+	copy(grown, m.edgeHash[:done])
+	for i := done; i < n; i++ {
+		grown[i] = uint16(hash.Sum32([]byte{byte(i), byte(i >> 8), byte(i >> 16)}, 0xed9e) & (CovMapSize - 1))
+	}
+	m.edgeHash = grown
 }
 
 // msanInitEnd bounds the range [ir.RodataBase, msanInitEnd()) that
 // MSan treats as initialized at load: rodata and the globals.
 func (m *Machine) msanInitEnd() uint64 {
 	return ir.GlobalsBase + uint64(m.prog.GlobalsLen)
+}
+
+// setLoadInit marks [lo, hi) initialized in the MSan plane, as load
+// leaves rodata and the globals.
+func (m *Machine) setLoadInit(lo, hi uint64) {
+	for a := lo; a < hi; a += pageSize {
+		copy(m.msanInit[a:hi], initPage[:])
+	}
 }
 
 // initPage is a page of MSan "initialized" bytes.

@@ -29,9 +29,10 @@ echo "== benchmark module (vet, test)"
 # explicit and fails fast if the test is ever renamed away. The image
 # test holds the page-restore rule to the full-size reference image,
 # and the coverage self-test holds the edge bitmap and its touched-word
-# summary equal between the loops.
+# summary equal between the loops. The rebind test holds a machine
+# rebound across programs to a new machine of the new program.
 echo "== vm differential self-test (-race)"
-go test -race -run 'TestDifferentialSelfTest|TestRunSharedMatchesRun|TestStepLimitBatchAccounting|TestMachineImageMatchesReference|TestDifferentialSelfTestCoverage' \
+go test -race -run 'TestDifferentialSelfTest|TestRunSharedMatchesRun|TestStepLimitBatchAccounting|TestMachineImageMatchesReference|TestDifferentialSelfTestCoverage|TestMachineRebindMatchesNew' \
 	-count=1 ./internal/vm
 
 # The fuzzer's bitmap walkers visit only the words the coverage summary
@@ -44,9 +45,10 @@ go test -race -run 'TestSparseBitmapMatchesDense|TestSparseBitmapWrappedCounters
 # The batch-executor self-test is the same guard one layer up:
 # Suite.RunBatch must be byte-identical to per-input Run over the
 # golden corpus and the generated sweep, sequentially and with the
-# parallel cross-check, under the race detector.
+# parallel cross-check, under the race detector. Suites built from
+# recycled machines must match fresh suites the same way.
 echo "== core batch-executor self-test (-race)"
-go test -race -run 'TestRunBatchMatchesRun|TestRunBatchMatchesRunParallel|TestRunBatchSingletonIsRunFast' \
+go test -race -run 'TestRunBatchMatchesRun|TestRunBatchMatchesRunParallel|TestRunBatchSingletonIsRunFast|TestRecycledSuitesMatchFresh' \
 	-count=1 ./internal/core
 
 # Benchmark smoke: the headline hot-path benchmark must still run (10
@@ -59,10 +61,10 @@ go test -run='^$' -bench='^BenchmarkOverheadFullTen$' -benchtime=10x -benchmem .
 # benchmarks must exist and produce rows bench.sh can parse into the
 # trajectory record (guards both the benchmarks and the bench.sh JSON
 # pipeline).
-echo "== bench smoke (SuiteRunBatch64 + ProgCacheHit + MachineNew + FuzzerExec via bench.sh)"
+echo "== bench smoke (SuiteRunBatch64 + ProgCacheHit + MachineNew + MachineRebind + FuzzerExec via bench.sh)"
 BENCH_SMOKE_JSON="$(mktemp)"
-scripts/bench.sh "$BENCH_SMOKE_JSON" 'SuiteRunBatch64|ProgCacheHit|MachineNew|FuzzerExec' 10x >/dev/null 2>&1
-for b in BenchmarkSuiteRunBatch64 BenchmarkProgCacheHit BenchmarkMachineNew BenchmarkFuzzerExec; do
+scripts/bench.sh "$BENCH_SMOKE_JSON" 'SuiteRunBatch64|ProgCacheHit|MachineNew|MachineRebind|FuzzerExec' 10x >/dev/null 2>&1
+for b in BenchmarkSuiteRunBatch64 BenchmarkProgCacheHit BenchmarkMachineNew BenchmarkMachineRebind BenchmarkFuzzerExec; do
 	grep -q "\"name\": \"$b\", \"ns_per_op\": [0-9]" "$BENCH_SMOKE_JSON" || {
 		echo "bench smoke: $b missing from bench.sh output" >&2
 		cat "$BENCH_SMOKE_JSON" >&2
@@ -81,6 +83,7 @@ go test -fuzz=FuzzProgCache -fuzztime="$FUZZTIME" -run='^$' ./internal/progcache
 go test -fuzz=FuzzEvolveMutate -fuzztime="$FUZZTIME" -run='^$' ./internal/evolve
 go test -fuzz=FuzzCoverageWords -fuzztime="$FUZZTIME" -run='^$' ./internal/fuzz
 go test -fuzz=FuzzRestoreState -fuzztime="$FUZZTIME" -run='^$' ./internal/fuzz
+go test -fuzz=FuzzMachineRebind -fuzztime="$FUZZTIME" -run='^$' ./internal/vm
 
 # Coverage gate: per-package table plus hard floors on the triage
 # layer, whose whole contract lives in its tests.
