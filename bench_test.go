@@ -12,6 +12,7 @@ import (
 
 	"compdiff"
 	"compdiff/internal/bench"
+	"compdiff/internal/checkpoint"
 	"compdiff/internal/compiler"
 	"compdiff/internal/fuzz"
 	"compdiff/internal/ir"
@@ -304,6 +305,44 @@ func campaignShardBench(b *testing.B, shards int) {
 	}
 	b.ReportMetric(float64(execs), "execs")
 	b.ReportMetric(float64(diffs), "unique-diffs")
+}
+
+// BenchmarkCheckpointSave times one steady-state barrier save of a real
+// pool state: the fuzz-triage campaign shape (curl, two shards,
+// divergence feedback) checkpointed after 10,000 execs per shard, about
+// 185 KB of state. Warm-up saves first, so every timed save recycles
+// the files the one before last retired, as a long campaign does.
+func BenchmarkCheckpointSave(b *testing.B) {
+	tg := targets.ByName("curl")
+	dir := b.TempDir()
+	pool, err := compdiff.NewCampaignPool(tg.Src, tg.Seeds, compdiff.CampaignOptions{
+		FuzzSeed: 1, Shards: 2, DivergenceFeedback: true, SyncEvery: 1000, CheckpointDir: dir,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool.Run(context.Background(), 10_000)
+	pool.Close()
+	st, man, err := checkpoint.Load(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	saver, err := checkpoint.NewSaver(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := saver.Save(st); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := saver.Save(st); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(man.StateSize), "state-bytes")
 }
 
 // ---------------------------------------------------------------------------

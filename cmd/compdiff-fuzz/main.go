@@ -555,6 +555,7 @@ func printPoolStats(stdout io.Writer, pool *compdiff.CampaignPool, stats compdif
 		stats.DiffExecs, len(pool.ImplNames()))
 	fmt.Fprintf(stdout, "persist errors : %d\n", stats.PersistErrors)
 	fmt.Fprintf(stdout, "plot errors    : %d\n", stats.PlotWriteErrors)
+	fmt.Fprintf(stdout, "ckpt errors    : %d\n", stats.CheckpointErrors)
 	for si, fs := range stats.ShardStats {
 		role := "S"
 		if si == 0 {
@@ -767,6 +768,7 @@ func runProgramsCampaign(cfg cliConfig, stdout, stderr io.Writer) error {
 		stats.Programs, stats.CorpusLen, stats.Accepted, stats.FrontendRejects)
 	fmt.Fprintf(stdout, "findings       : %d (%d triage buckets)\n", stats.Findings, stats.UniqueBuckets)
 	fmt.Fprintf(stdout, "plot errors    : %d\n", stats.PlotWriteErrors)
+	fmt.Fprintf(stdout, "ckpt errors    : %d\n", stats.CheckpointErrors)
 	printProgramSummary(stdout, pool, "compile classes",
 		stats.CompileDivergences, stats.ICEs, stats.DiagMismatches, stats.RuntimeBuckets, stats.ShardErrors)
 	return nil
@@ -838,6 +840,7 @@ func runEvolveCampaign(cfg cliConfig, stdout, stderr io.Writer) error {
 		stats.BestFitness, stats.MeanFitness)
 	fmt.Fprintf(stdout, "findings       : %d (%d triage buckets)\n", stats.Findings, stats.UniqueBuckets)
 	fmt.Fprintf(stdout, "plot errors    : %d\n", stats.PlotWriteErrors)
+	fmt.Fprintf(stdout, "ckpt errors    : %d\n", stats.CheckpointErrors)
 	printProgramSummary(stdout, pool, "finding classes",
 		stats.CompileDivergences, stats.ICEs, stats.DiagMismatches, stats.RuntimeBuckets, stats.ShardErrors)
 	return nil

@@ -338,6 +338,25 @@ func TestWorkerArgsForwardFlags(t *testing.T) {
 	}
 }
 
+// TestSummaryReportsCheckpointErrors: every campaign summary carries the
+// failed-checkpoint count, zero for a healthy checkpoint directory.
+func TestSummaryReportsCheckpointErrors(t *testing.T) {
+	modes := map[string][]string{
+		"fuzz":     {"-target", "readelf", "-execs", "300", "-sync", "100"},
+		"programs": {"-programs", filepath.Join("..", "..", "testdata", "golden"), "-sync", "4"},
+		"evolve":   {"-evolve", "-pop", "4", "-generations", "2"},
+	}
+	for name, args := range modes {
+		var stdout, stderr bytes.Buffer
+		if code := realMain(append(args, "-checkpoint", t.TempDir()), &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: exit %d: %s", name, code, stderr.String())
+		}
+		if !regexp.MustCompile(`(?m)^ckpt errors    : 0$`).MatchString(stdout.String()) {
+			t.Fatalf("%s: summary lacks a zero checkpoint-error line:\n%s", name, stdout.String())
+		}
+	}
+}
+
 // TestSummaryReportsPlotWriteErrors: every campaign summary carries the
 // plot-write error count, zero for a healthy -stats directory and
 // non-zero when plot.jsonl sits on a full device.

@@ -11,8 +11,9 @@
 //  2. only then is MANIFEST.json (which names the state file and pins
 //     its size and checksum) itself written via the same
 //     temp+fsync+rename dance;
-//  3. only after the new manifest is durable are older state files
-//     garbage-collected.
+//  3. only after the new manifest is durable do the old state file
+//     and the old manifest inode become spares, which the next save
+//     overwrites in place as its temp files.
 //
 // A kill between any two steps leaves either the previous checkpoint
 // (manifest still points at the old, still-present state file) or the
@@ -20,6 +21,15 @@
 // MurmurHash3 checksum against the state file before decoding, so
 // truncation or bit rot is detected as ErrCorrupt rather than
 // mis-loaded.
+//
+// Step 3 recycles instead of deleting because a save must free no
+// disk blocks: unlinking a file, renaming over one or truncating one
+// costs tens of milliseconds on a filesystem mounted with discard,
+// while every shard waits at the barrier. The price is a directory of
+// four files — the manifest, the current state file, a spare state
+// file and MANIFEST.json.spare — holding up to twice the state size.
+// Only spares this saver retired are rewritten; those an earlier
+// process left are collected.
 //
 // The snapshot is taken at a pool synchronization barrier, which is
 // the one moment a sharded campaign is single-threaded and its shard
@@ -32,6 +42,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,8 +61,11 @@ const Version = 1
 
 const (
 	manifestName = "MANIFEST.json"
-	statePrefix  = "state-"
-	stateSuffix  = ".ckpt"
+	// spareManifestName keeps the previous manifest inode between saves.
+	spareManifestName = "MANIFEST.json.spare"
+	statePrefix       = "state-"
+	stateSuffix       = ".ckpt"
+	tmpSuffix         = ".tmp"
 )
 
 var (
@@ -221,15 +236,28 @@ type fault struct {
 // numbers. Not safe for concurrent use; the pool calls it only at
 // barriers.
 type Saver struct {
-	dir   string
-	seq   int
-	fault *fault
+	dir string
+	seq int
+	// live is the state file the durable manifest names; "" before the
+	// first save into an empty directory.
+	live string
+	// spareState and spareManifest are the files this saver retired
+	// after a durable manifest switch: the previous state file, and the
+	// previous manifest inode kept under spareManifestName. The next
+	// Save rewrites them in place as its temp files. Freeing a file's
+	// blocks (unlink, rename over it, O_TRUNC) costs tens of
+	// milliseconds on a filesystem mounted with discard; overwriting
+	// blocks already allocated costs no more than writing new ones.
+	spareState    string
+	spareManifest bool
+	fault         *fault
 }
 
 // NewSaver prepares dir for checkpointing. If a manifest already
 // exists, the sequence continues after it (the resume path); callers
 // that want to refuse an existing checkpoint should consult Exists
-// first.
+// first. Spare files an earlier process left behind are never reused:
+// the first successful Save collects them.
 func NewSaver(dir string) (*Saver, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("checkpoint: empty directory")
@@ -239,7 +267,7 @@ func NewSaver(dir string) (*Saver, error) {
 	}
 	s := &Saver{dir: dir}
 	if man, err := loadManifest(dir); err == nil {
-		s.seq = man.Seq
+		s.seq, s.live = man.Seq, man.StateFile
 	}
 	return s, nil
 }
@@ -267,9 +295,10 @@ func (s *Saver) op() error {
 	return nil
 }
 
-// Save writes st as the next checkpoint. On any error (including an
-// injected kill) the previous checkpoint remains loadable; the new
-// one becomes visible only when its manifest rename completes.
+// Save writes st as the next checkpoint and returns once the new
+// manifest is durable. On any error (including an injected kill) the
+// previous checkpoint remains loadable; the new one becomes visible
+// only when its manifest rename completes.
 func (s *Saver) Save(st *State) error {
 	st.Version = Version
 	data, err := json.Marshal(st)
@@ -278,7 +307,12 @@ func (s *Saver) Save(st *State) error {
 	}
 	seq := s.seq + 1
 	stateFile := fmt.Sprintf("%s%06d%s", statePrefix, seq, stateSuffix)
-	if err := s.writeDurable(stateFile, data); err != nil {
+	spare := s.spareState
+	s.spareState = ""
+	if err := s.writeTemp(stateFile+tmpSuffix, data, spare); err != nil {
+		return err
+	}
+	if err := s.commit(stateFile+tmpSuffix, stateFile); err != nil {
 		return err
 	}
 	man := Manifest{
@@ -295,25 +329,47 @@ func (s *Saver) Save(st *State) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: encode manifest: %w", err)
 	}
-	if err := s.writeDurable(manifestName, mdata); err != nil {
+	spare = ""
+	if s.spareManifest {
+		spare = spareManifestName
+	}
+	s.spareManifest = false
+	if err := s.writeTemp(manifestName+tmpSuffix, mdata, spare); err != nil {
 		return err
 	}
-	s.seq = seq
-	s.gc(stateFile)
-	return nil
-}
-
-// writeDurable is the torn-write-free primitive: write name.tmp, fsync
-// it, rename over name, fsync the directory. A kill at any point
-// leaves either the old name intact or the new content fully in
-// place; the .tmp leftovers are ignored by Load and collected by gc.
-func (s *Saver) writeDurable(name string, data []byte) error {
-	tmp := filepath.Join(s.dir, name+".tmp")
-	final := filepath.Join(s.dir, name)
 	if err := s.op(); err != nil {
 		return err
 	}
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	linked := s.linkSpareManifest()
+	if err := s.commit(manifestName+tmpSuffix, manifestName); err != nil {
+		return err
+	}
+	s.seq = seq
+	s.spareManifest = linked
+	s.spareState, s.live = s.live, stateFile
+	s.gc()
+	return nil
+}
+
+// writeTemp writes data to tmp and fsyncs it. A non-empty spare names a
+// file this saver retired; it is renamed to tmp — a rename to a fresh
+// name frees nothing — and overwritten in place. Without a spare, or
+// when the rename fails, tmp is created afresh.
+func (s *Saver) writeTemp(tmp string, data []byte, spare string) error {
+	path := filepath.Join(s.dir, tmp)
+	flag := os.O_CREATE | os.O_TRUNC | os.O_WRONLY
+	if spare != "" {
+		if err := s.op(); err != nil {
+			return err
+		}
+		if os.Rename(filepath.Join(s.dir, spare), path) == nil {
+			flag = os.O_WRONLY
+		}
+	}
+	if err := s.op(); err != nil {
+		return err
+	}
+	f, err := os.OpenFile(path, flag, 0o644)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
@@ -328,6 +384,11 @@ func (s *Saver) writeDurable(name string, data []byte) error {
 		f.Close()
 		return fmt.Errorf("checkpoint: %w", err)
 	}
+	// A recycled file may be longer than data; a fresh one is not.
+	if err := f.Truncate(int64(len(data))); err != nil {
+		f.Close()
+		return fmt.Errorf("checkpoint: %w", err)
+	}
 	if ferr := s.op(); ferr != nil {
 		f.Close()
 		return ferr
@@ -339,10 +400,18 @@ func (s *Saver) writeDurable(name string, data []byte) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
+	return nil
+}
+
+// commit renames the fsynced tmp over name and fsyncs the directory. A
+// kill at any point leaves either the old name intact or the new
+// content fully in place; .tmp leftovers are ignored by Load and
+// collected by gc.
+func (s *Saver) commit(tmp, name string) error {
 	if err := s.op(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, final); err != nil {
+	if err := os.Rename(filepath.Join(s.dir, tmp), filepath.Join(s.dir, name)); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	if err := s.op(); err != nil {
@@ -352,22 +421,45 @@ func (s *Saver) writeDurable(name string, data []byte) error {
 	return nil
 }
 
-// gc removes state files other than the one the durable manifest now
-// references, plus stale temp files. Failures are ignored: leftovers
-// are harmless and re-collected by the next successful save.
-func (s *Saver) gc(keep string) {
+// linkSpareManifest hard-links the live manifest to spareManifestName,
+// so the rename of the new manifest over it drops a link instead of
+// freeing an inode. A spare name already there was left by an earlier
+// process and is replaced; after a kill between this link and the
+// rename it is the live manifest itself, so dropping the name frees
+// nothing. Reports whether the spare now exists; it does not before the
+// first save into an empty directory.
+func (s *Saver) linkSpareManifest() bool {
+	live, spare := filepath.Join(s.dir, manifestName), filepath.Join(s.dir, spareManifestName)
+	err := os.Link(live, spare)
+	if errors.Is(err, fs.ErrExist) {
+		_ = os.Remove(spare)
+		err = os.Link(live, spare)
+	}
+	return err == nil
+}
+
+// gc removes what neither the durable manifest nor this saver's spares
+// name: older state files, stale temp files, and a spare manifest the
+// saver does not own. In steady state there is nothing to remove.
+// Failures are ignored: leftovers are harmless and re-collected by the
+// next successful save.
+func (s *Saver) gc() {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if name == keep || name == manifestName {
+		switch {
+		case name == manifestName || name == s.live || name == s.spareState:
 			continue
-		}
-		stale := strings.HasSuffix(name, ".tmp") ||
-			(strings.HasPrefix(name, statePrefix) && strings.HasSuffix(name, stateSuffix))
-		if !stale {
+		case name == spareManifestName:
+			if s.spareManifest {
+				continue
+			}
+		case strings.HasSuffix(name, tmpSuffix):
+		case strings.HasPrefix(name, statePrefix) && strings.HasSuffix(name, stateSuffix):
+		default:
 			continue
 		}
 		if s.op() != nil {
@@ -393,8 +485,12 @@ func sumHex(data []byte) string {
 	return fmt.Sprintf("%016x%016x", h1, h2)
 }
 
+// readRetries bounds how often a reader retries a read that a
+// concurrent Save overlapped.
+const readRetries = 8
+
 func loadManifest(dir string) (*Manifest, error) {
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	data, err := readManifestFile(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, ErrNoCheckpoint
@@ -414,33 +510,108 @@ func loadManifest(dir string) (*Manifest, error) {
 	return &man, nil
 }
 
+// readManifestFile returns the manifest's bytes as one version of the
+// file held them. A retired manifest inode is rewritten by the save
+// after next, and the manifest carries no checksum of its own, so a
+// reader in another process (the supervisor's Status) that is still
+// reading a retired inode could see a mix of two manifests. A read
+// counts only when the file's size, mtime and ctime are the same
+// before and after it and the name still leads to the inode read;
+// otherwise it is retried.
+func readManifestFile(dir string) ([]byte, error) {
+	path := filepath.Join(dir, manifestName)
+	for try := 0; ; try++ {
+		data, stable, err := readStable(path)
+		if err != nil || stable {
+			return data, err
+		}
+		if try == readRetries {
+			return nil, fmt.Errorf("manifest changed during %d reads", readRetries+1)
+		}
+	}
+}
+
+// readStable reads path and reports whether the read overlapped no
+// change to the file (see readManifestFile).
+func readStable(path string) ([]byte, bool, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, false, err
+	}
+	defer f.Close()
+	before, err := f.Stat()
+	if err != nil {
+		return nil, false, err
+	}
+	data, err := io.ReadAll(f)
+	if err != nil {
+		return nil, false, err
+	}
+	stable, err := unchanged(f, path, before)
+	return data, stable, err
+}
+
+// unchanged reports whether f, opened as path and stat'ed as before,
+// still has the same size, mtime and ctime, and whether path still
+// names it.
+func unchanged(f *os.File, path string, before os.FileInfo) (bool, error) {
+	after, err := f.Stat()
+	if err != nil {
+		return false, err
+	}
+	now, err := os.Stat(path)
+	if err != nil {
+		return false, nil
+	}
+	return before.Size() == after.Size() && before.ModTime().Equal(after.ModTime()) &&
+		changeTime(before) == changeTime(after) && os.SameFile(after, now), nil
+}
+
 // Load reads and verifies the current checkpoint in dir. It returns
 // ErrNoCheckpoint when no manifest exists, and ErrCorrupt (wrapped
 // with detail) when the manifest or state file is damaged — never a
 // partially-decoded state.
 func Load(dir string) (*State, *Manifest, error) {
-	man, err := loadManifest(dir)
-	if err != nil {
-		return nil, nil, err
+	for try := 0; ; try++ {
+		man, err := loadManifest(dir)
+		if err != nil {
+			return nil, nil, err
+		}
+		st, err := loadState(dir, man)
+		if err == nil {
+			return st, man, nil
+		}
+		// A concurrent Save recycles a state file two saves after the
+		// manifest that named it; retry only if the manifest moved on.
+		if try == readRetries {
+			return nil, nil, err
+		}
+		if now, merr := loadManifest(dir); merr != nil || *now == *man {
+			return nil, nil, err
+		}
 	}
+}
+
+// loadState reads and verifies the state file man names.
+func loadState(dir string, man *Manifest) (*State, error) {
 	data, err := os.ReadFile(filepath.Join(dir, man.StateFile))
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: state file %s: %v", ErrCorrupt, man.StateFile, err)
+		return nil, fmt.Errorf("%w: state file %s: %v", ErrCorrupt, man.StateFile, err)
 	}
 	if int64(len(data)) != man.StateSize {
-		return nil, nil, fmt.Errorf("%w: state file %s is %d bytes, manifest pins %d",
+		return nil, fmt.Errorf("%w: state file %s is %d bytes, manifest pins %d",
 			ErrCorrupt, man.StateFile, len(data), man.StateSize)
 	}
 	if sum := sumHex(data); sum != man.StateSum {
-		return nil, nil, fmt.Errorf("%w: state file %s checksum %s, manifest pins %s",
+		return nil, fmt.Errorf("%w: state file %s checksum %s, manifest pins %s",
 			ErrCorrupt, man.StateFile, sum, man.StateSum)
 	}
 	var st State
 	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, nil, fmt.Errorf("%w: state decode: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: state decode: %v", ErrCorrupt, err)
 	}
 	if st.Version != man.Version || st.OptionsHash != man.OptionsHash || len(st.Shards) != man.Shards {
-		return nil, nil, fmt.Errorf("%w: state/manifest disagree", ErrCorrupt)
+		return nil, fmt.Errorf("%w: state/manifest disagree", ErrCorrupt)
 	}
-	return &st, man, nil
+	return &st, nil
 }

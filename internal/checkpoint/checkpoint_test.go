@@ -1,12 +1,18 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"compdiff/internal/core"
@@ -198,36 +204,72 @@ func TestLoadDetectsManifestDamage(t *testing.T) {
 	}
 }
 
-// TestSaveGC: after several saves only the manifest and its current
-// state file remain — older generations and temp files are collected.
-func TestSaveGC(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewSaver(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 3; i++ {
-		if err := s.Save(sampleState(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
+// dirEntries lists dir's names, sorted, and their total size.
+func dirEntries(t *testing.T, dir string) ([]string, int64) {
+	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var names []string
+	var total int64
 	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
 		names = append(names, e.Name())
+		total += info.Size()
 	}
-	if len(names) != 2 {
-		t.Fatalf("dir holds %v, want exactly manifest + one state file", names)
+	return names, total
+}
+
+// stateName is the state file Save writes for seq.
+func stateName(seq int) string { return fmt.Sprintf("state-%06d.ckpt", seq) }
+
+// TestSaveGC pins what a checkpoint directory holds: from the second
+// save on, exactly the manifest, the current state file, one spare
+// state file and one spare manifest — the two files the next save
+// recycles. Leftovers of an earlier process, including a spare
+// manifest it owned, are collected by the first save and never reused.
+// Over 100 saves neither the entry count nor the bytes on disk grow.
+func TestSaveGC(t *testing.T) {
+	dir := t.TempDir()
+	for _, junk := range []string{"state-000000.ckpt", "state-000007.ckpt.tmp", manifestName + tmpSuffix, spareManifestName} {
+		if err := os.WriteFile(filepath.Join(dir, junk), []byte("leftover"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	st, man, err := Load(dir)
+	s, err := NewSaver(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.Seq != 3 || st.SpentExecs != sampleState(3).SpentExecs {
-		t.Fatalf("latest generation not current: seq=%d spent=%d", man.Seq, st.SpentExecs)
+	stateSize := int64(len(savedBytes(t, sampleState(1))))
+	var prevManifest int64
+	for seq := 1; seq <= 100; seq++ {
+		// The same content every time, so only the manifest's digits
+		// may change the directory's size.
+		if err := s.Save(sampleState(1)); err != nil {
+			t.Fatal(err)
+		}
+		info, err := os.Stat(filepath.Join(dir, manifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, total := dirEntries(t, dir)
+		want := []string{manifestName, stateName(seq)}
+		wantTotal := stateSize + info.Size()
+		if seq > 1 {
+			want = []string{manifestName, spareManifestName, stateName(seq - 1), stateName(seq)}
+			wantTotal += stateSize + prevManifest
+		}
+		if !reflect.DeepEqual(names, want) || total != wantTotal {
+			t.Fatalf("save %d: dir holds %v (%d bytes), want %v (%d bytes)", seq, names, total, want, wantTotal)
+		}
+		prevManifest = info.Size()
+	}
+	if man, err := loadManifest(dir); err != nil || man.Seq != 100 {
+		t.Fatalf("latest generation not current: %+v, %v", man, err)
 	}
 }
 
@@ -319,6 +361,330 @@ func TestFaultInjectionAtomicity(t *testing.T) {
 			t.Fatalf("ops=%d: first-save kill left %v, want complete or ErrNoCheckpoint", ops, err)
 		}
 	}
+}
+
+// savedBytes is the state file Save writes for st.
+func savedBytes(t *testing.T, st *State) []byte {
+	t.Helper()
+	st.Version = Version
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// loadedSeq loads dir, checks that the checkpoint is one of seqs and
+// holds sampleState(seq) byte for byte, and returns its seq.
+func loadedSeq(t *testing.T, dir string, seqs ...int) int {
+	t.Helper()
+	st, man, err := Load(dir)
+	if err != nil {
+		t.Fatalf("checkpoint unloadable: %v", err)
+	}
+	if !slices.Contains(seqs, man.Seq) {
+		t.Fatalf("loaded seq %d, want one of %v", man.Seq, seqs)
+	}
+	if got, want := savedBytes(t, st), savedBytes(t, sampleState(man.Seq)); !bytes.Equal(got, want) {
+		t.Fatalf("seq %d: loaded content differs from what was saved", man.Seq)
+	}
+	return man.Seq
+}
+
+// TestFaultInjectionSteadyState is the kill-at-any-instant sweep over a
+// save that recycles: after four saves the saver owns a spare state
+// file and a spare manifest, so the fifth spends the spare renames and
+// the link. A kill at each of its operations must leave the fourth or
+// the fifth checkpoint, and a fresh saver — a restarted process — must
+// then save three more times, each loading back exactly. The
+// link-before-rename kill, where the spare manifest name is the live
+// manifest, gets its own sweep over the restarted saver's first save,
+// which must not rewrite the live manifest in place.
+func TestFaultInjectionSteadyState(t *testing.T) {
+	const prior = 4
+	// killedAt returns a directory holding prior saves and a kill of
+	// the next save after ops operations, and the ops that save spent.
+	killedAt := func(ops int) (string, int) {
+		dir := t.TempDir()
+		s, err := NewSaver(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seq := 1; seq <= prior; seq++ {
+			if err := s.Save(sampleState(seq)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.InjectFault(ops)
+		if err := s.Save(sampleState(prior + 1)); err != nil && !errors.Is(err, ErrInjectedFault) {
+			t.Fatalf("ops=%d: %v", ops, err)
+		}
+		return dir, ops - s.fault.budget
+	}
+	_, totalOps := killedAt(1 << 20)
+	firstOps := countFirstSaveOps(t)
+	if totalOps != firstOps+2 {
+		t.Fatalf("a recycling save spends %d ops, a first save %d; want the two spare renames on top", totalOps, firstOps)
+	}
+
+	linkStates := 0
+	for ops := 0; ops <= totalOps; ops++ {
+		dir, _ := killedAt(ops)
+		base := loadedSeq(t, dir, prior, prior+1)
+		if ops == totalOps && base != prior+1 {
+			t.Fatalf("a save with its full budget did not complete")
+		}
+		if linkedBeforeRename(t, dir) {
+			linkStates++
+			restartOverLink(t, func() string { d, _ := killedAt(ops); return d }, base)
+			continue
+		}
+		s, err := NewSaver(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 1; k <= 3; k++ {
+			if err := s.Save(sampleState(base + k)); err != nil {
+				t.Fatalf("ops=%d: restarted save %d: %v", ops, k, err)
+			}
+			loadedSeq(t, dir, base+k)
+		}
+		names, _ := dirEntries(t, dir)
+		if want := []string{manifestName, spareManifestName, stateName(base + 2), stateName(base + 3)}; !reflect.DeepEqual(names, want) {
+			t.Fatalf("ops=%d: after three restarted saves the dir holds %v, want %v", ops, names, want)
+		}
+	}
+	if linkStates != 1 {
+		t.Fatalf("%d kill points left the spare linked before the rename, want 1", linkStates)
+	}
+}
+
+// countFirstSaveOps counts the operations of a first save into an
+// empty directory.
+func countFirstSaveOps(t *testing.T) int {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := NewSaver(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.InjectFault(1 << 20)
+	if err := s.Save(sampleState(1)); err != nil {
+		t.Fatal(err)
+	}
+	return (1 << 20) - s.fault.budget
+}
+
+// linkedBeforeRename reports whether a kill left the spare manifest
+// name on the live manifest's inode, with the complete new manifest
+// still under its temp name.
+func linkedBeforeRename(t *testing.T, dir string) bool {
+	t.Helper()
+	live, err := os.Stat(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spare, err := os.Stat(filepath.Join(dir, spareManifestName))
+	return err == nil && os.SameFile(live, spare)
+}
+
+// restartOverLink sweeps kills over the first save of a saver restarted
+// on a link-before-rename directory holding checkpoint base; fresh
+// rebuilds that directory. The live manifest inode, read through a
+// descriptor opened before the restart, must keep its bytes however
+// far that save gets, and every kill must leave base or base+1. The
+// saver that completes it saves twice more.
+func restartOverLink(t *testing.T, fresh func() string, base int) {
+	t.Helper()
+	for ops := 0; ; ops++ {
+		dir := fresh()
+		f, err := os.Open(filepath.Join(dir, manifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, err := io.ReadAll(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSaver(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.InjectFault(ops)
+		serr := s.Save(sampleState(base + 1))
+		after := make([]byte, len(before)+1)
+		n, _ := f.ReadAt(after, 0)
+		f.Close()
+		if !bytes.Equal(after[:n], before) {
+			t.Fatalf("restart ops=%d: the restarted saver rewrote the live manifest inode in place", ops)
+		}
+		loadedSeq(t, dir, base, base+1)
+		if serr != nil {
+			continue
+		}
+		s.fault = nil
+		for k := 1; k <= 3; k++ {
+			if k > 1 {
+				if err := s.Save(sampleState(base + k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			loadedSeq(t, dir, base+k)
+		}
+		return
+	}
+}
+
+// TestConcurrentReadersSeeWholeVersions: recycled inodes are rewritten
+// while another process may still read them. One goroutine saves 500
+// times while another loops over ReadManifest and Load; every manifest
+// and state the reader accepts must be byte-identical to one that was
+// saved. Run it under -race.
+func TestConcurrentReadersSeeWholeVersions(t *testing.T) {
+	const saves = 500
+	dir := t.TempDir()
+	s, err := NewSaver(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three state sizes in turn: a save recycles the files of the save
+	// before last, so recycled files both shrink and grow under the
+	// reader. They differ by a few hundred bytes; a shrink that frees
+	// whole blocks would cost each save a discard.
+	state := func(seq int) *State {
+		st := sampleState(seq)
+		st.Shards[0].Fuzzer.Queue[0].Data = make([]byte, 100*(seq%3))
+		return st
+	}
+	manifests := make([][]byte, saves+1) // by seq, read back by the saver
+	var (
+		stop     atomic.Bool
+		accepted []*Manifest
+		loaded   []*State
+		loads    []int
+		wg       sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			if man, err := ReadManifest(dir); err == nil {
+				accepted = append(accepted, man)
+			} else if !errors.Is(err, ErrNoCheckpoint) && !errors.Is(err, ErrCorrupt) {
+				t.Errorf("ReadManifest: %v", err)
+			}
+			if st, man, err := Load(dir); err == nil {
+				loaded, loads = append(loaded, st), append(loads, man.Seq)
+			} else if !errors.Is(err, ErrNoCheckpoint) && !errors.Is(err, ErrCorrupt) {
+				t.Errorf("Load: %v", err)
+			}
+		}
+	}()
+	for seq := 1; seq <= saves; seq++ {
+		if err := s.Save(state(seq)); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, manifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		manifests[seq] = data
+		// With no other writer, the saver's own read must succeed.
+		st, _, err := Load(dir)
+		if err != nil {
+			t.Fatalf("save %d: %v", seq, err)
+		}
+		if !bytes.Equal(savedBytes(t, st), savedBytes(t, state(seq))) {
+			t.Fatalf("save %d loads back different content", seq)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	for _, man := range accepted {
+		got, err := json.Marshal(man)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if man.Seq < 1 || man.Seq > saves || !bytes.Equal(got, manifests[man.Seq]) {
+			t.Fatalf("reader accepted a manifest no save wrote: %s", got)
+		}
+	}
+	for i, st := range loaded {
+		if !bytes.Equal(savedBytes(t, st), savedBytes(t, state(loads[i]))) {
+			t.Fatalf("reader loaded a seq %d state no save wrote", loads[i])
+		}
+	}
+	if len(accepted) == 0 || len(loaded) == 0 {
+		t.Fatalf("reader accepted %d manifests and %d states; the race went unexercised", len(accepted), len(loaded))
+	}
+	t.Logf("reader accepted %d manifests and %d states over %d saves", len(accepted), len(loaded), saves)
+}
+
+// TestManifestReadDetectsRecycling replays, one step at a time, what a
+// slow reader of the manifest can meet: the inode it opened is retired
+// by the next save and rewritten — and made live again — by the save
+// after. Either must make the read not count.
+func TestManifestReadDetectsRecycling(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewSaver(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := 1; seq <= 3; seq++ {
+		if err := s.Save(sampleState(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(dir, manifestName)
+	// open opens the live manifest as a reader would, before reading.
+	open := func() (*os.File, os.FileInfo) {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		fi, err := f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f, fi
+	}
+	check := func(what string, f *os.File, before os.FileInfo, want bool) {
+		t.Helper()
+		if got, err := unchanged(f, path, before); err != nil || got != want {
+			t.Fatalf("%s: unchanged = %v (%v), want %v", what, got, err, want)
+		}
+	}
+	f, before := open()
+	check("no save", f, before, true)
+
+	if err := s.Save(sampleState(4)); err != nil {
+		t.Fatal(err)
+	}
+	check("retired by one save", f, before, false)
+
+	f, before = open()
+	for seq := 5; seq <= 6; seq++ {
+		if err := s.Save(sampleState(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, now) {
+		t.Fatal("two saves did not bring the reader's inode back as the live manifest")
+	}
+	after, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size() == before.Size() && changeTime(after) == changeTime(before) && after.ModTime().Equal(before.ModTime()) {
+		t.Skip("this filesystem's timestamps did not move across two saves; nothing can tell the versions apart")
+	}
+	check("rewritten and live again", f, before, false)
 }
 
 // TestSaveRefusesAfterTrip: once the injected kill fires, the saver

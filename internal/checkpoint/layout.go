@@ -7,7 +7,9 @@ package checkpoint
 // diff evidence, and its captured log:
 //
 //	<farm>/workers/worker-000/
-//	    checkpoint/   MANIFEST.json + state-*.ckpt (this package)
+//	    checkpoint/   MANIFEST.json, the current state-*.ckpt, and the
+//	                  spares the next save rewrites: the previous
+//	                  state-*.ckpt and MANIFEST.json.spare (this package)
 //	    stats/        plot.jsonl, STATUS.json heartbeat
 //	    diffs/        evidence files (core.DiffStore)
 //	    worker.log    combined stdout+stderr of the worker process

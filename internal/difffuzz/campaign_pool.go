@@ -110,6 +110,10 @@ type PoolStats struct {
 	// PlotWriteErrors counts telemetry snapshots that did not reach
 	// plot.jsonl and failed flushes of it.
 	PlotWriteErrors int64
+	// CheckpointErrors counts barrier checkpoints that failed to save.
+	// The campaign continues on the last durable checkpoint, so a resume
+	// would repeat the work since then.
+	CheckpointErrors int64
 	// SpentExecs is the cumulative per-shard budget across Run calls,
 	// including runs before a resume.
 	SpentExecs int64
@@ -381,6 +385,7 @@ func (p *Pool) Stats() PoolStats {
 	st.UniqueBuckets, st.CompileDivergences, st.ICEs, st.DiagMismatches, _ = bucketCounts(p.buckets)
 	st.PersistErrors = p.persistErrs.Load()
 	st.PlotWriteErrors = p.plotWriteErrors()
+	st.CheckpointErrors = p.ckptErrs.Load()
 	st.SpentExecs = p.spentTotal.Load()
 	return st
 }

@@ -95,6 +95,10 @@ type CompilePoolStats struct {
 	// PlotWriteErrors counts telemetry snapshots that did not reach
 	// plot.jsonl and failed flushes of it.
 	PlotWriteErrors int64
+	// CheckpointErrors counts barrier checkpoints that failed to save.
+	// The campaign continues on the last durable checkpoint, so a resume
+	// would repeat the work since then.
+	CheckpointErrors int64
 }
 
 // compileShard is one worker's slice of the campaign. Its counters
@@ -280,5 +284,6 @@ func (p *CompilePool) Stats() CompilePoolStats {
 	}
 	st.UniqueBuckets, st.CompileDivergences, st.ICEs, st.DiagMismatches, st.RuntimeBuckets = bucketCounts(p.buckets)
 	st.PlotWriteErrors = p.plotWriteErrors()
+	st.CheckpointErrors = p.ckptErrs.Load()
 	return st
 }

@@ -92,7 +92,8 @@ type engine struct {
 	optionsHash uint64
 	ckptEvery   int64
 	sinceCkpt   int64
-	ckptLogged  bool
+	// ckptErrs counts failed saves; Stats may read it mid-run.
+	ckptErrs atomic.Int64
 	// recorder is nil when stats are disabled.
 	recorder *telemetry.Recorder
 
@@ -259,12 +260,12 @@ func (e *engine) live() []int {
 }
 
 // save checkpoints at a barrier. Failures never stop the campaign —
-// the previous checkpoint stays loadable — but the first is logged.
+// the previous checkpoint stays loadable — but each is counted and the
+// first is logged.
 func (e *engine) save() {
 	e.sinceCkpt = 0
-	if err := e.saver.Save(e.state()); err != nil && !e.ckptLogged {
+	if err := e.saver.Save(e.state()); err != nil && e.ckptErrs.Add(1) == 1 {
 		log.Printf("difffuzz: checkpoint save failed (campaign continues on the previous checkpoint): %v", err)
-		e.ckptLogged = true
 	}
 }
 

@@ -32,8 +32,10 @@ type modeCampaign struct {
 	eng         *engine
 	run         func(ctx context.Context)
 	fingerprint func() string
-	// plotWriteErrors reads the mode's Stats().PlotWriteErrors.
-	plotWriteErrors func() int64
+	// plotWriteErrors and checkpointErrors read the mode's
+	// Stats().PlotWriteErrors and Stats().CheckpointErrors.
+	plotWriteErrors  func() int64
+	checkpointErrors func() int64
 }
 
 // engineMode is one campaign mode under test. Every mode's campaign
@@ -85,7 +87,8 @@ func engineModes() []engineMode {
 						}
 						return fmt.Sprint(p.Stats(), p.Signatures(), p.BucketKeys(), p.BucketStore().Counts(), diffs)
 					},
-					plotWriteErrors: func() int64 { return p.Stats().PlotWriteErrors },
+					plotWriteErrors:  func() int64 { return p.Stats().PlotWriteErrors },
+					checkpointErrors: func() int64 { return p.Stats().CheckpointErrors },
 				}, nil
 			},
 			mismatch: func(ckpt string) error {
@@ -113,7 +116,8 @@ func engineModes() []engineMode {
 					fingerprint: func() string {
 						return fmt.Sprint(p.Stats(), p.BucketKeys(), p.BucketStore().Counts())
 					},
-					plotWriteErrors: func() int64 { return p.Stats().PlotWriteErrors },
+					plotWriteErrors:  func() int64 { return p.Stats().PlotWriteErrors },
+					checkpointErrors: func() int64 { return p.Stats().CheckpointErrors },
 				}, nil
 			},
 			mismatch: func(ckpt string) error {
@@ -141,7 +145,8 @@ func engineModes() []engineMode {
 					fingerprint: func() string {
 						return fmt.Sprint(p.Stats(), p.BucketKeys(), p.BucketStore().Counts(), p.PassCoverageBits())
 					},
-					plotWriteErrors: func() int64 { return p.Stats().PlotWriteErrors },
+					plotWriteErrors:  func() int64 { return p.Stats().PlotWriteErrors },
+					checkpointErrors: func() int64 { return p.Stats().CheckpointErrors },
 				}, nil
 			},
 			mismatch: func(ckpt string) error {
@@ -376,6 +381,34 @@ func TestEnginePlotWriteErrors(t *testing.T) {
 		if got := c.plotWriteErrors(); got != 0 {
 			t.Fatalf("%s: healthy plot file reports %d write errors", m.name, got)
 		}
+	}
+}
+
+// TestEngineCheckpointErrors: a saver killed before the first save
+// fails every later one. The campaign still runs to the end, and every
+// mode's Stats counts each failed barrier save, where a healthy run
+// counts none.
+func TestEngineCheckpointErrors(t *testing.T) {
+	for _, m := range engineModes() {
+		t.Run(m.name, func(t *testing.T) {
+			c := mustOpen(t, m, false, t.TempDir(), "")
+			barriers := 0
+			c.eng.barrierHook = func() { barriers++ }
+			c.eng.saver.InjectFault(0)
+			c.run(context.Background())
+			if got := c.checkpointErrors(); barriers < 4 || got != int64(barriers) {
+				t.Fatalf("CheckpointErrors = %d after %d failed barrier saves", got, barriers)
+			}
+			if seq := c.eng.CheckpointSeq(); seq != 0 {
+				t.Fatalf("CheckpointSeq = %d with every save failing", seq)
+			}
+
+			healthy := mustOpen(t, m, false, t.TempDir(), "")
+			healthy.run(context.Background())
+			if got := healthy.checkpointErrors(); got != 0 || healthy.eng.CheckpointSeq() == 0 {
+				t.Fatalf("healthy campaign: CheckpointErrors = %d, CheckpointSeq = %d", got, healthy.eng.CheckpointSeq())
+			}
+		})
 	}
 }
 

@@ -115,6 +115,10 @@ type EvolvePoolStats struct {
 	// PlotWriteErrors counts telemetry snapshots that did not reach
 	// plot.jsonl and failed flushes of it.
 	PlotWriteErrors int64
+	// CheckpointErrors counts barrier checkpoints that failed to save.
+	// The campaign continues on the last durable checkpoint, so a resume
+	// would repeat the work since then.
+	CheckpointErrors int64
 }
 
 // EvolvePool is the sharded evolutionary campaign.
@@ -344,6 +348,7 @@ func (p *EvolvePool) Stats() EvolvePoolStats {
 		PopulationSignature: evolve.Signature(p.pop),
 		ShardErrors:         p.shardErrors(),
 		PlotWriteErrors:     p.plotWriteErrors(),
+		CheckpointErrors:    p.ckptErrs.Load(),
 	}
 	st.UniqueBuckets, st.CompileDivergences, st.ICEs, st.DiagMismatches, st.RuntimeBuckets = bucketCounts(p.buckets)
 	return st

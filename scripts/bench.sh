@@ -10,7 +10,8 @@
 #   bench-regex  defaults to the perf-tracked set (differential
 #                overhead + suite hot path + batch/cache/campaign +
 #                compilation, machine construction and rebinding +
-#                the fuzzer loop on one B_fuzz machine)
+#                the fuzzer loop on one B_fuzz machine + a steady-state
+#                checkpoint save)
 #   benchtime    defaults to 1s
 #
 #        scripts/bench.sh -diff OLD.json NEW.json
@@ -69,7 +70,7 @@ if [ "${1:-}" = "-diff" ]; then
 fi
 
 OUT="${1:-BENCH_$(date +%Y-%m-%d).json}"
-BENCH="${2:-OverheadSingleBinary|OverheadRecommendedPair|OverheadFullTen|SuiteRunSequential|SuiteRunFast|SuiteRunParallel\$|SuiteRunBatch64|ProgCacheHit|CampaignFourShards|DifferentialRunListing1|CompileTenImplementations|MachineNew|MachineRebind|FuzzerExec}"
+BENCH="${2:-OverheadSingleBinary|OverheadRecommendedPair|OverheadFullTen|SuiteRunSequential|SuiteRunFast|SuiteRunParallel\$|SuiteRunBatch64|ProgCacheHit|CampaignFourShards|DifferentialRunListing1|CompileTenImplementations|MachineNew|MachineRebind|FuzzerExec|CheckpointSave}"
 BENCHTIME="${3:-1s}"
 
 RAW="$(mktemp)"

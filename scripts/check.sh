@@ -57,14 +57,14 @@ echo "== bench smoke (BenchmarkOverheadFullTen, 10x)"
 go test -run='^$' -bench='^BenchmarkOverheadFullTen$' -benchtime=10x -benchmem .
 
 # Batch/cache/construction bench smoke: the persistent-mode batch
-# executor, the compiled-program cache and the machine-construction
-# benchmarks must exist and produce rows bench.sh can parse into the
-# trajectory record (guards both the benchmarks and the bench.sh JSON
-# pipeline).
-echo "== bench smoke (SuiteRunBatch64 + ProgCacheHit + MachineNew + MachineRebind + FuzzerExec via bench.sh)"
+# executor, the compiled-program cache, the machine-construction and
+# checkpoint-save benchmarks must exist and produce rows bench.sh can
+# parse into the trajectory record (guards both the benchmarks and the
+# bench.sh JSON pipeline).
+echo "== bench smoke (SuiteRunBatch64 + ProgCacheHit + MachineNew + MachineRebind + FuzzerExec + CheckpointSave via bench.sh)"
 BENCH_SMOKE_JSON="$(mktemp)"
-scripts/bench.sh "$BENCH_SMOKE_JSON" 'SuiteRunBatch64|ProgCacheHit|MachineNew|MachineRebind|FuzzerExec' 10x >/dev/null 2>&1
-for b in BenchmarkSuiteRunBatch64 BenchmarkProgCacheHit BenchmarkMachineNew BenchmarkMachineRebind BenchmarkFuzzerExec; do
+scripts/bench.sh "$BENCH_SMOKE_JSON" 'SuiteRunBatch64|ProgCacheHit|MachineNew|MachineRebind|FuzzerExec|CheckpointSave' 10x >/dev/null 2>&1
+for b in BenchmarkSuiteRunBatch64 BenchmarkProgCacheHit BenchmarkMachineNew BenchmarkMachineRebind BenchmarkFuzzerExec BenchmarkCheckpointSave; do
 	grep -q "\"name\": \"$b\", \"ns_per_op\": [0-9]" "$BENCH_SMOKE_JSON" || {
 		echo "bench smoke: $b missing from bench.sh output" >&2
 		cat "$BENCH_SMOKE_JSON" >&2
@@ -84,6 +84,7 @@ go test -fuzz=FuzzEvolveMutate -fuzztime="$FUZZTIME" -run='^$' ./internal/evolve
 go test -fuzz=FuzzCoverageWords -fuzztime="$FUZZTIME" -run='^$' ./internal/fuzz
 go test -fuzz=FuzzRestoreState -fuzztime="$FUZZTIME" -run='^$' ./internal/fuzz
 go test -fuzz=FuzzMachineRebind -fuzztime="$FUZZTIME" -run='^$' ./internal/vm
+go test -fuzz=FuzzCheckpointLoad -fuzztime="$FUZZTIME" -run='^$' ./internal/checkpoint
 
 # Coverage gate: per-package table plus hard floors on the triage
 # layer, whose whole contract lives in its tests.
