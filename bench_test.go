@@ -20,6 +20,7 @@ import (
 	"compdiff/internal/minic/parser"
 	"compdiff/internal/minic/sema"
 	"compdiff/internal/progcache"
+	"compdiff/internal/progen"
 	"compdiff/internal/targets"
 	"compdiff/internal/telemetry"
 	"compdiff/internal/vm"
@@ -437,6 +438,24 @@ func BenchmarkCompileTenImplementations(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLowerTenImplementations is lowering alone: one
+// compiler.CompileAll of progen seed 13 (4.2 KB, the largest of the
+// first 300 seeds) under the ten configurations, sequentially, with no
+// front end and no vm.New. It is the per-program compile cost of the
+// compile and evolve modes on a cache miss.
+func BenchmarkLowerTenImplementations(b *testing.B) {
+	info := sema.MustCheck(parser.MustParse(progen.Generate(13).Src))
+	cfgs := compiler.DefaultSet()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lowerSink = compiler.CompileAll(info, cfgs, 1)
+	}
+}
+
+// lowerSink keeps BenchmarkLowerTenImplementations' results observable.
+var lowerSink []compiler.Result
 
 // BenchmarkFuzzerExec is the fuzzer loop alone on one B_fuzz machine:
 // jq's instrumented binary under fuzz.New, b.N executions with no

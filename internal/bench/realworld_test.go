@@ -99,6 +99,32 @@ func TestFigure2SubsetShape(t *testing.T) {
 	t.Logf("\n%s", fig.Format("Figure 2"))
 }
 
+// TestFigure2MatchesExperiments pins Figure 2 and the recommended
+// pair to the numbers EXPERIMENTS.md reports; TestFigure2SubsetShape
+// keeps the looser shape assertions.
+func TestFigure2MatchesExperiments(t *testing.T) {
+	rw := realWorldForTest(t)
+	fig := ComputeFigure1(rw.Matrix)
+	checkPair(t, "best", fig.BestPair, []string{"gcc -O0", "clang -O3"}, 78)
+	checkPair(t, "worst", fig.WorstPair, []string{"gcc -O0", "gcc -O1"}, 38)
+
+	var pairIdx []int
+	var names []string
+	for _, cfg := range RecommendedPair() {
+		for i, name := range rw.Matrix.ImplNames {
+			if name == cfg.Name() {
+				pairIdx = append(pairIdx, i)
+				names = append(names, name)
+			}
+		}
+	}
+	checkPair(t, "recommended", func() ([]string, int) { return names, rw.Matrix.DetectedBy(pairIdx) },
+		[]string{"gcc -Os", "clang -O0"}, 67)
+	if got := len(rw.Matrix.Rows); got != 78 {
+		t.Errorf("real-world bug matrix has %d rows, want 78", got)
+	}
+}
+
 func TestTable5Formatting(t *testing.T) {
 	rw := realWorldForTest(t)
 	out := FormatTable5(rw.Targets, rw)

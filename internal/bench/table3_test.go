@@ -180,3 +180,31 @@ func sameFamily(a, b string) bool {
 	fb := strings.Split(b, " ")[0]
 	return fa == fb
 }
+
+// TestFigure1MatchesExperiments pins Figure 1 at the full Juliet size
+// to the numbers EXPERIMENTS.md reports, so a compiler or VM change
+// cannot move the reproduction silently. The shape test above holds
+// at any scale; this one holds the exact values.
+func TestFigure1MatchesExperiments(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size Juliet suite")
+	}
+	t3, err := ComputeTable3(juliet.Generate(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(t3.Matrix.Rows); got != 1185 {
+		t.Errorf("Juliet bug matrix has %d rows, want 1185", got)
+	}
+	fig := ComputeFigure1(t3.Matrix)
+	checkPair(t, "best", fig.BestPair, []string{"gcc -O0", "clang -Os"}, 1117)
+	checkPair(t, "worst", fig.WorstPair, []string{"gcc -O2", "gcc -O3"}, 413)
+}
+
+func checkPair(t *testing.T, what string, pair func() ([]string, int), want []string, wantN int) {
+	t.Helper()
+	got, n := pair()
+	if strings.Join(got, ",") != strings.Join(want, ",") || n != wantN {
+		t.Errorf("%s pair %v detects %d, want %v detecting %d", what, got, n, want, wantN)
+	}
+}

@@ -13,8 +13,6 @@
 package compiler
 
 import (
-	"fmt"
-
 	"compdiff/internal/hash"
 	"compdiff/internal/ir"
 )
@@ -98,7 +96,7 @@ type Config struct {
 
 // Name returns the implementation name, e.g. "gcc -O2".
 func (c Config) Name() string {
-	n := fmt.Sprintf("%s %s", c.Family, c.Opt)
+	n := c.Family.String() + " " + c.Opt.String()
 	if c.ASan {
 		n += " +asan"
 	}

@@ -50,23 +50,34 @@ func (r Result) Accepted() bool { return r.Err == nil }
 
 // CompileGuarded lowers a checked program under one implementation
 // with a recover boundary: a panic anywhere in lowering becomes an
-// ICE record in the Result instead of unwinding into the caller. This
-// is the entry point differential suite construction uses — a crashed
-// implementation is a finding, not a crashed fuzzer.
+// ICE record in the Result instead of unwinding into the caller. It is
+// the one-configuration case of CompileAll, the entry point
+// differential suite construction uses — a crashed implementation is
+// a finding, not a crashed fuzzer.
 func CompileGuarded(info *sema.Info, cfg Config) Result {
-	lw := newLowerer(info, cfg)
+	return compileGuarded(newAnalysis(info), cfg, &scratch{})
+}
+
+// compileGuarded is CompileGuarded over a (possibly shared) analysis,
+// lowering with the buffers in sc and leaving them there, grown, for
+// the caller's next lowering. The analysis parts this lowering needs
+// are computed inside its recover boundary.
+func compileGuarded(an *analysis, cfg Config, sc *scratch) Result {
+	lw := newLowerer(an, cfg)
+	lw.scratch = *sc
+	defer func() { *sc = lw.scratch }()
 	var res Result
 	func() {
 		defer func() {
 			if p := recover(); p != nil {
 				res.Prog = nil
 				res.ICE = fmt.Sprint(p)
-				res.Err = fmt.Errorf("compile [%s]: internal compiler error: %v", cfg.Name(), p)
+				res.Err = fmt.Errorf("compile [%s]: internal compiler error: %v", lw.name, p)
 			}
 		}()
 		prog, err := lw.compile()
 		if err != nil {
-			res.Err = fmt.Errorf("compile [%s]: %w", cfg.Name(), err)
+			res.Err = fmt.Errorf("compile [%s]: %w", lw.name, err)
 			return
 		}
 		res.Prog = prog
@@ -184,40 +195,56 @@ func shiftDir(op ast.BinOp) string {
 	return "right"
 }
 
-// scanConstUB walks every function body for constant-UB sites and
-// emits the family's diagnostics. Implementations with StrictConstUB
-// (the gcc personality under optimization, where the folder meets the
-// undefined value and refuses) reject constant division/remainder by
-// zero outright; everyone else warns and leaves the operation for the
-// execution profile. The scan is purely syntactic — it ignores
-// optimizer reachability, like the real front-end warnings do — so the
-// diagnostic set depends only on (program, family, strictness).
-func (lw *lowerer) scanConstUB() error {
-	var firstErr error
-	for _, f := range lw.info.Prog.Funcs {
+// ubSite is one constant-UB site: an integer binary operation whose
+// operands are both constant and whose result is undefined.
+type ubSite struct {
+	line int
+	op   ast.BinOp
+	kind ubKind
+}
+
+// constUBSites lists the program's constant-UB sites in source walk
+// order. The list depends on the program alone; each configuration
+// renders it in its own family's wording (scanConstUB).
+func constUBSites(info *sema.Info) []ubSite {
+	var sites []ubSite
+	for _, f := range info.Prog.Funcs {
 		ast.WalkExprs(f.Body, func(e ast.Expr) {
 			bin, ok := e.(*ast.Binary)
 			if !ok {
 				return
 			}
-			kind, ok := constUBAt(bin)
-			if !ok {
-				return
+			if kind, ok := constUBAt(bin); ok {
+				sites = append(sites, ubSite{line: bin.Pos().Line, op: bin.Op, kind: kind})
 			}
-			line := bin.Pos().Line
-			if kind == ubDivZero && lw.ps.StrictConstUB {
-				text := "division by zero [-Werror=div-by-zero]"
-				if bin.Op == ast.Mod {
-					text = "remainder by zero [-Werror=div-by-zero]"
-				}
-				err := lw.rejectf(line, text)
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			lw.diag("warning", line, ubWarnText(lw.cfg.Family, bin.Op, kind))
 		})
+	}
+	return sites
+}
+
+// scanConstUB emits the family's diagnostics for every constant-UB
+// site. Implementations with StrictConstUB (the gcc personality under
+// optimization, where the folder meets the undefined value and
+// refuses) reject constant division/remainder by zero outright;
+// everyone else warns and leaves the operation for the execution
+// profile. The scan is purely syntactic — it ignores optimizer
+// reachability, like the real front-end warnings do — so the
+// diagnostic set depends only on (program, family, strictness).
+func (lw *lowerer) scanConstUB() error {
+	var firstErr error
+	for _, site := range lw.an.constUB() {
+		if site.kind == ubDivZero && lw.ps.StrictConstUB {
+			text := "division by zero [-Werror=div-by-zero]"
+			if site.op == ast.Mod {
+				text = "remainder by zero [-Werror=div-by-zero]"
+			}
+			err := lw.rejectf(site.line, text)
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		lw.diag("warning", site.line, ubWarnText(lw.cfg.Family, site.op, site.kind))
 	}
 	return firstErr
 }
@@ -245,7 +272,7 @@ func (lw *lowerer) iceDepth(e ast.Expr) string {
 		line = p.Line
 	}
 	depth := lw.depth
-	addr := lw.cfg.personality() ^ uint64(depth)<<12
+	addr := lw.seed ^ uint64(depth)<<12
 	if lw.cfg.Family == GCC {
 		return fmt.Sprintf(
 			"internal compiler error: in simplify_expr, at expr.cc:%d: expression nesting depth %d exceeds %d at <source>:%d (frame 0x%x)",

@@ -1,7 +1,8 @@
 package compiler
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"compdiff/internal/hash"
 	"compdiff/internal/ir"
@@ -22,14 +23,19 @@ type frameLayout struct {
 	paramKind []ir.TypeCode
 }
 
-// planFrame computes the layout for fn under cfg.
-func planFrame(cfg Config, fn *ast.FuncDecl, params, locals []*ast.Symbol) *frameLayout {
+// planFrame computes the layout for fn under the lowerer's
+// configuration.
+func (lw *lowerer) planFrame(fn *ast.FuncDecl, params, locals []*ast.Symbol) *frameLayout {
+	cfg := lw.cfg
 	type entry struct {
 		sym   *ast.Symbol
 		param bool
 		src   int
+		key   int64  // size for the size orders
+		hash  uint64 // for orderHash
 	}
-	var entries []entry
+	n := len(params) + len(locals)
+	entries := make([]entry, 0, n)
 	for i, s := range params {
 		entries = append(entries, entry{sym: s, param: true, src: i})
 	}
@@ -38,38 +44,34 @@ func planFrame(cfg Config, fn *ast.FuncDecl, params, locals []*ast.Symbol) *fram
 	}
 
 	// Order per implementation. O0 keeps source order for both
-	// families; higher levels reorder, differently per family.
-	rule := orderRule(cfg)
-	sort.SliceStable(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		switch rule {
-		case orderSource:
-			return a.src < b.src
-		case orderSizeDesc:
-			sa, sb := a.sym.Type.Size(), b.sym.Type.Size()
-			if sa != sb {
-				return sa > sb
-			}
-			return a.src < b.src
-		case orderSizeAsc:
-			sa, sb := a.sym.Type.Size(), b.sym.Type.Size()
-			if sa != sb {
-				return sa < sb
-			}
-			return a.src < b.src
-		case orderReverse:
-			return a.src > b.src
-		default: // orderHash
-			ha := hash.Sum64([]byte(fn.Name+"."+a.sym.Name), uint32(cfg.personality()))
-			hb := hash.Sum64([]byte(fn.Name+"."+b.sym.Name), uint32(cfg.personality()))
-			if ha != hb {
-				return ha < hb
-			}
-			return a.src < b.src
+	// families; higher levels reorder, differently per family. Each
+	// entry's sort key is computed once, before the stable sort; ties
+	// fall back to source order.
+	switch orderRule(cfg) {
+	case orderSizeDesc:
+		for i := range entries {
+			entries[i].key = -entries[i].sym.Type.Size()
 		}
-	})
+		slices.SortStableFunc(entries, func(a, b entry) int { return cmp.Compare(a.key, b.key) })
+	case orderSizeAsc:
+		for i := range entries {
+			entries[i].key = entries[i].sym.Type.Size()
+		}
+		slices.SortStableFunc(entries, func(a, b entry) int { return cmp.Compare(a.key, b.key) })
+	case orderReverse:
+		slices.Reverse(entries)
+	case orderHash:
+		for i := range entries {
+			lw.keyBuf = append(append(append(lw.keyBuf[:0], fn.Name...), '.'), entries[i].sym.Name...)
+			entries[i].hash = hash.Sum64(lw.keyBuf, uint32(lw.seed))
+		}
+		slices.SortStableFunc(entries, func(a, b entry) int { return cmp.Compare(a.hash, b.hash) })
+	}
 
-	fl := &frameLayout{offsets: map[*ast.Symbol]int64{}}
+	fl := &frameLayout{offsets: make(map[*ast.Symbol]int64, n)}
+	if n > 0 {
+		fl.slots = make([]ir.Slot, 0, n)
+	}
 	var off int64
 	redzone := int64(0)
 	if cfg.ASan {
@@ -137,24 +139,33 @@ func orderRule(cfg Config) slotOrder {
 }
 
 // planGlobals assigns offsets in the globals segment. Source order at
-// O0; a personality-keyed order otherwise. Globals are always
-// zero-initialized (C semantics), so ordering matters only to UB.
-func planGlobals(cfg Config, globals []*ast.Symbol) (map[*ast.Symbol]int64, int64) {
-	order := make([]*ast.Symbol, len(globals))
-	copy(order, globals)
+// O0; a personality-keyed order otherwise (seed is cfg's personality).
+// Globals are always zero-initialized (C semantics), so ordering
+// matters only to UB.
+func planGlobals(cfg Config, seed uint64, globals []*ast.Symbol) (map[*ast.Symbol]int64, int64) {
+	type entry struct {
+		sym  *ast.Symbol
+		hash uint64
+	}
+	order := make([]entry, len(globals))
+	for i, s := range globals {
+		order[i].sym = s
+	}
 	if cfg.Opt != O0 {
-		sort.SliceStable(order, func(i, j int) bool {
-			hi := hash.Sum64([]byte(order[i].Name), uint32(cfg.personality()))
-			hj := hash.Sum64([]byte(order[j].Name), uint32(cfg.personality()))
-			if hi != hj {
-				return hi < hj
+		for i := range order {
+			order[i].hash = hash.Sum64([]byte(order[i].sym.Name), uint32(seed))
+		}
+		slices.SortStableFunc(order, func(a, b entry) int {
+			if c := cmp.Compare(a.hash, b.hash); c != 0 {
+				return c
 			}
-			return order[i].Index < order[j].Index
+			return cmp.Compare(a.sym.Index, b.sym.Index)
 		})
 	}
 	offsets := make(map[*ast.Symbol]int64, len(order))
 	var off int64
-	for _, s := range order {
+	for _, e := range order {
+		s := e.sym
 		off = alignUp(off, s.Type.Align())
 		offsets[s] = off
 		off += s.Type.Size()

@@ -16,10 +16,10 @@ import (
 // A lowering bug panics through to the caller; use CompileGuarded to
 // capture it as an ICE finding instead.
 func Compile(info *sema.Info, cfg Config) (*ir.Program, error) {
-	lw := newLowerer(info, cfg)
+	lw := newLowerer(newAnalysis(info), cfg)
 	prog, err := lw.compile()
 	if err != nil {
-		return nil, fmt.Errorf("compile [%s]: %w", cfg.Name(), err)
+		return nil, fmt.Errorf("compile [%s]: %w", lw.name, err)
 	}
 	return prog, nil
 }
@@ -33,21 +33,34 @@ func MustCompile(info *sema.Info, cfg Config) *ir.Program {
 	return p
 }
 
-func newLowerer(info *sema.Info, cfg Config) *lowerer {
+func newLowerer(an *analysis, cfg Config) *lowerer {
+	ps := cfg.passes()
+	prof := cfg.profile()
 	return &lowerer{
-		info:      info,
-		cfg:       cfg,
-		ps:        cfg.passes(),
-		strOff:    map[string]int64{},
-		funcIdx:   map[string]int{},
-		globalOff: map[*ast.Symbol]int64{},
+		info:    an.info,
+		an:      an,
+		cfg:     cfg,
+		name:    cfg.Name(),
+		prof:    prof,
+		seed:    prof.Key,
+		ps:      ps,
+		akey:    ps.analysisKey(),
+		strOff:  map[string]int64{},
+		funcIdx: make(map[string]int, len(an.info.Prog.Funcs)),
 	}
 }
 
 type lowerer struct {
 	info *sema.Info
+	an   *analysis
 	cfg  Config
+	// name, prof and seed (the personality, prof.Key) are derived from
+	// cfg once per lowering.
+	name string
+	prof ir.Profile
+	seed uint64
 	ps   passSet
+	akey analysisKey
 
 	rodata    []byte
 	strOff    map[string]int64
@@ -69,18 +82,34 @@ type lowerer struct {
 	fl     *frameLayout
 	dec    *decisions
 	fn     *ast.FuncDecl
-	code   []ir.Instr
 	line   int32
 	brk    [][]int // break patch lists, one per enclosing loop
 	cont   [][]int // continue patch lists
 	edgeID int
+
+	scratch
+}
+
+// scratch holds the buffers a lowerer reuses for every function it
+// lowers: the emission buffer, the frame planner's hash-key buffer and
+// the peephole fixpoint's buffers (see foldCode). CompileAll hands a
+// finished lowerer's scratch on to the next lowering of the same
+// worker. Nothing a Result retains points into it.
+type scratch struct {
+	code     []ir.Instr // the current function's code
+	keyBuf   []byte
+	spare    []ir.Instr // the output buffer of the next peephole pass
+	isTarget []bool
+	newIdx   []int
 }
 
 func (lw *lowerer) compile() (*ir.Program, error) {
+	funcs := lw.info.Prog.Funcs
 	prog := &ir.Program{
-		FuncIndex: map[string]int{},
-		Compiler:  lw.cfg.Name(),
-		Profile:   lw.cfg.profile(),
+		Funcs:     make([]*ir.Func, 0, len(funcs)),
+		FuncIndex: make(map[string]int, len(funcs)),
+		Compiler:  lw.name,
+		Profile:   lw.prof,
 		Main:      -1,
 	}
 	for i, f := range lw.info.Prog.Funcs {
@@ -100,7 +129,7 @@ func (lw *lowerer) compile() (*ir.Program, error) {
 		return nil, err
 	}
 
-	offs, glen := planGlobals(lw.cfg, lw.info.Globals)
+	offs, glen := planGlobals(lw.cfg, lw.seed, lw.info.Globals)
 	lw.globalOff = offs
 	prog.GlobalsLen = glen
 	if glen > ir.GlobalsMax-ir.GlobalsBase {
@@ -153,8 +182,8 @@ func (lw *lowerer) compile() (*ir.Program, error) {
 		return nil, initErr
 	}
 
-	for _, f := range lw.info.Prog.Funcs {
-		fn, err := lw.lowerFunc(f)
+	for i, f := range funcs {
+		fn, err := lw.lowerFunc(i, f)
 		if err != nil {
 			return nil, err
 		}
@@ -186,16 +215,16 @@ func (lw *lowerer) internString(s string) int64 {
 // ---------------------------------------------------------------------------
 // Function lowering
 
-func (lw *lowerer) lowerFunc(f *ast.FuncDecl) (*ir.Func, error) {
+// lowerFunc lowers function i of the program, f.
+func (lw *lowerer) lowerFunc(i int, f *ast.FuncDecl) (*ir.Func, error) {
 	lw.fn = f
-	lw.dec = analyzeFunc(lw.ps, f)
+	lw.dec = lw.an.decisions(lw.akey, i, f)
 	lw.passBits |= lw.dec.fired
-	var params, locals []*ast.Symbol
-	params = lw.info.Params[f]
-	locals = lw.info.Locals[f]
-	lw.fl = planFrame(lw.cfg, f, params, locals)
-	lw.code = nil
-	lw.brk, lw.cont = nil, nil
+	params := lw.info.Params[f]
+	locals := lw.info.Locals[f]
+	lw.fl = lw.planFrame(f, params, locals)
+	lw.code = lw.code[:0]
+	lw.brk, lw.cont = lw.brk[:0], lw.cont[:0]
 
 	lw.edge()
 	lw.stmt(f.Body)
@@ -215,7 +244,7 @@ func (lw *lowerer) lowerFunc(f *ast.FuncDecl) (*ir.Func, error) {
 		ParamOff:  lw.fl.paramOff,
 		ParamKind: lw.fl.paramKind,
 		Slots:     lw.fl.slots,
-		Code:      peepholeFold(lw.code),
+		Code:      lw.foldCode(),
 	}, nil
 }
 
@@ -427,13 +456,21 @@ func (lw *lowerer) expr(e ast.Expr) {
 		// Simplifier recursion ceiling: the deliberately reproducible
 		// ICE of this compiler model. Deeply nested expressions blow it
 		// at optimizing levels, exactly the kind of input-dependent
-		// front-end crash differential campaigns must survive.
+		// front-end crash differential campaigns must survive. The
+		// panic ends the whole lowering, so the count needs no unwind.
 		lw.depth++
 		if lw.depth > lim {
 			panic(lw.iceDepth(e))
 		}
-		defer func() { lw.depth-- }()
+		lw.exprNode(e)
+		lw.depth--
+		return
 	}
+	lw.exprNode(e)
+}
+
+// exprNode is expr below the depth ceiling.
+func (lw *lowerer) exprNode(e ast.Expr) {
 	if p := e.Pos(); p.Line > 0 {
 		lw.line = int32(p.Line)
 	}
@@ -1039,16 +1076,11 @@ func (lw *lowerer) lowerCall(e *ast.Call) {
 	}
 	rtl := lw.ps.ArgsRightToLeft
 	emitArgs := func(paramType func(i int) *types.Type) {
-		idx := make([]int, len(e.Args))
-		for i := range idx {
-			idx[i] = i
-		}
-		if rtl {
-			for i, j := 0, len(idx)-1; i < j; i, j = i+1, j-1 {
-				idx[i], idx[j] = idx[j], idx[i]
+		for k := range e.Args {
+			i := k
+			if rtl {
+				i = len(e.Args) - 1 - k
 			}
-		}
-		for _, i := range idx {
 			a := e.Args[i]
 			if pt := paramType(i); pt != nil {
 				lw.exprConv(a, pt)

@@ -23,14 +23,46 @@ type decisions struct {
 	fired PassBits
 }
 
-// analyzeFunc runs the flow-sensitive UB-exploitation analysis over a
-// function for the given pass set.
-func analyzeFunc(ps passSet, fn *ast.FuncDecl) *decisions {
-	dec := &decisions{fold: map[ast.Expr]uint64{}, dead: map[ast.Stmt]bool{}}
-	if !ps.FoldOverflowChecks && !ps.FoldNullChecks && !ps.DeadLoadElim {
-		return dec
+// noDecisions is the empty side table: what analyzeFunc decides for a
+// pass set that exploits no UB. Lowering only reads decisions, and
+// reads of nil maps are empty, so every function of every such
+// configuration shares it.
+var noDecisions = &decisions{}
+
+// analysisKey packs the three pass bits analyzeFunc reads. It is the
+// whole of a configuration the analysis depends on, so lowerings whose
+// pass sets share a key share the analysis (see analysis.decisions).
+type analysisKey uint8
+
+const (
+	keyFoldOverflow analysisKey = 1 << iota
+	keyFoldNull
+	keyDeadLoad
+	numAnalysisKeys = 1 << 3
+)
+
+func (ps passSet) analysisKey() analysisKey {
+	var k analysisKey
+	if ps.FoldOverflowChecks {
+		k |= keyFoldOverflow
 	}
-	a := &analyzer{ps: ps, dec: dec}
+	if ps.FoldNullChecks {
+		k |= keyFoldNull
+	}
+	if ps.DeadLoadElim {
+		k |= keyDeadLoad
+	}
+	return k
+}
+
+// analyzeFunc runs the flow-sensitive UB-exploitation analysis over a
+// function for the passes in k.
+func analyzeFunc(k analysisKey, fn *ast.FuncDecl) *decisions {
+	if k == 0 {
+		return noDecisions
+	}
+	dec := &decisions{fold: map[ast.Expr]uint64{}, dead: map[ast.Stmt]bool{}}
+	a := &analyzer{k: k, dec: dec, writes: map[ast.Stmt][]*ast.Symbol{}}
 	a.stmts(fn.Body.Stmts, newFacts())
 	return dec
 }
@@ -64,8 +96,11 @@ func (f *facts) kill(sym *ast.Symbol) {
 }
 
 type analyzer struct {
-	ps  passSet
+	k   analysisKey
 	dec *decisions
+	// writes memoises writeSet per statement: a loop body's write set
+	// is needed at every enclosing loop and twice at its own.
+	writes map[ast.Stmt][]*ast.Symbol
 }
 
 // stmts processes a statement list, threading facts forward.
@@ -91,7 +126,7 @@ func (a *analyzer) stmt(s ast.Stmt, f *facts) {
 		}
 	case *ast.ExprStmt:
 		a.applyFolds(s.X, f)
-		if a.ps.DeadLoadElim && pureExpr(s.X) {
+		if a.k&keyDeadLoad != 0 && pureExpr(s.X) {
 			a.dec.dead[s] = true
 			a.dec.fired |= PassDeadLoad
 			return // the optimizer never executes it: no facts from it
@@ -113,9 +148,9 @@ func (a *analyzer) stmt(s ast.Stmt, f *facts) {
 			a.stmt(s.Else, ef)
 		}
 		// Anything either branch may write is unknown afterwards.
-		killAssignedInStmt(s.Then, f)
+		a.killWrites(s.Then, f)
 		if s.Else != nil {
-			killAssignedInStmt(s.Else, f)
+			a.killWrites(s.Else, f)
 		}
 		// A guard of the form `if (... || x < 0 || ...) return;`
 		// establishes x >= 0 afterwards (the branch not taken means
@@ -130,9 +165,9 @@ func (a *analyzer) stmt(s ast.Stmt, f *facts) {
 	case *ast.WhileStmt:
 		a.applyFolds(s.Cond, f)
 		bf := f.clone()
-		killAssignedInStmt(s.Body, bf)
+		a.killWrites(s.Body, bf)
 		a.stmt(s.Body, bf)
-		killAssignedInStmt(s.Body, f)
+		a.killWrites(s.Body, f)
 	case *ast.ForStmt:
 		if s.Init != nil {
 			a.stmt(s.Init, f)
@@ -141,7 +176,7 @@ func (a *analyzer) stmt(s ast.Stmt, f *facts) {
 			a.applyFolds(s.Cond, f)
 		}
 		bf := f.clone()
-		killAssignedInStmt(s.Body, bf)
+		a.killWrites(s.Body, bf)
 		if s.Post != nil {
 			killAssigned(s.Post, bf)
 		}
@@ -149,7 +184,7 @@ func (a *analyzer) stmt(s ast.Stmt, f *facts) {
 		if s.Post != nil {
 			a.applyFolds(s.Post, bf)
 		}
-		killAssignedInStmt(s.Body, f)
+		a.killWrites(s.Body, f)
 		if s.Post != nil {
 			killAssigned(s.Post, f)
 		}
@@ -160,13 +195,13 @@ func (a *analyzer) stmt(s ast.Stmt, f *facts) {
 // set licenses under the current facts.
 func (a *analyzer) applyFolds(e ast.Expr, f *facts) {
 	walk(e, func(x ast.Expr) {
-		if a.ps.FoldOverflowChecks {
+		if a.k&keyFoldOverflow != 0 {
 			if v, ok := matchOverflowCheck(x, f); ok {
 				a.dec.fold[x] = v
 				a.dec.fired |= PassFoldOverflow
 			}
 		}
-		if a.ps.FoldNullChecks {
+		if a.k&keyFoldNull != 0 {
 			if sym, eqZero, ok := matchNullCheck(x); ok && f.derefed[sym] {
 				if eqZero {
 					a.dec.fold[x] = 0 // p was dereferenced: p == 0 is "never" true
@@ -483,27 +518,69 @@ func killAssigned(e ast.Expr, f *facts) {
 	}
 }
 
-func killAssignedInStmt(s ast.Stmt, f *facts) {
-	forEachExpr(s, func(e ast.Expr) { killAssigned(e, f) })
-	ast.Walk(s, func(st ast.Stmt) bool {
-		if ds, ok := st.(*ast.DeclStmt); ok {
-			for _, d := range ds.Decls {
-				if d.Sym != nil {
-					f.kill(d.Sym)
-				}
-			}
-		}
-		return true
-	})
+// killWrites removes facts about every symbol statement s may write:
+// assigned, incremented or address-taken anywhere in it, or declared in
+// it.
+func (a *analyzer) killWrites(s ast.Stmt, f *facts) {
+	for _, sym := range a.writeSet(s) {
+		f.kill(sym)
+	}
 }
 
-func forEachExpr(s ast.Stmt, fn func(ast.Expr)) {
-	ast.WalkExprs(s, fn)
+// writeSet lists the symbols s may write, possibly with repeats. It is
+// built from the children's memoised sets, so every statement is walked
+// once however deep it nests.
+func (a *analyzer) writeSet(s ast.Stmt) []*ast.Symbol {
+	if s == nil {
+		return nil
+	}
+	if w, ok := a.writes[s]; ok {
+		return w
+	}
+	var w []*ast.Symbol
+	exprs := func(e ast.Expr) {
+		if e != nil {
+			w = append(w, assignedSyms(e)...)
+		}
+	}
+	switch s := s.(type) {
+	case *ast.BlockStmt:
+		for _, c := range s.Stmts {
+			w = append(w, a.writeSet(c)...)
+		}
+	case *ast.DeclStmt:
+		for _, d := range s.Decls {
+			exprs(d.Init)
+		}
+		for _, d := range s.Decls {
+			if d.Sym != nil {
+				w = append(w, d.Sym)
+			}
+		}
+	case *ast.ExprStmt:
+		exprs(s.X)
+	case *ast.ReturnStmt:
+		exprs(s.Value)
+	case *ast.IfStmt:
+		exprs(s.Cond)
+		w = append(w, a.writeSet(s.Then)...)
+		w = append(w, a.writeSet(s.Else)...)
+	case *ast.WhileStmt:
+		exprs(s.Cond)
+		w = append(w, a.writeSet(s.Body)...)
+	case *ast.ForStmt:
+		w = append(w, a.writeSet(s.Init)...)
+		exprs(s.Cond)
+		exprs(s.Post)
+		w = append(w, a.writeSet(s.Body)...)
+	}
+	a.writes[s] = w
+	return w
 }
 
 func assignedIn(s ast.Stmt, sym *ast.Symbol) bool {
 	found := false
-	forEachExpr(s, func(e ast.Expr) {
+	ast.WalkExprs(s, func(e ast.Expr) {
 		for _, w := range assignedSyms(e) {
 			if w == sym {
 				found = true

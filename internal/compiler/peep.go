@@ -1,6 +1,10 @@
 package compiler
 
-import "compdiff/internal/ir"
+import (
+	"slices"
+
+	"compdiff/internal/ir"
+)
 
 // Compile-time constant folds over the lowered bytecode. These are
 // the static half of the superinstruction work: the fast loop fuses
@@ -28,23 +32,38 @@ import "compdiff/internal/ir"
 // The pass runs for every configuration, so it cannot introduce a
 // cross-implementation divergence either.
 
-// peepholeFold rewrites one function's code to a fixpoint of the
-// folds above, remapping branch targets around removed instructions.
-func peepholeFold(code []ir.Instr) []ir.Instr {
+// foldCode rewrites the current function's emitted code (lw.code) to a
+// fixpoint of the folds above, remapping branch targets around removed
+// instructions, and returns it as an exact-size copy. The passes
+// ping-pong between lw.code and the scratch buffer, which both stay
+// with the lowerer; the copy keeps their slack capacity out of the
+// retained program, where progcache's byte budget would not see it.
+func (lw *lowerer) foldCode() []ir.Instr {
+	code, spare := lw.code, lw.spare
 	for {
-		next, changed := foldOnce(code)
-		code = next
+		out, changed := lw.foldOnce(code, spare[:0])
 		if !changed {
-			return code
+			spare = out
+			break
 		}
+		code, spare = out, code
 	}
+	lw.code, lw.spare = code, spare
+	exact := make([]ir.Instr, len(code))
+	copy(exact, code)
+	return exact
 }
 
-func foldOnce(code []ir.Instr) ([]ir.Instr, bool) {
+// foldOnce runs one pass over code, appending the rewritten code to
+// out. It reports whether anything folded; if not, out holds no
+// meaningful code and code is the fixpoint.
+func (sc *scratch) foldOnce(code, out []ir.Instr) ([]ir.Instr, bool) {
 	n := len(code)
 	// A fold window may only swallow instructions no branch lands on;
 	// jumping into the middle of a fused pair would change behaviour.
-	isTarget := make([]bool, n+1)
+	sc.isTarget = slices.Grow(sc.isTarget[:0], n+1)[:n+1]
+	clear(sc.isTarget)
+	isTarget := sc.isTarget
 	for i := range code {
 		switch code[i].Op {
 		case ir.Jmp, ir.Jz, ir.Jnz:
@@ -53,8 +72,9 @@ func foldOnce(code []ir.Instr) ([]ir.Instr, bool) {
 			}
 		}
 	}
-	out := make([]ir.Instr, 0, n)
-	newIdx := make([]int, n+1)
+	sc.newIdx = slices.Grow(sc.newIdx[:0], n+1)[:n+1]
+	newIdx := sc.newIdx
+	out = slices.Grow(out, n)
 	changed := false
 	i := 0
 	for i < n {
@@ -111,7 +131,7 @@ func foldOnce(code []ir.Instr) ([]ir.Instr, bool) {
 	}
 	newIdx[n] = len(out)
 	if !changed {
-		return code, false
+		return out, false
 	}
 	for j := range out {
 		switch out[j].Op {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"compdiff/internal/compiler"
 	"compdiff/internal/hash"
@@ -133,25 +132,7 @@ func (sp *Spares) BuildDifferential(info *sema.Info, cfgs []compiler.Config, opt
 		return nil, nil, fmt.Errorf("compdiff: need at least 2 compiler implementations, got %d", len(cfgs))
 	}
 
-	results := make([]compiler.Result, len(cfgs))
-	if opts.Parallelism > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, opts.Parallelism)
-		for i := range cfgs {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				results[i] = compiler.CompileGuarded(info, cfgs[i])
-				<-sem
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range cfgs {
-			results[i] = compiler.CompileGuarded(info, cfgs[i])
-		}
-	}
+	results := compiler.CompileAll(info, cfgs, opts.Parallelism)
 	return sp.AssembleDifferential(results, cfgs, opts)
 }
 

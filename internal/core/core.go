@@ -160,15 +160,17 @@ func (sp *Spares) Build(info *sema.Info, cfgs []compiler.Config, opts Options) (
 	if len(cfgs) < 2 {
 		return nil, fmt.Errorf("compdiff: need at least 2 compiler implementations, got %d", len(cfgs))
 	}
-	s := &Suite{opts: opts}
-	for _, cfg := range cfgs {
-		// Guarded so an internal compiler error surfaces as a build
-		// error the caller can classify, never as a harness panic.
-		res := compiler.CompileGuarded(info, cfg)
+	// Guarded so an internal compiler error surfaces as a build error
+	// the caller can classify, never as a harness panic.
+	results := compiler.CompileAll(info, cfgs, opts.Parallelism)
+	for _, res := range results {
 		if res.Err != nil {
 			return nil, res.Err
 		}
-		s.Impls = append(s.Impls, sp.implementation(cfg, res.Prog, opts.StepLimit))
+	}
+	s := &Suite{opts: opts}
+	for i, cfg := range cfgs {
+		s.Impls = append(s.Impls, sp.implementation(cfg, results[i].Prog, opts.StepLimit))
 	}
 	return s, nil
 }

@@ -7,6 +7,13 @@
 // programs it has tried before) pay it again for every revisit. The
 // cache makes a revisit one 128-bit hash and a map probe.
 //
+// A miss runs the front end once and compiler.CompileAll, which
+// analyses the program once for all k configurations and lowers each
+// configuration into buffers it reuses. The record's byte cost counts
+// len(Code) of every lowered function; CompileAll retains each Code as
+// an exact-size copy, so the count is the live size, not the size of
+// a grown scratch buffer.
+//
 // A cached record is a pure function of the source text: the front
 // end and every lowering are deterministic, so serving a hit instead
 // of recompiling cannot change a campaign's findings — which is why
@@ -64,8 +71,8 @@ type Compiled struct {
 func (c *Compiled) SizeBytes() int64 { return c.size }
 
 // Compile runs the shared front end once and then lowers under every
-// configuration, k-way in parallel when parallelism > 1 (each
-// lowering is independent). This is the miss path; it is also usable
+// configuration through compiler.CompileAll, k-way in parallel when
+// parallelism > 1. This is the miss path; it is also usable
 // standalone as a guarded "compile under all configs" helper.
 func Compile(src string, cfgs []compiler.Config, parallelism int) *Compiled {
 	prog, err := parser.Parse(src)
@@ -76,25 +83,7 @@ func Compile(src string, cfgs []compiler.Config, parallelism int) *Compiled {
 	if err != nil {
 		return &Compiled{FrontendErr: err, size: recordOverhead + int64(len(err.Error()))}
 	}
-	results := make([]compiler.Result, len(cfgs))
-	if parallelism > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, parallelism)
-		for i := range cfgs {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				results[i] = compiler.CompileGuarded(info, cfgs[i])
-				<-sem
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range cfgs {
-			results[i] = compiler.CompileGuarded(info, cfgs[i])
-		}
-	}
+	results := compiler.CompileAll(info, cfgs, parallelism)
 	c := &Compiled{Results: results, size: recordOverhead}
 	for i := range results {
 		c.size += resultBytes(&results[i])

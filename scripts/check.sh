@@ -51,6 +51,16 @@ echo "== core batch-executor self-test (-race)"
 go test -race -run 'TestRunBatchMatchesRun|TestRunBatchMatchesRunParallel|TestRunBatchSingletonIsRunFast|TestRecycledSuitesMatchFresh' \
 	-count=1 ./internal/core
 
+# The lowering equivalence gates: CompileAll, which shares one
+# per-program analysis across configurations and lowers them
+# concurrently, must equal per-configuration CompileGuarded; both must
+# match the lowering digest pinned in internal/compiler/testdata; a
+# shared-analysis panic must stay each configuration's own ICE; and
+# every retained function body must be an exact-size slice.
+echo "== compiler lowering equivalence (-race)"
+go test -race -run 'TestLoweringMatchesParent|TestCompileAllMatchesCompileGuarded|TestSharedAnalysisPanicIsICE|TestRetainedCodeIsExact' \
+	-count=1 ./internal/compiler
+
 # Benchmark smoke: the headline hot-path benchmark must still run (10
 # iterations — correctness of the harness, not a timing gate).
 echo "== bench smoke (BenchmarkOverheadFullTen, 10x)"
@@ -58,13 +68,13 @@ go test -run='^$' -bench='^BenchmarkOverheadFullTen$' -benchtime=10x -benchmem .
 
 # Batch/cache/construction bench smoke: the persistent-mode batch
 # executor, the compiled-program cache, the machine-construction and
-# checkpoint-save benchmarks must exist and produce rows bench.sh can
-# parse into the trajectory record (guards both the benchmarks and the
-# bench.sh JSON pipeline).
-echo "== bench smoke (SuiteRunBatch64 + ProgCacheHit + MachineNew + MachineRebind + FuzzerExec + CheckpointSave via bench.sh)"
+# checkpoint-save and lowering benchmarks must exist and produce rows
+# bench.sh can parse into the trajectory record (guards both the
+# benchmarks and the bench.sh JSON pipeline).
+echo "== bench smoke (SuiteRunBatch64 + ProgCacheHit + MachineNew + MachineRebind + FuzzerExec + CheckpointSave + LowerTenImplementations via bench.sh)"
 BENCH_SMOKE_JSON="$(mktemp)"
-scripts/bench.sh "$BENCH_SMOKE_JSON" 'SuiteRunBatch64|ProgCacheHit|MachineNew|MachineRebind|FuzzerExec|CheckpointSave' 10x >/dev/null 2>&1
-for b in BenchmarkSuiteRunBatch64 BenchmarkProgCacheHit BenchmarkMachineNew BenchmarkMachineRebind BenchmarkFuzzerExec BenchmarkCheckpointSave; do
+scripts/bench.sh "$BENCH_SMOKE_JSON" 'SuiteRunBatch64|ProgCacheHit|MachineNew|MachineRebind|FuzzerExec|CheckpointSave|LowerTenImplementations' 10x >/dev/null 2>&1
+for b in BenchmarkSuiteRunBatch64 BenchmarkProgCacheHit BenchmarkMachineNew BenchmarkMachineRebind BenchmarkFuzzerExec BenchmarkCheckpointSave BenchmarkLowerTenImplementations; do
 	grep -q "\"name\": \"$b\", \"ns_per_op\": [0-9]" "$BENCH_SMOKE_JSON" || {
 		echo "bench smoke: $b missing from bench.sh output" >&2
 		cat "$BENCH_SMOKE_JSON" >&2
