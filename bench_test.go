@@ -457,6 +457,36 @@ func BenchmarkLowerTenImplementations(b *testing.B) {
 // lowerSink keeps BenchmarkLowerTenImplementations' results observable.
 var lowerSink []compiler.Result
 
+// BenchmarkParseSema is the shared front end alone: parser.Parse and
+// sema.Check of progen seeds 1–40 (91 KB of source) per op. It is the
+// per-program front-end cost every compile, evolve gate and reduction
+// candidate pays once.
+func BenchmarkParseSema(b *testing.B) {
+	var srcs []string
+	bytes := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		srcs = append(srcs, progen.Generate(seed).Src)
+		bytes += len(srcs[len(srcs)-1])
+	}
+	b.SetBytes(int64(bytes))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, src := range srcs {
+			prog, err := parser.Parse(src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if frontEndSink, err = sema.Check(prog); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// frontEndSink keeps BenchmarkParseSema's results observable.
+var frontEndSink *sema.Info
+
 // BenchmarkFuzzerExec is the fuzzer loop alone on one B_fuzz machine:
 // jq's instrumented binary under fuzz.New, b.N executions with no
 // differential hook, so the per-exec cost is one VM run plus the

@@ -23,7 +23,7 @@ import (
 	"compdiff"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden/*.golden expectation files")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata/golden/*.golden expectation files, or testdata/evolve.digest")
 
 // renderOutcome formats everything the golden files pin: the verdict,
 // the triage signature, and each implementation's output checksum and

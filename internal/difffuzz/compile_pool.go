@@ -197,7 +197,7 @@ func (p *CompilePool) epoch(_ context.Context, si int) bool {
 	spares := core.NewSpares()
 	for i := p.cursor; i < p.end; i++ {
 		if i%len(p.shards) == si {
-			sh.tally(sh.buckets, p.check(p.corpus[i], spares))
+			sh.tally(sh.buckets, p.check(p.corpus[i], nil, spares))
 		}
 	}
 	return true

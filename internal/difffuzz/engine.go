@@ -31,6 +31,7 @@ import (
 	"compdiff/internal/compiler"
 	"compdiff/internal/core"
 	"compdiff/internal/hash"
+	"compdiff/internal/minic/sema"
 	"compdiff/internal/progcache"
 	"compdiff/internal/telemetry"
 	"compdiff/internal/triage"
@@ -470,14 +471,15 @@ type verdict struct {
 // check runs src through the oracle. The cache serves revisits of an
 // already-seen source without re-running the front end or the k
 // lowerings; the record is a pure function of the source, so hits and
-// misses produce identical verdicts. The suite's machines come from
-// the caller's spares and go back to them after the verdict: each
-// shard epoch keeps its own set, so shards share compiled programs
-// read-only, never execution state, and a rebound machine runs exactly
-// as a new one would.
-func (o *programOracle) check(src string, spares *core.Spares) verdict {
+// misses produce identical verdicts. info, when non-nil, is the
+// caller's checked front end for src, which a miss lowers directly.
+// The suite's machines come from the caller's spares and go back to
+// them after the verdict: each shard epoch keeps its own set, so
+// shards share compiled programs read-only, never execution state, and
+// a rebound machine runs exactly as a new one would.
+func (o *programOracle) check(src string, info *sema.Info, spares *core.Spares) verdict {
 	var v verdict
-	comp := o.cache.Get(src, o.cfgs, o.copts.Parallelism)
+	comp := o.cache.GetChecked(src, info, o.cfgs, o.copts.Parallelism)
 	if comp.FrontendErr != nil {
 		v.reject = true
 		return v

@@ -226,7 +226,8 @@ func (p *EvolvePool) epoch(ctx context.Context, si int) bool {
 		if ctx.Err() != nil {
 			return false
 		}
-		p.evals[i] = p.check(p.pop[i].Src, spares)
+		g := p.pop[i]
+		p.evals[i] = p.check(g.Src, g.Checked(), spares)
 	}
 	return true
 }
@@ -234,7 +235,9 @@ func (p *EvolvePool) epoch(ctx context.Context, si int) bool {
 // merge folds the generation's raw measurements into the global
 // bucket store, cumulative coverage, and fitness — single-threaded,
 // in genome-index order, so the result is independent of how
-// evaluation was sharded — then breeds the next generation.
+// evaluation was sharded — then breeds the next generation. Evaluated
+// genomes drop the gate's checked front end here: a survivor's next
+// evaluation is a cache hit, or a miss that parses its source.
 func (p *EvolvePool) merge() {
 	// The evolve engine's knobs other than the seed stay at their
 	// defaults, which the campaign hash therefore pins implicitly.
@@ -251,6 +254,7 @@ func (p *EvolvePool) merge() {
 			p.cum[k] |= b
 		}
 		fits[i] = evolve.Fitness(p.pop[i], ev, eopts)
+		p.pop[i].ReleaseChecked()
 		sum += fits[i]
 		if i == 0 || fits[i] > best {
 			best = fits[i]
@@ -288,7 +292,7 @@ func (p *EvolvePool) export(st *checkpoint.State) {
 		es.CumBits[i] = uint32(b)
 	}
 	for _, g := range p.pop {
-		es.Genomes = append(es.Genomes, *g)
+		es.Genomes = append(es.Genomes, evolve.Genome{Src: g.Src, Seed: g.Seed, Gen: g.Gen, Ops: g.Ops})
 	}
 	st.Evolve = es
 }

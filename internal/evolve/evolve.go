@@ -28,13 +28,18 @@ import (
 
 	"compdiff/internal/compiler"
 	"compdiff/internal/hash"
+	"compdiff/internal/minic/ast"
+	"compdiff/internal/minic/parser"
+	"compdiff/internal/minic/sema"
 	"compdiff/internal/progen"
 )
 
 // Genome is one population member. The canonical identity is the
-// printed source text; the AST is re-derived by parsing when a
-// mutation needs it, which also guarantees offspring never alias
-// their parent's nodes (see internal/triage's clone-on-accept).
+// printed source text; only that text is serialized. In memory a
+// genome also keeps the unchecked parse of its text, which its
+// mutations clone and never edit, so offspring never alias their
+// parent's nodes (see internal/triage's clone-on-accept), and, until
+// its first evaluation, the checked front-end result of Mutate's gate.
 type Genome struct {
 	// Src is the program text. Always parses and passes sema: founders
 	// come from progen, offspring are gated by Mutate.
@@ -45,6 +50,36 @@ type Genome struct {
 	Gen int `json:"gen"`
 	// Ops counts mutations applied since the founder.
 	Ops int `json:"ops,omitempty"`
+
+	// prog is the unchecked parse of Src, read-only. Founders,
+	// immigrants and genomes restored from a checkpoint parse it the
+	// first time they are mutated.
+	prog *ast.Program
+	// checked is sema's result for Src from Mutate's gate; nil for
+	// other genomes and once ReleaseChecked has run.
+	checked *sema.Info
+}
+
+// Checked returns the front-end result Mutate's gate computed for Src,
+// which a compile of Src may use instead of parsing and checking it
+// again; nil when there is none. The result belongs to the genome's
+// first evaluation: nothing may edit it.
+func (g *Genome) Checked() *sema.Info { return g.checked }
+
+// ReleaseChecked drops the gate's front-end result once the genome has
+// been evaluated.
+func (g *Genome) ReleaseChecked() { g.checked = nil }
+
+// tree returns the unchecked parse of Src, parsing it on first use.
+func (g *Genome) tree() (*ast.Program, error) {
+	if g.prog == nil {
+		prog, err := parser.Parse(g.Src)
+		if err != nil {
+			return nil, err
+		}
+		g.prog = prog
+	}
+	return g.prog, nil
 }
 
 // Options are the evolutionary knobs. Everything here determines the

@@ -108,13 +108,15 @@ func usedNames(p *ast.Program) map[string]bool {
 	return used
 }
 
-// Mutate derives one offspring from parent: parse, apply one random
-// operator to a fresh tree, print, and gate through parse+sema. Up to
-// a few attempts are made before giving up (ok=false) — the caller
-// keeps the parent in that case. The returned genome's source is the
-// canonical reprint, so equal programs always hash equal.
+// Mutate derives one offspring from parent: apply one random operator
+// to a clone of the parent's tree, print, and gate through parse+sema.
+// Up to a few attempts are made before giving up (ok=false) — the
+// caller keeps the parent in that case. The returned genome's source
+// is the canonical reprint, so equal programs always hash equal. The
+// gate's parse is the child's: a clone taken before sema becomes its
+// unchecked tree, and sema's result its Checked front end.
 func Mutate(parent *Genome, rng *rand.Rand, gen int) (*Genome, bool) {
-	prog, err := parser.Parse(parent.Src)
+	prog, err := parent.tree()
 	if err != nil {
 		return nil, false
 	}
@@ -129,10 +131,13 @@ func Mutate(parent *Genome, rng *rand.Rand, gen int) (*Genome, bool) {
 		if err != nil {
 			continue
 		}
-		if _, err := sema.Check(reparsed); err != nil {
+		tree := ast.CloneProgram(reparsed)
+		info, err := sema.Check(reparsed)
+		if err != nil {
 			continue
 		}
-		return &Genome{Src: src, Seed: parent.Seed, Gen: gen, Ops: parent.Ops + 1}, true
+		return &Genome{Src: src, Seed: parent.Seed, Gen: gen, Ops: parent.Ops + 1,
+			prog: tree, checked: info}, true
 	}
 	return nil, false
 }

@@ -6,6 +6,7 @@ import (
 
 	"compdiff/internal/minic/ast"
 	"compdiff/internal/minic/parser"
+	"compdiff/internal/minic/sema"
 )
 
 const sample = `
@@ -157,5 +158,55 @@ func TestStringEscapingRoundTrip(t *testing.T) {
 	p2 := parser.MustParse(out1)
 	if out2 := ast.Print(p2); out1 != out2 {
 		t.Fatalf("escape round trip unstable:\n%s\nvs\n%s", out1, out2)
+	}
+}
+
+// TestPrintMultiDeclarators holds a declaration statement with several
+// declarators to one printed declaration that reparses to the same
+// statement, in a block and in a for-init.
+func TestPrintMultiDeclarators(t *testing.T) {
+	src := `int main() { int a = 1, *b, c[2][3]; static int s, t; for (int i = 0, j = 1; i < j; i++) { } return a; }`
+	out := ast.Print(parser.MustParse(src))
+	for _, want := range []string{"int a = 1, *b, c[2][3];", "static int s, t;", "for (int i = 0, j = 1; "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("printed output missing %q:\n%s", want, out)
+		}
+	}
+	if again := ast.Print(parser.MustParse(out)); again != out {
+		t.Errorf("print not stable:\n%s\nvs\n%s", out, again)
+	}
+}
+
+// TestPrintNegativeLiteralOperands covers literals that carry a
+// negative value: '\x80' lexes to -128, and a decimal past int64
+// wraps. Under a unary minus or as a binary operand each must print
+// so that it reparses, passes sema, and prints the same again —
+// `--128` would reparse as a pre-decrement of a non-lvalue.
+func TestPrintNegativeLiteralOperands(t *testing.T) {
+	for _, src := range []string{
+		`int main() { return -'\x80'; }`,
+		`int main() { return 0 % '\x80'; }`,
+		`int main() { return -(-'\xff' - '\x80'); }`,
+		`int main() { return (int)(-18446744073709551615 + 1); }`,
+		`int main() { long x = -9223372036854775808L; return (int)(x + 1L); }`,
+		`int main() { double d = -(-1.5); return (int)d; }`,
+	} {
+		out := ast.Print(parser.MustParse(src))
+		prog, err := parser.Parse(out)
+		if err != nil {
+			t.Errorf("%s: printed %q does not reparse: %v", src, out, err)
+			continue
+		}
+		if _, err := sema.Check(prog); err != nil {
+			t.Errorf("%s: printed %q fails sema: %v", src, out, err)
+			continue
+		}
+		if again := ast.Print(parser.MustParse(out)); again != out {
+			t.Errorf("%s: print not stable:\n%s\nvs\n%s", src, out, again)
+		}
+	}
+	out := ast.Print(parser.MustParse(`int main() { return -'\x80'; }`))
+	if !strings.Contains(out, "return -(-128);") {
+		t.Errorf("negated char literal printed as %q", out)
 	}
 }

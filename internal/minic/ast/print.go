@@ -2,6 +2,8 @@ package ast
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"compdiff/internal/minic/types"
@@ -13,6 +15,7 @@ import (
 // generated corpus for inspection.
 func Print(p *Program) string {
 	var pr printer
+	pr.buf.Grow(printSizeHint(p))
 	for _, s := range p.Structs {
 		pr.structDecl(s)
 	}
@@ -23,7 +26,13 @@ func Print(p *Program) string {
 	for _, f := range p.Funcs {
 		pr.funcDecl(f)
 	}
-	return pr.buf.String()
+	out := pr.buf.String()
+	if pr.buf.Cap() > len(out) {
+		// Printed programs live long (reductions, genomes): keep an
+		// exact-size copy, not the builder's slack.
+		out = strings.Clone(out)
+	}
+	return out
 }
 
 // PrintExpr renders a single expression (diagnostics, analyzer output).
@@ -40,15 +49,45 @@ func PrintStmt(s Stmt) string {
 	return pr.buf.String()
 }
 
+// printSizeHint estimates Print's output size so the builder grows
+// once. Print writes one statement per line, so in a tree parsed from
+// printed text the last function's last statement sits on about the
+// last line, and no corpus program averages over 47 bytes a line.
+// Trees without usable positions get a small start and grow as usual.
+func printSizeHint(p *Program) int {
+	const lineBytes, minHint = 48, 256
+	if len(p.Funcs) == 0 {
+		return minHint
+	}
+	f := p.Funcs[len(p.Funcs)-1]
+	line := f.NamePos.Line
+	if f.Body != nil && len(f.Body.Stmts) > 0 {
+		line = max(line, f.Body.Stmts[len(f.Body.Stmts)-1].Pos().Line)
+	}
+	return max(minHint, (line+2)*lineBytes)
+}
+
 type printer struct {
 	buf    strings.Builder
 	indent int
 }
 
-func (p *printer) in() { p.buf.WriteString(strings.Repeat("    ", p.indent)) }
+func (p *printer) in() {
+	for i := 0; i < p.indent; i++ {
+		p.buf.WriteString("    ")
+	}
+}
+
+// int writes v in decimal without allocating.
+func (p *printer) int(v int64) {
+	var tmp [24]byte
+	p.buf.Write(strconv.AppendInt(tmp[:0], v, 10))
+}
 
 func (p *printer) structDecl(s *StructDecl) {
-	fmt.Fprintf(&p.buf, "struct %s {\n", s.Name)
+	p.buf.WriteString("struct ")
+	p.buf.WriteString(s.Name)
+	p.buf.WriteString(" {\n")
 	for _, f := range s.Fields {
 		p.buf.WriteString("    ")
 		p.typeAndName(f.DeclType, f.Name)
@@ -60,17 +99,18 @@ func (p *printer) structDecl(s *StructDecl) {
 // typeAndName prints a declaration like "int x", "char buf[10]",
 // "struct S* p".
 func (p *printer) typeAndName(t *types.Type, name string) {
-	base := t
-	var dims []int64
-	for base.Kind == types.Array {
-		dims = append(dims, base.Len)
-		base = base.Elem
-	}
-	p.buf.WriteString(base.String())
-	p.buf.WriteString(" ")
+	p.buf.WriteString(stripArrays(t).String())
+	p.buf.WriteByte(' ')
+	p.declarator(t, name)
+}
+
+// declarator prints name followed by t's array dimensions.
+func (p *printer) declarator(t *types.Type, name string) {
 	p.buf.WriteString(name)
-	for _, d := range dims {
-		fmt.Fprintf(&p.buf, "[%d]", d)
+	for ; t.Kind == types.Array; t = t.Elem {
+		p.buf.WriteByte('[')
+		p.int(t.Len)
+		p.buf.WriteByte(']')
 	}
 }
 
@@ -84,6 +124,43 @@ func (p *printer) varDecl(d *VarDecl, topLevel bool) {
 		p.expr(d.Init)
 	}
 	_ = topLevel
+}
+
+// declStmt prints a declaration statement as the one declaration it
+// was parsed from: `int* p = 0, **q`. The parser gives every
+// declarator the shared base type plus its own extra stars and array
+// suffix, so each later declarator prints only those.
+func (p *printer) declStmt(s *DeclStmt) {
+	for i, d := range s.Decls {
+		if i == 0 {
+			p.varDecl(d, false)
+			continue
+		}
+		p.buf.WriteString(", ")
+		for k := ptrDepth(stripArrays(d.DeclType)) - ptrDepth(stripArrays(s.Decls[0].DeclType)); k > 0; k-- {
+			p.buf.WriteByte('*')
+		}
+		p.declarator(d.DeclType, d.Name)
+		if d.Init != nil {
+			p.buf.WriteString(" = ")
+			p.expr(d.Init)
+		}
+	}
+}
+
+func stripArrays(t *types.Type) *types.Type {
+	for t.Kind == types.Array {
+		t = t.Elem
+	}
+	return t
+}
+
+func ptrDepth(t *types.Type) int {
+	n := 0
+	for ; t.Kind == types.Ptr; t = t.Elem {
+		n++
+	}
+	return n
 }
 
 func (p *printer) funcDecl(f *FuncDecl) {
@@ -120,13 +197,8 @@ func (p *printer) stmt(s Stmt) {
 	case *BlockStmt:
 		p.block(s)
 	case *DeclStmt:
-		for i, d := range s.Decls {
-			if i > 0 {
-				p.buf.WriteString(" ")
-			}
-			p.varDecl(d, false)
-			p.buf.WriteString(";")
-		}
+		p.declStmt(s)
+		p.buf.WriteString(";")
 	case *ExprStmt:
 		p.expr(s.X)
 		p.buf.WriteString(";")
@@ -150,9 +222,7 @@ func (p *printer) stmt(s Stmt) {
 		case nil:
 			p.buf.WriteString(";")
 		case *DeclStmt:
-			for _, d := range init.Decls {
-				p.varDecl(d, false)
-			}
+			p.declStmt(init)
 			p.buf.WriteString(";")
 		case *ExprStmt:
 			p.expr(init.X)
@@ -202,12 +272,18 @@ func (p *printer) stmtAsBlock(s Stmt) {
 func (p *printer) expr(e Expr) {
 	switch e := e.(type) {
 	case *IntLit:
-		if e.T != nil && e.T.Kind == types.Long {
-			fmt.Fprintf(&p.buf, "%dL", e.Value)
-		} else if e.T != nil && !e.T.IsSigned() && e.T.IsInteger() {
-			fmt.Fprintf(&p.buf, "%dU", uint64(e.Value))
+		// -2^63 has no spelling without a minus sign; its unsigned
+		// digits lex back to it, as the unsigned literals' do.
+		if isUnsignedLit(e) || e.Value == math.MinInt64 {
+			var tmp [24]byte
+			p.buf.Write(strconv.AppendUint(tmp[:0], uint64(e.Value), 10))
 		} else {
-			fmt.Fprintf(&p.buf, "%d", e.Value)
+			p.int(e.Value)
+		}
+		if isUnsignedLit(e) {
+			p.buf.WriteByte('U')
+		} else if e.T != nil && e.T.Kind == types.Long {
+			p.buf.WriteByte('L')
 		}
 	case *FloatLit:
 		s := fmt.Sprintf("%g", e.Value)
@@ -216,7 +292,7 @@ func (p *printer) expr(e Expr) {
 			p.buf.WriteString(".0")
 		}
 	case *StrLit:
-		fmt.Fprintf(&p.buf, "%s", quoteC(e.Value))
+		p.buf.WriteString(quoteC(e.Value))
 	case *LineExpr:
 		p.buf.WriteString("__LINE__")
 	case *Ident:
@@ -235,14 +311,18 @@ func (p *printer) expr(e Expr) {
 		}
 	case *Binary:
 		p.parenExpr(e.X)
-		fmt.Fprintf(&p.buf, " %s ", e.Op)
+		p.buf.WriteByte(' ')
+		p.buf.WriteString(e.Op.String())
+		p.buf.WriteByte(' ')
 		p.parenExpr(e.Y)
 	case *Assign:
 		p.parenExpr(e.LHS)
 		if e.Op == PlainAssign {
 			p.buf.WriteString(" = ")
 		} else {
-			fmt.Fprintf(&p.buf, " %s= ", e.Op)
+			p.buf.WriteByte(' ')
+			p.buf.WriteString(e.Op.String())
+			p.buf.WriteString("= ")
 		}
 		p.parenExpr(e.RHS)
 	case *Cond:
@@ -275,13 +355,38 @@ func (p *printer) expr(e Expr) {
 		}
 		p.buf.WriteString(e.Name)
 	case *CastExpr:
-		fmt.Fprintf(&p.buf, "(%s)", e.To)
+		p.buf.WriteByte('(')
+		p.buf.WriteString(e.To.String())
+		p.buf.WriteByte(')')
 		p.parenExpr(e.X)
 	case *SizeofExpr:
-		fmt.Fprintf(&p.buf, "sizeof(%s)", e.Of)
+		p.buf.WriteString("sizeof(")
+		p.buf.WriteString(e.Of.String())
+		p.buf.WriteByte(')')
 	default:
 		fmt.Fprintf(&p.buf, "/* unknown expr %T */", e)
 	}
+}
+
+// isUnsignedLit reports whether an integer literal prints with a U
+// suffix (and so never with a minus sign).
+func isUnsignedLit(e *IntLit) bool {
+	return e.T != nil && !e.T.IsSigned() && e.T.IsInteger()
+}
+
+// negativeLit reports whether e is a literal that prints with a
+// leading minus sign: the lexer makes them from char literals past
+// '\x7f' and from integers that wrap int64. As an operand such a
+// literal is parenthesized like any other compound expression, or
+// `-x` applied to it would print as a pre-decrement.
+func negativeLit(e Expr) bool {
+	switch e := e.(type) {
+	case *IntLit:
+		return e.Value < 0 && e.Value != math.MinInt64 && !isUnsignedLit(e)
+	case *FloatLit:
+		return math.Signbit(e.Value)
+	}
+	return false
 }
 
 // parenExpr prints sub-expressions with explicit parentheses so that
@@ -289,6 +394,12 @@ func (p *printer) expr(e Expr) {
 func (p *printer) parenExpr(e Expr) {
 	switch e.(type) {
 	case *IntLit, *FloatLit, *StrLit, *Ident, *Call, *Index, *Member, *LineExpr, *SizeofExpr:
+		if negativeLit(e) {
+			p.buf.WriteByte('(')
+			p.expr(e)
+			p.buf.WriteByte(')')
+			return
+		}
 		p.expr(e)
 	default:
 		p.buf.WriteString("(")

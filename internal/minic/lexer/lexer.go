@@ -4,6 +4,7 @@ package lexer
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -32,11 +33,19 @@ func New(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
 }
 
-// Errors returns the lexical errors encountered so far.
+// Errors returns the lexical errors encountered so far, at most
+// MaxErrors of them.
 func (l *Lexer) Errors() []*Error { return l.errs }
 
+// MaxErrors caps the errors the lexer, and separately the parser,
+// record for one source: past it, input that is mostly garbage would
+// only grow the joined error text.
+const MaxErrors = 25
+
 func (l *Lexer) errorf(pos token.Pos, format string, args ...any) {
-	l.errs = append(l.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	if len(l.errs) < MaxErrors {
+		l.errs = append(l.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	}
 }
 
 func (l *Lexer) peek() byte {
@@ -100,38 +109,54 @@ func (l *Lexer) skipSpaceAndComments() {
 	}
 }
 
-// Next scans and returns the next token.
-func (l *Lexer) Next() token.Token {
+// Next scans the next token into t.
+func (l *Lexer) Next(t *token.Token) {
+	*t = token.Token{}
+	l.scan(t)
+}
+
+// All scans the entire input and returns the token slice ending in
+// EOF. Tokens are scanned in place into a slice sized from the source:
+// MiniC averages about 2.5 bytes per token and no corpus program packs
+// them tighter than 2.2, so len(src)/2 slots hold a whole program
+// without regrowing.
+func (l *Lexer) All() []token.Token {
+	toks := make([]token.Token, 0, len(l.src)/2+1)
+	for {
+		if len(toks) == cap(toks) {
+			toks = slices.Grow(toks, 1)
+		}
+		toks = toks[:len(toks)+1]
+		t := &toks[len(toks)-1]
+		l.scan(t)
+		if t.Kind == token.EOF {
+			return toks
+		}
+	}
+}
+
+// scan scans the next token into t, which must be the zero Token.
+func (l *Lexer) scan(t *token.Token) {
 	l.skipSpaceAndComments()
-	pos := l.pos()
+	t.Pos = l.pos()
 	if l.off >= len(l.src) {
-		return token.Token{Kind: token.EOF, Pos: pos}
+		t.Kind = token.EOF
+		return
 	}
 	c := l.peek()
 	switch {
 	case isIdentStart(c):
-		return l.scanIdent(pos)
+		l.scanIdent(t)
 	case c >= '0' && c <= '9':
-		return l.scanNumber(pos)
+		l.scanNumber(t)
 	case c == '"':
-		return l.scanString(pos)
+		l.scanString(t)
 	case c == '\'':
-		return l.scanChar(pos)
+		l.scanChar(t)
 	case c == '.' && l.peek2() >= '0' && l.peek2() <= '9':
-		return l.scanNumber(pos)
-	}
-	return l.scanOperator(pos)
-}
-
-// All scans the entire input and returns the token slice ending in EOF.
-func (l *Lexer) All() []token.Token {
-	var toks []token.Token
-	for {
-		t := l.Next()
-		toks = append(toks, t)
-		if t.Kind == token.EOF {
-			return toks
-		}
+		l.scanNumber(t)
+	default:
+		l.scanOperator(t)
 	}
 }
 
@@ -143,19 +168,17 @@ func isIdentPart(c byte) bool {
 	return isIdentStart(c) || (c >= '0' && c <= '9')
 }
 
-func (l *Lexer) scanIdent(pos token.Pos) token.Token {
+func (l *Lexer) scanIdent(t *token.Token) {
 	start := l.off
 	for l.off < len(l.src) && isIdentPart(l.peek()) {
 		l.advance()
 	}
-	text := l.src[start:l.off]
-	if kw, ok := token.Keywords[text]; ok {
-		return token.Token{Kind: kw, Text: text, Pos: pos}
-	}
-	return token.Token{Kind: token.Ident, Text: text, Pos: pos}
+	t.Text = l.src[start:l.off]
+	t.Kind = token.Lookup(t.Text)
 }
 
-func (l *Lexer) scanNumber(pos token.Pos) token.Token {
+func (l *Lexer) scanNumber(t *token.Token) {
+	pos := t.Pos
 	start := l.off
 	isFloat := false
 	if l.peek() == '0' && (l.peek2() == 'x' || l.peek2() == 'X') {
@@ -199,7 +222,8 @@ func (l *Lexer) scanNumber(pos token.Pos) token.Token {
 		if err != nil {
 			l.errorf(pos, "invalid float literal %q", text)
 		}
-		return token.Token{Kind: token.FloatLit, Text: text, Pos: pos, FloatVal: v}
+		t.Kind, t.Text, t.FloatVal = token.FloatLit, text, v
+		return
 	}
 
 	var unsigned, long bool
@@ -220,10 +244,8 @@ func (l *Lexer) scanNumber(pos token.Pos) token.Token {
 	if err != nil {
 		l.errorf(pos, "invalid integer literal %q", text)
 	}
-	return token.Token{
-		Kind: token.IntLit, Text: text, Pos: pos,
-		IntVal: int64(v), Unsigned: unsigned, Long: long,
-	}
+	t.Kind, t.Text, t.IntVal = token.IntLit, text, int64(v)
+	t.Unsigned, t.Long = unsigned, long
 }
 
 func base(text string) int {
@@ -237,10 +259,15 @@ func isHexDigit(c byte) bool {
 	return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 }
 
-func (l *Lexer) scanString(pos token.Pos) token.Token {
+// scanString scans a string literal. Text is the raw text between
+// the quotes; StrVal shares it unless an escape or a missing closing
+// quote makes the decoded value differ.
+func (l *Lexer) scanString(t *token.Token) {
+	pos := t.Pos
 	l.advance() // opening quote
-	var b strings.Builder
 	start := l.off
+	var dec []byte // decoded value once it departs from the raw text
+	escaped, closed := false, false
 	for {
 		if l.off >= len(l.src) || l.peek() == '\n' {
 			l.errorf(pos, "unterminated string literal")
@@ -248,23 +275,38 @@ func (l *Lexer) scanString(pos token.Pos) token.Token {
 		}
 		c := l.advance()
 		if c == '"' {
+			closed = true
 			break
 		}
 		if c == '\\' {
+			if !escaped {
+				escaped = true
+				dec = append(dec, l.src[start:l.off-1]...)
+			}
 			if l.off >= len(l.src) {
 				l.errorf(pos, "unterminated escape")
 				break
 			}
-			b.WriteByte(l.unescape(pos))
+			dec = append(dec, l.unescape(pos))
 			continue
 		}
-		b.WriteByte(c)
+		if escaped {
+			dec = append(dec, c)
+		}
 	}
 	raw := ""
 	if start <= len(l.src) && l.off-1 >= start {
 		raw = l.src[start : l.off-1]
 	}
-	return token.Token{Kind: token.StrLit, Text: raw, Pos: pos, StrVal: b.String()}
+	t.Kind, t.Text = token.StrLit, raw
+	switch {
+	case escaped:
+		t.StrVal = string(dec)
+	case closed:
+		t.StrVal = raw
+	default:
+		t.StrVal = l.src[start:l.off]
+	}
 }
 
 func (l *Lexer) unescape(pos token.Pos) byte {
@@ -307,18 +349,20 @@ func hexVal(c byte) byte {
 	}
 }
 
-func (l *Lexer) scanChar(pos token.Pos) token.Token {
+func (l *Lexer) scanChar(t *token.Token) {
+	pos := t.Pos
+	t.Kind = token.CharLit
 	l.advance() // opening quote
 	var v byte
 	if l.off >= len(l.src) {
 		l.errorf(pos, "unterminated char literal")
-		return token.Token{Kind: token.CharLit, Pos: pos}
+		return
 	}
 	c := l.advance()
 	if c == '\\' {
 		if l.off >= len(l.src) {
 			l.errorf(pos, "unterminated char literal")
-			return token.Token{Kind: token.CharLit, Pos: pos}
+			return
 		}
 		v = l.unescape(pos)
 	} else {
@@ -329,96 +373,108 @@ func (l *Lexer) scanChar(pos token.Pos) token.Token {
 	} else {
 		l.errorf(pos, "unterminated char literal")
 	}
-	return token.Token{Kind: token.CharLit, Text: string(v), Pos: pos, IntVal: int64(int8(v))}
+	t.Text, t.IntVal = string(v), int64(int8(v))
 }
 
-func (l *Lexer) scanOperator(pos token.Pos) token.Token {
-	c := l.advance()
-	two := func(next byte, k2, k1 token.Kind) token.Token {
-		if l.peek() == next {
-			l.advance()
-			return token.Token{Kind: k2, Pos: pos}
-		}
-		return token.Token{Kind: k1, Pos: pos}
+// pick consumes next and returns k2 if it comes next, else returns k1.
+func (l *Lexer) pick(next byte, k2, k1 token.Kind) token.Kind {
+	if l.peek() == next {
+		l.advance()
+		return k2
 	}
+	return k1
+}
+
+func (l *Lexer) scanOperator(t *token.Token) {
+	t.Kind = l.operator()
+	if t.Kind == token.Illegal {
+		c := l.src[l.off-1]
+		l.errorf(t.Pos, "unexpected character %q", string(c))
+		t.Text = string(c)
+	}
+}
+
+// operator consumes one punctuation or operator token and returns its
+// kind, or Illegal after consuming a byte that starts none.
+func (l *Lexer) operator() token.Kind {
+	c := l.advance()
 	switch c {
 	case '(':
-		return token.Token{Kind: token.LParen, Pos: pos}
+		return token.LParen
 	case ')':
-		return token.Token{Kind: token.RParen, Pos: pos}
+		return token.RParen
 	case '{':
-		return token.Token{Kind: token.LBrace, Pos: pos}
+		return token.LBrace
 	case '}':
-		return token.Token{Kind: token.RBrace, Pos: pos}
+		return token.RBrace
 	case '[':
-		return token.Token{Kind: token.LBracket, Pos: pos}
+		return token.LBracket
 	case ']':
-		return token.Token{Kind: token.RBracket, Pos: pos}
+		return token.RBracket
 	case ';':
-		return token.Token{Kind: token.Semicolon, Pos: pos}
+		return token.Semicolon
 	case ',':
-		return token.Token{Kind: token.Comma, Pos: pos}
+		return token.Comma
 	case '.':
-		return token.Token{Kind: token.Dot, Pos: pos}
+		return token.Dot
 	case '?':
-		return token.Token{Kind: token.Question, Pos: pos}
+		return token.Question
 	case ':':
-		return token.Token{Kind: token.Colon, Pos: pos}
+		return token.Colon
 	case '+':
 		if l.peek() == '+' {
 			l.advance()
-			return token.Token{Kind: token.Inc, Pos: pos}
+			return token.Inc
 		}
-		return two('=', token.AddAssign, token.Add)
+		return l.pick('=', token.AddAssign, token.Add)
 	case '-':
 		if l.peek() == '-' {
 			l.advance()
-			return token.Token{Kind: token.Dec, Pos: pos}
+			return token.Dec
 		}
 		if l.peek() == '>' {
 			l.advance()
-			return token.Token{Kind: token.Arrow, Pos: pos}
+			return token.Arrow
 		}
-		return two('=', token.SubAssign, token.Sub)
+		return l.pick('=', token.SubAssign, token.Sub)
 	case '*':
-		return two('=', token.MulAssign, token.Star)
+		return l.pick('=', token.MulAssign, token.Star)
 	case '/':
-		return two('=', token.DivAssign, token.Div)
+		return l.pick('=', token.DivAssign, token.Div)
 	case '%':
-		return two('=', token.ModAssign, token.Mod)
+		return l.pick('=', token.ModAssign, token.Mod)
 	case '=':
-		return two('=', token.EqEq, token.Assign)
+		return l.pick('=', token.EqEq, token.Assign)
 	case '!':
-		return two('=', token.NotEq, token.Not)
+		return l.pick('=', token.NotEq, token.Not)
 	case '<':
 		if l.peek() == '<' {
 			l.advance()
-			return two('=', token.ShlAssign, token.Shl)
+			return l.pick('=', token.ShlAssign, token.Shl)
 		}
-		return two('=', token.Le, token.Lt)
+		return l.pick('=', token.Le, token.Lt)
 	case '>':
 		if l.peek() == '>' {
 			l.advance()
-			return two('=', token.ShrAssign, token.Shr)
+			return l.pick('=', token.ShrAssign, token.Shr)
 		}
-		return two('=', token.Ge, token.Gt)
+		return l.pick('=', token.Ge, token.Gt)
 	case '&':
 		if l.peek() == '&' {
 			l.advance()
-			return token.Token{Kind: token.LAnd, Pos: pos}
+			return token.LAnd
 		}
-		return two('=', token.AndAssign, token.Amp)
+		return l.pick('=', token.AndAssign, token.Amp)
 	case '|':
 		if l.peek() == '|' {
 			l.advance()
-			return token.Token{Kind: token.LOr, Pos: pos}
+			return token.LOr
 		}
-		return two('=', token.OrAssign, token.Or)
+		return l.pick('=', token.OrAssign, token.Or)
 	case '^':
-		return two('=', token.XorAssign, token.Xor)
+		return l.pick('=', token.XorAssign, token.Xor)
 	case '~':
-		return token.Token{Kind: token.Tilde, Pos: pos}
+		return token.Tilde
 	}
-	l.errorf(pos, "unexpected character %q", string(c))
-	return token.Token{Kind: token.Illegal, Text: string(c), Pos: pos}
+	return token.Illegal
 }

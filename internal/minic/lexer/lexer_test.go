@@ -1,6 +1,7 @@
 package lexer
 
 import (
+	"strings"
 	"testing"
 
 	"compdiff/internal/minic/token"
@@ -12,6 +13,13 @@ func kinds(src string) []token.Kind {
 		ks = append(ks, t.Kind)
 	}
 	return ks
+}
+
+// first scans the first token of src.
+func first(src string) token.Token {
+	var t token.Token
+	New(src).Next(&t)
+	return t
 }
 
 func TestBasicTokens(t *testing.T) {
@@ -69,7 +77,7 @@ func TestIntLiterals(t *testing.T) {
 		{"10LU", 10, true, true},
 	}
 	for _, c := range cases {
-		tok := New(c.src).Next()
+		tok := first(c.src)
 		if tok.Kind != token.IntLit {
 			t.Errorf("%q: kind = %s, want IntLit", c.src, tok.Kind)
 			continue
@@ -89,7 +97,7 @@ func TestFloatLiterals(t *testing.T) {
 		{"1.5", 1.5}, {"0.25", 0.25}, {"2e3", 2000}, {"1.5e-2", 0.015}, {"3.0f", 3.0},
 	}
 	for _, c := range cases {
-		tok := New(c.src).Next()
+		tok := first(c.src)
 		if tok.Kind != token.FloatLit || tok.FloatVal != c.val {
 			t.Errorf("%q: got %s %v, want FloatLit %v", c.src, tok.Kind, tok.FloatVal, c.val)
 		}
@@ -97,7 +105,7 @@ func TestFloatLiterals(t *testing.T) {
 }
 
 func TestStringLiteralEscapes(t *testing.T) {
-	tok := New(`"a\nb\t\\\"\x41\0"`).Next()
+	tok := first(`"a\nb\t\\\"\x41\0"`)
 	if tok.Kind != token.StrLit {
 		t.Fatalf("kind = %s", tok.Kind)
 	}
@@ -115,7 +123,7 @@ func TestCharLiterals(t *testing.T) {
 		{"'a'", 'a'}, {"'\\n'", '\n'}, {"'\\0'", 0}, {"'\\xff'", -1},
 	}
 	for _, c := range cases {
-		tok := New(c.src).Next()
+		tok := first(c.src)
 		if tok.Kind != token.CharLit || tok.IntVal != c.val {
 			t.Errorf("%q: got %s %d, want CharLit %d", c.src, tok.Kind, tok.IntVal, c.val)
 		}
@@ -132,8 +140,9 @@ func TestComments(t *testing.T) {
 
 func TestPositions(t *testing.T) {
 	lx := New("int\n  x;")
-	t1 := lx.Next()
-	t2 := lx.Next()
+	var t1, t2 token.Token
+	lx.Next(&t1)
+	lx.Next(&t2)
 	if t1.Pos.Line != 1 || t1.Pos.Col != 1 {
 		t.Errorf("int at %s, want 1:1", t1.Pos)
 	}
@@ -143,7 +152,7 @@ func TestPositions(t *testing.T) {
 }
 
 func TestLineKeyword(t *testing.T) {
-	tok := New("__LINE__").Next()
+	tok := first("__LINE__")
 	if tok.Kind != token.KwLine {
 		t.Fatalf("kind = %s, want __LINE__", tok.Kind)
 	}
@@ -162,5 +171,18 @@ func TestUnterminatedString(t *testing.T) {
 	lx.All()
 	if len(lx.Errors()) == 0 {
 		t.Fatal("expected unterminated string error")
+	}
+}
+
+// TestErrorsCapped feeds a mebibyte of illegal characters: the lexer
+// keeps scanning to the end but records only MaxErrors errors.
+func TestErrorsCapped(t *testing.T) {
+	lx := New(strings.Repeat("@", 1<<20))
+	toks := lx.All()
+	if len(toks) != 1<<20+1 || toks[len(toks)-1].Kind != token.EOF {
+		t.Fatalf("got %d tokens, want one per byte plus EOF", len(toks))
+	}
+	if n := len(lx.Errors()); n != MaxErrors {
+		t.Fatalf("%d errors recorded, want %d", n, MaxErrors)
 	}
 }

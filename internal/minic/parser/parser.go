@@ -61,6 +61,9 @@ func numbered(src string) string {
 	return b.String()
 }
 
+// parser reads the lexer's token slice in place: cur, peek, next and
+// expect hand out pointers into it, and it is never resized once
+// parsing starts.
 type parser struct {
 	toks    []token.Token
 	pos     int
@@ -68,23 +71,23 @@ type parser struct {
 	structs map[string]*types.Type // forward-declared struct types
 }
 
-func (p *parser) cur() token.Token { return p.toks[p.pos] }
-func (p *parser) peek() token.Token {
+func (p *parser) cur() *token.Token { return &p.toks[p.pos] }
+func (p *parser) peek() *token.Token {
 	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
+		return &p.toks[p.pos+1]
 	}
-	return p.toks[len(p.toks)-1]
+	return &p.toks[len(p.toks)-1]
 }
 
-func (p *parser) next() token.Token {
-	t := p.toks[p.pos]
+func (p *parser) next() *token.Token {
+	t := &p.toks[p.pos]
 	if p.pos < len(p.toks)-1 {
 		p.pos++
 	}
 	return t
 }
 
-func (p *parser) at(k token.Kind) bool { return p.cur().Kind == k }
+func (p *parser) at(k token.Kind) bool { return p.toks[p.pos].Kind == k }
 
 func (p *parser) accept(k token.Kind) bool {
 	if p.at(k) {
@@ -94,16 +97,19 @@ func (p *parser) accept(k token.Kind) bool {
 	return false
 }
 
-func (p *parser) expect(k token.Kind) token.Token {
+// expect consumes a token of kind k. When the current token is
+// another kind it records an error and returns a stand-in token of
+// kind k at the current position, consuming nothing.
+func (p *parser) expect(k token.Kind) *token.Token {
 	if p.at(k) {
 		return p.next()
 	}
 	p.errorf(p.cur().Pos, "expected %s, found %s", k, p.cur())
-	return token.Token{Kind: k, Pos: p.cur().Pos}
+	return &token.Token{Kind: k, Pos: p.cur().Pos}
 }
 
 func (p *parser) errorf(pos token.Pos, format string, args ...any) {
-	if len(p.errs) < 25 {
+	if len(p.errs) < lexer.MaxErrors {
 		p.errs = append(p.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 	}
 }
@@ -207,7 +213,7 @@ func (p *parser) parseTopLevel(prog *ast.Program) {
 	p.expect(token.Semicolon)
 }
 
-func (p *parser) parseFuncRest(result *types.Type, name token.Token) *ast.FuncDecl {
+func (p *parser) parseFuncRest(result *types.Type, name *token.Token) *ast.FuncDecl {
 	f := &ast.FuncDecl{Name: name.Text, Result: result, NamePos: name.Pos}
 	p.expect(token.LParen)
 	if !p.at(token.RParen) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"compdiff/internal/minic/ast"
+	"compdiff/internal/minic/lexer"
 	"compdiff/internal/minic/types"
 )
 
@@ -283,4 +284,20 @@ int main() {
     return 0;
 }
 `)
+}
+
+// TestErrorTextBounded: each of the lexer and the parser records at
+// most lexer.MaxErrors errors, so a mebibyte of illegal characters
+// yields a few kilobytes of error text, not tens of megabytes.
+func TestErrorTextBounded(t *testing.T) {
+	_, err := Parse(strings.Repeat("@", 1<<20))
+	if err == nil {
+		t.Fatal("garbage source parsed")
+	}
+	if n := len(err.Error()); n > 8<<10 {
+		t.Fatalf("error text is %d bytes, want at most 8 KiB", n)
+	}
+	if n := strings.Count(err.Error(), "\n") + 1; n > 2*lexer.MaxErrors {
+		t.Fatalf("%d errors joined, want at most %d", n, 2*lexer.MaxErrors)
+	}
 }

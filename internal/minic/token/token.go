@@ -119,14 +119,50 @@ func (k Kind) String() string {
 	return fmt.Sprintf("token(%d)", int(k))
 }
 
-// Keywords maps keyword spellings to their token kinds.
-var Keywords = map[string]Kind{
-	"void": KwVoid, "char": KwChar, "int": KwInt, "long": KwLong,
-	"float": KwFloat, "double": KwDouble, "unsigned": KwUnsigned,
-	"struct": KwStruct, "if": KwIf, "else": KwElse, "while": KwWhile,
-	"for": KwFor, "return": KwReturn, "break": KwBreak,
-	"continue": KwContinue, "sizeof": KwSizeof, "static": KwStatic,
-	"const": KwConst, "__LINE__": KwLine,
+// Lookup returns the keyword kind spelled ident, or Ident when ident
+// is not a keyword. The lexer calls it for every identifier.
+func Lookup(ident string) Kind {
+	switch ident {
+	case "void":
+		return KwVoid
+	case "char":
+		return KwChar
+	case "int":
+		return KwInt
+	case "long":
+		return KwLong
+	case "float":
+		return KwFloat
+	case "double":
+		return KwDouble
+	case "unsigned":
+		return KwUnsigned
+	case "struct":
+		return KwStruct
+	case "if":
+		return KwIf
+	case "else":
+		return KwElse
+	case "while":
+		return KwWhile
+	case "for":
+		return KwFor
+	case "return":
+		return KwReturn
+	case "break":
+		return KwBreak
+	case "continue":
+		return KwContinue
+	case "sizeof":
+		return KwSizeof
+	case "static":
+		return KwStatic
+	case "const":
+		return KwConst
+	case "__LINE__":
+		return KwLine
+	}
+	return Ident
 }
 
 // Pos is a source position. Line and Col are 1-based.

@@ -21,15 +21,26 @@ func TestKindStrings(t *testing.T) {
 }
 
 func TestKeywordsComplete(t *testing.T) {
+	kinds := map[Kind]bool{}
 	for _, kw := range []string{"void", "char", "int", "long", "float",
 		"double", "unsigned", "struct", "if", "else", "while", "for",
 		"return", "break", "continue", "sizeof", "static", "const", "__LINE__"} {
-		if _, ok := Keywords[kw]; !ok {
+		k := Lookup(kw)
+		if k == Ident {
 			t.Errorf("missing keyword %q", kw)
 		}
+		if k.String() != kw {
+			t.Errorf("Lookup(%q) = %s", kw, k)
+		}
+		kinds[k] = true
 	}
-	if len(Keywords) != 19 {
-		t.Errorf("keywords = %d, want 19", len(Keywords))
+	if len(kinds) != 19 {
+		t.Errorf("keywords = %d, want 19", len(kinds))
+	}
+	for _, id := range []string{"", "x", "main", "Int", "in", "ints", "__LINE", "_"} {
+		if got := Lookup(id); got != Ident {
+			t.Errorf("Lookup(%q) = %s, want identifier", id, got)
+		}
 	}
 }
 

@@ -7,12 +7,13 @@
 // programs it has tried before) pay it again for every revisit. The
 // cache makes a revisit one 128-bit hash and a map probe.
 //
-// A miss runs the front end once and compiler.CompileAll, which
-// analyses the program once for all k configurations and lowers each
-// configuration into buffers it reuses. The record's byte cost counts
-// len(Code) of every lowered function; CompileAll retains each Code as
-// an exact-size copy, so the count is the live size, not the size of
-// a grown scratch buffer.
+// A miss runs the front end once, unless the caller hands in its own
+// checked result for the source (GetChecked), and then
+// compiler.CompileAll, which analyses the program once for all k
+// configurations and lowers each configuration into buffers it reuses.
+// The record's byte cost counts len(Code) of every lowered function;
+// CompileAll retains each Code as an exact-size copy, so the count is
+// the live size, not the size of a grown scratch buffer.
 //
 // A cached record is a pure function of the source text: the front
 // end and every lowering are deterministic, so serving a hit instead
@@ -72,16 +73,24 @@ func (c *Compiled) SizeBytes() int64 { return c.size }
 
 // Compile runs the shared front end once and then lowers under every
 // configuration through compiler.CompileAll, k-way in parallel when
-// parallelism > 1. This is the miss path; it is also usable
-// standalone as a guarded "compile under all configs" helper.
+// parallelism > 1. It is also usable standalone as a guarded "compile
+// under all configs" helper.
 func Compile(src string, cfgs []compiler.Config, parallelism int) *Compiled {
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return &Compiled{FrontendErr: err, size: recordOverhead + int64(len(err.Error()))}
-	}
-	info, err := sema.Check(prog)
-	if err != nil {
-		return &Compiled{FrontendErr: err, size: recordOverhead + int64(len(err.Error()))}
+	return compile(src, nil, cfgs, parallelism)
+}
+
+// compile is the miss path. info, when non-nil, is sema's result for
+// exactly src, already computed by the caller, and stands in for the
+// front end.
+func compile(src string, info *sema.Info, cfgs []compiler.Config, parallelism int) *Compiled {
+	if info == nil {
+		prog, err := parser.Parse(src)
+		if err != nil {
+			return &Compiled{FrontendErr: err, size: recordOverhead + int64(len(err.Error()))}
+		}
+		if info, err = sema.Check(prog); err != nil {
+			return &Compiled{FrontendErr: err, size: recordOverhead + int64(len(err.Error()))}
+		}
 	}
 	results := compiler.CompileAll(info, cfgs, parallelism)
 	c := &Compiled{Results: results, size: recordOverhead}
@@ -167,6 +176,15 @@ func New(budget int64) *Cache {
 // (parallelism-way) on a miss. The returned record is immutable and
 // remains valid regardless of later evictions.
 func (c *Cache) Get(src string, cfgs []compiler.Config, parallelism int) *Compiled {
+	return c.GetChecked(src, nil, cfgs, parallelism)
+}
+
+// GetChecked is Get for a caller that has already run the front end:
+// info, when non-nil, is sema's result for exactly src, and a miss
+// lowers it instead of parsing and checking src again. Hits ignore it.
+// The record is the same either way, as the front end is
+// deterministic.
+func (c *Cache) GetChecked(src string, info *sema.Info, cfgs []compiler.Config, parallelism int) *Compiled {
 	k := KeyOf(src)
 	c.mu.Lock()
 	if e := c.m[k]; e != nil {
@@ -179,7 +197,7 @@ func (c *Cache) Get(src string, cfgs []compiler.Config, parallelism int) *Compil
 	c.misses++
 	c.mu.Unlock()
 
-	v := Compile(src, cfgs, parallelism)
+	v := compile(src, info, cfgs, parallelism)
 
 	c.mu.Lock()
 	if e := c.m[k]; e != nil {

@@ -1,11 +1,11 @@
 package triage
 
 // AST-level reduction passes. Every pass is an *edit enumerator*: a
-// function that, given a freshly parsed program and an edit index k,
+// function that, given a program tree of its own and an edit index k,
 // applies the k-th edit of that pass in place and reports whether it
-// existed. The reducer re-parses the current best source before every
-// candidate, so edits mutate destructively and a rejected candidate
-// costs nothing to undo. Edits never have to be semantically safe on
+// existed. The reducer hands every candidate a fresh clone of the
+// current best program's tree, so edits mutate destructively and a
+// rejected candidate costs nothing to undo. Edits never have to be semantically safe on
 // their own — the printed candidate must re-parse, pass sema, and
 // reproduce the divergence fingerprint before it is accepted, so an
 // edit that breaks a use-def chain or a type is simply rejected.
@@ -233,7 +233,7 @@ func inlineLocalEdit(p *ast.Program, k int) bool {
 // shrink a literal toward zero / the empty string.
 //
 // Every variant is a deep clone, never a child pointer of e. Under
-// Reduce's reparse-per-candidate discipline aliasing was harmless (a
+// Reduce's clone-per-candidate discipline aliasing was harmless (a
 // rejected candidate's tree is thrown away), but these passes are also
 // run inverted and reused as in-place population mutators by
 // internal/evolve, where splicing e.X into an offspring while the

@@ -167,6 +167,10 @@ type reducer struct {
 	best      string
 	bestSuite *core.Suite
 	input     []byte
+	// bestProg is the unchecked parse of best, made once per accepted
+	// best (nil until a pass needs it). Passes edit clones of it and
+	// never the tree itself.
+	bestProg *ast.Program
 
 	// compileMode reduces against the compile-stage fingerprint: a
 	// candidate is accepted when it reproduces the same
@@ -228,8 +232,14 @@ func (r *reducer) tryProgramCompile(src string) bool {
 	if !ok || !fp.Equal(r.fp) {
 		return false
 	}
-	r.best = src
+	r.setBest(src)
 	return true
+}
+
+// setBest records an accepted candidate and drops the parse of the
+// previous best.
+func (r *reducer) setBest(src string) {
+	r.best, r.bestProg = src, nil
 }
 
 // run executes one differential suite run, charging the budget.
@@ -261,23 +271,32 @@ func (r *reducer) tryProgram(src string) bool {
 		return false
 	}
 	r.spares.Release(r.bestSuite)
-	r.best = src
+	r.setBest(src)
 	r.bestSuite = suite
 	return true
 }
 
 // reduceProgram runs one full round of AST passes over the current
 // best program, greedily accepting fingerprint-preserving edits.
-// Returns whether anything shrank.
+// Returns whether anything shrank. Every candidate is one edit applied
+// to a fresh clone of the best program's tree, so a rejected edit
+// needs no undo; the tree itself is parsed once per accepted best.
+// The printed candidate is still parsed and checked again by build:
+// positions, and with them __LINE__, come from the printed text, not
+// from the edited clone.
 func (r *reducer) reduceProgram() bool {
 	progress := false
 	for _, ps := range reductionPasses {
 		k := 0
 		for !r.exhausted() {
-			prog, err := parser.Parse(r.best)
-			if err != nil {
-				break // cannot happen for accepted sources; bail safely
+			if r.bestProg == nil {
+				prog, err := parser.Parse(r.best)
+				if err != nil {
+					break // cannot happen for accepted sources; bail safely
+				}
+				r.bestProg = prog
 			}
+			prog := ast.CloneProgram(r.bestProg)
 			if !ps.apply(prog, k) {
 				break // this pass's edits are exhausted
 			}

@@ -9,8 +9,8 @@
 #   outfile      defaults to BENCH_<YYYY-MM-DD>.json
 #   bench-regex  defaults to the perf-tracked set (differential
 #                overhead + suite hot path + batch/cache/campaign +
-#                compilation, lowering alone, machine construction
-#                and rebinding +
+#                compilation, lowering alone, the front end alone,
+#                machine construction and rebinding +
 #                the fuzzer loop on one B_fuzz machine + a steady-state
 #                checkpoint save)
 #   benchtime    defaults to 1s
@@ -71,7 +71,7 @@ if [ "${1:-}" = "-diff" ]; then
 fi
 
 OUT="${1:-BENCH_$(date +%Y-%m-%d).json}"
-BENCH="${2:-OverheadSingleBinary|OverheadRecommendedPair|OverheadFullTen|SuiteRunSequential|SuiteRunFast|SuiteRunParallel\$|SuiteRunBatch64|ProgCacheHit|CampaignFourShards|DifferentialRunListing1|CompileTenImplementations|LowerTenImplementations|MachineNew|MachineRebind|FuzzerExec|CheckpointSave}"
+BENCH="${2:-OverheadSingleBinary|OverheadRecommendedPair|OverheadFullTen|SuiteRunSequential|SuiteRunFast|SuiteRunParallel\$|SuiteRunBatch64|ProgCacheHit|CampaignFourShards|DifferentialRunListing1|CompileTenImplementations|LowerTenImplementations|ParseSema|MachineNew|MachineRebind|FuzzerExec|CheckpointSave}"
 BENCHTIME="${3:-1s}"
 
 RAW="$(mktemp)"

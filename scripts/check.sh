@@ -61,20 +61,33 @@ echo "== compiler lowering equivalence (-race)"
 go test -race -run 'TestLoweringMatchesParent|TestCompileAllMatchesCompileGuarded|TestSharedAnalysisPanicIsICE|TestRetainedCodeIsExact' \
 	-count=1 ./internal/compiler
 
+# The front-end equivalence gates: the lexer and parser must match the
+# parse digest pinned in internal/minic/parser/testdata, reductions the
+# reduce digest in internal/triage/testdata, and evolve campaigns
+# (fresh, and resumed from a checkpoint the parent wrote) the digest in
+# testdata; the printer must round-trip negative literals and
+# multi-declarator statements; the trees and checked front ends evolve
+# keeps must equal fresh parses; and a miss fed a checked front end
+# must equal a cold compile. Kept out of internal/difffuzz, whose
+# -race suite is the slow one.
+echo "== front-end equivalence (-race)"
+go test -race -run 'TestParseMatchesParent|TestErrorTextBounded|TestErrorsCapped|TestPrintNegativeLiteralOperands|TestPrintMultiDeclarators|TestReduceMatchesParent|TestEvolveMatchesParent|TestEvolveResumesParentCheckpoint|TestMutateTreesMatchParse|TestGetCheckedMatchesCompile' \
+	-count=1 ./internal/minic/... ./internal/triage ./internal/evolve ./internal/progcache .
+
 # Benchmark smoke: the headline hot-path benchmark must still run (10
 # iterations — correctness of the harness, not a timing gate).
 echo "== bench smoke (BenchmarkOverheadFullTen, 10x)"
 go test -run='^$' -bench='^BenchmarkOverheadFullTen$' -benchtime=10x -benchmem .
 
 # Batch/cache/construction bench smoke: the persistent-mode batch
-# executor, the compiled-program cache, the machine-construction and
-# checkpoint-save and lowering benchmarks must exist and produce rows
-# bench.sh can parse into the trajectory record (guards both the
-# benchmarks and the bench.sh JSON pipeline).
-echo "== bench smoke (SuiteRunBatch64 + ProgCacheHit + MachineNew + MachineRebind + FuzzerExec + CheckpointSave + LowerTenImplementations via bench.sh)"
+# executor, the compiled-program cache, the machine-construction,
+# checkpoint-save, lowering and front-end benchmarks must exist and
+# produce rows bench.sh can parse into the trajectory record (guards
+# both the benchmarks and the bench.sh JSON pipeline).
+echo "== bench smoke (SuiteRunBatch64 + ProgCacheHit + MachineNew + MachineRebind + FuzzerExec + CheckpointSave + LowerTenImplementations + ParseSema via bench.sh)"
 BENCH_SMOKE_JSON="$(mktemp)"
-scripts/bench.sh "$BENCH_SMOKE_JSON" 'SuiteRunBatch64|ProgCacheHit|MachineNew|MachineRebind|FuzzerExec|CheckpointSave|LowerTenImplementations' 10x >/dev/null 2>&1
-for b in BenchmarkSuiteRunBatch64 BenchmarkProgCacheHit BenchmarkMachineNew BenchmarkMachineRebind BenchmarkFuzzerExec BenchmarkCheckpointSave BenchmarkLowerTenImplementations; do
+scripts/bench.sh "$BENCH_SMOKE_JSON" 'SuiteRunBatch64|ProgCacheHit|MachineNew|MachineRebind|FuzzerExec|CheckpointSave|LowerTenImplementations|ParseSema' 10x >/dev/null 2>&1
+for b in BenchmarkSuiteRunBatch64 BenchmarkProgCacheHit BenchmarkMachineNew BenchmarkMachineRebind BenchmarkFuzzerExec BenchmarkCheckpointSave BenchmarkLowerTenImplementations BenchmarkParseSema; do
 	grep -q "\"name\": \"$b\", \"ns_per_op\": [0-9]" "$BENCH_SMOKE_JSON" || {
 		echo "bench smoke: $b missing from bench.sh output" >&2
 		cat "$BENCH_SMOKE_JSON" >&2
