@@ -8,6 +8,9 @@ package compdiff_test
 
 import (
 	"context"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"compdiff"
@@ -23,6 +26,7 @@ import (
 	"compdiff/internal/progen"
 	"compdiff/internal/targets"
 	"compdiff/internal/telemetry"
+	"compdiff/internal/triage"
 	"compdiff/internal/vm"
 )
 
@@ -486,6 +490,53 @@ func BenchmarkParseSema(b *testing.B) {
 
 // frontEndSink keeps BenchmarkParseSema's results observable.
 var frontEndSink *sema.Info
+
+// BenchmarkReduceGolden is the reducer alone: one op is triage.Reduce
+// of each of the nine golden triage_* and compile_* reproducers, with
+// default options, as compdiff-reduce runs them. Candidate rebuilds,
+// candidate suite runs and the step cap on looping candidates are all
+// inside it.
+func BenchmarkReduceGolden(b *testing.B) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "golden", "*.mc"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	type finding struct {
+		src   string
+		input []byte
+	}
+	var findings []finding
+	for _, p := range paths {
+		name := filepath.Base(p)
+		if !strings.HasPrefix(name, "triage_") && !strings.HasPrefix(name, "compile_") {
+			continue
+		}
+		src, err := os.ReadFile(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		input, err := os.ReadFile(strings.TrimSuffix(p, ".mc") + ".input")
+		if err != nil && !os.IsNotExist(err) {
+			b.Fatal(err)
+		}
+		findings = append(findings, finding{string(src), input})
+	}
+	if len(findings) != 9 {
+		b.Fatalf("%d golden reproducers, want 9", len(findings))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range findings {
+			if reductionSink, err = triage.Reduce(f.src, f.input, triage.ReduceOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// reductionSink keeps BenchmarkReduceGolden's results observable.
+var reductionSink *triage.Reduction
 
 // BenchmarkFuzzerExec is the fuzzer loop alone on one B_fuzz machine:
 // jq's instrumented binary under fuzz.New, b.N executions with no

@@ -253,7 +253,24 @@ var digestPool = sync.Pool{New: func() any { return new(hash.Digest) }}
 // Options.Parallelism > 1 the k executions fan out across a worker
 // pool; the outcome is positionally identical either way.
 func (s *Suite) Run(input []byte) *Outcome {
-	return s.run(input, true)
+	return s.run(input, true, 0)
+}
+
+// RunCapped is Run with every binary bounded by a one-off step limit
+// of limit, and without the RQ6 re-runs: it returns nil as soon as any
+// binary exits with vm.StepLimit under limit. Sequentially it stops at
+// the first such binary; the binaries not yet started then get a
+// one-step run instead of a full one (see runCapped). An outcome it
+// does return equals Run's whenever limit is at most
+// Options.StepLimit: a run that finishes within a limit finishes
+// identically under any larger one, and the RQ6 loop only acts on
+// step-limit exits. A non-positive limit means Options.StepLimit, as
+// in vm.Machine.RunSharedWithLimit.
+func (s *Suite) RunCapped(input []byte, limit int64) *Outcome {
+	if limit <= 0 {
+		limit = s.opts.StepLimit
+	}
+	return s.run(input, true, limit)
 }
 
 // RunFast is the fuzzing fast path: identical execution, hashing, and
@@ -264,7 +281,7 @@ func (s *Suite) Run(input []byte) *Outcome {
 // diverged (the paper's report-only-on-disagreement flow) and is nil
 // otherwise; everything else on the Outcome is always populated.
 func (s *Suite) RunFast(input []byte) *Outcome {
-	return s.run(input, false)
+	return s.run(input, false, 0)
 }
 
 // RunBatch is the persistent-mode batch executor: it borrows one warm
@@ -286,7 +303,7 @@ func (s *Suite) RunBatch(inputs [][]byte, dst []*Outcome) []*Outcome {
 	sc := s.borrow()
 	defer s.park(sc)
 	for _, input := range inputs {
-		dst = append(dst, s.runWith(sc, input, false))
+		dst = append(dst, s.runWith(sc, input, false, 0))
 	}
 	return dst
 }
@@ -317,77 +334,35 @@ func (s *Suite) park(sc *runScratch) {
 	}
 }
 
-func (s *Suite) run(input []byte, materialize bool) *Outcome {
+func (s *Suite) run(input []byte, materialize bool, limit int64) *Outcome {
 	sc := s.borrow()
 	defer s.park(sc)
-	return s.runWith(sc, input, materialize)
+	return s.runWith(sc, input, materialize, limit)
 }
 
 // runWith is the differential execution core, operating on an
-// already-borrowed machine set.
-func (s *Suite) runWith(sc *runScratch, input []byte, materialize bool) *Outcome {
-	out := &Outcome{Input: input}
-	k := len(s.Impls)
+// already-borrowed machine set. A positive limit is RunCapped's step
+// cap: the binaries run under it with no RQ6 re-runs, and the outcome
+// is nil if any of them hits it.
+func (s *Suite) runWith(sc *runScratch, input []byte, materialize bool, limit int64) *Outcome {
+	if limit > 0 {
+		if !s.runCapped(sc, input, limit) {
+			return nil
+		}
+	} else {
+		s.runAll(sc, input)
+	}
 	// shared holds machine-owned results (vm.RunShared): valid while
 	// the machines stay borrowed.
-	machines, shared := sc.machines, sc.shared
-	if m := s.opts.Metrics; m != nil {
-		s.forEachTimed(k, func(i int) {
-			shared[i] = machines[i].RunShared(input)
-		}, func(idxs []int, elapsed time.Duration) {
-			s.observeChain(m, shared, idxs, elapsed)
-		})
-	} else {
-		s.forEach(k, func(i int) {
-			shared[i] = machines[i].RunShared(input)
-		})
-	}
-
-	// Partial-timeout policy (RQ6): when only some binaries hit the
-	// step limit, their truncated output is not comparable. Re-run the
-	// timed-out ones with a growing budget; only if they still exceed
-	// it do we report (flagged for manual scrutiny).
-	retries := 0
-	for retries < s.opts.MaxTimeoutRetries {
-		var rerun []int
-		finished := 0
-		for i, r := range shared {
-			if r.Exit == vm.StepLimit {
-				rerun = append(rerun, i)
-			} else {
-				finished++
-			}
-		}
-		if len(rerun) == 0 || finished == 0 {
-			break
-		}
-		retries++
-		budget := growBudget(s.opts.StepLimit, retries)
-		if m := s.opts.Metrics; m != nil {
-			s.forEachTimed(len(rerun), func(j int) {
-				i := rerun[j]
-				shared[i] = machines[i].RunSharedWithLimit(input, budget)
-			}, func(jdxs []int, elapsed time.Duration) {
-				idxs := make([]int, len(jdxs))
-				for x, j := range jdxs {
-					idxs[x] = rerun[j]
-				}
-				s.observeChain(m, shared, idxs, elapsed)
-			})
-		} else {
-			s.forEach(len(rerun), func(j int) {
-				i := rerun[j]
-				shared[i] = machines[i].RunSharedWithLimit(input, budget)
-			})
-		}
-	}
+	shared := sc.shared
+	out := &Outcome{Input: input}
 	for _, r := range shared {
 		if r.Exit == vm.StepLimit {
 			out.TimeoutSuspect = true
 		}
 	}
 
-	out.Hashes = make([]uint64, k)
+	out.Hashes = make([]uint64, len(shared))
 	if s.opts.Normalizer == nil {
 		// Small outputs (the overwhelming fuzzing case) are checksummed
 		// via one canonical encode into the scratch's warm buffer and a
@@ -435,6 +410,106 @@ func (s *Suite) runWith(sc *runScratch, input []byte, materialize bool) *Outcome
 		out.Results = cloneResults(shared)
 	}
 	return out
+}
+
+// runAll runs input on every binary of the borrowed set under the
+// configured step limit, then applies the partial-timeout policy
+// (RQ6): when only some binaries hit the step limit, their truncated
+// output is not comparable. Re-run the timed-out ones with a growing
+// budget; only if they still exceed it do we report (flagged for
+// manual scrutiny).
+func (s *Suite) runAll(sc *runScratch, input []byte) {
+	machines, shared := sc.machines, sc.shared
+	k := len(machines)
+	if m := s.opts.Metrics; m != nil {
+		s.forEachTimed(k, func(i int) {
+			shared[i] = machines[i].RunShared(input)
+		}, func(idxs []int, elapsed time.Duration) {
+			s.observeChain(m, shared, idxs, elapsed)
+		})
+	} else {
+		s.forEach(k, func(i int) {
+			shared[i] = machines[i].RunShared(input)
+		})
+	}
+
+	retries := 0
+	for retries < s.opts.MaxTimeoutRetries {
+		var rerun []int
+		finished := 0
+		for i, r := range shared {
+			if r.Exit == vm.StepLimit {
+				rerun = append(rerun, i)
+			} else {
+				finished++
+			}
+		}
+		if len(rerun) == 0 || finished == 0 {
+			break
+		}
+		retries++
+		budget := growBudget(s.opts.StepLimit, retries)
+		if m := s.opts.Metrics; m != nil {
+			s.forEachTimed(len(rerun), func(j int) {
+				i := rerun[j]
+				shared[i] = machines[i].RunSharedWithLimit(input, budget)
+			}, func(jdxs []int, elapsed time.Duration) {
+				idxs := make([]int, len(jdxs))
+				for x, j := range jdxs {
+					idxs[x] = rerun[j]
+				}
+				s.observeChain(m, shared, idxs, elapsed)
+			})
+		} else {
+			s.forEach(len(rerun), func(j int) {
+				i := rerun[j]
+				shared[i] = machines[i].RunSharedWithLimit(input, budget)
+			})
+		}
+	}
+}
+
+// runCapped runs input on every binary of the borrowed set under a
+// one-off step limit and reports whether all of them finished within
+// it. Once one binary hits the limit the outcome is decided, so the
+// binaries not yet started do not run the program: each gets a
+// one-step run instead. That run still counts on the machine's run
+// counter (the seed of the time_now builtin), so every machine counts
+// exactly one run per call, as under Run when every binary times out,
+// whichever binary stopped first and on whichever worker. Metrics see
+// only the full runs.
+func (s *Suite) runCapped(sc *runScratch, input []byte, limit int64) bool {
+	machines, shared := sc.machines, sc.shared
+	var hit atomic.Bool
+	run := func(i int) bool {
+		if hit.Load() {
+			shared[i] = machines[i].RunSharedWithLimit(input, 1)
+			return false
+		}
+		shared[i] = machines[i].RunSharedWithLimit(input, limit)
+		if shared[i].Exit == vm.StepLimit {
+			hit.Store(true)
+		}
+		return true
+	}
+	k := len(machines)
+	if m := s.opts.Metrics; m != nil {
+		full := make([]bool, k)
+		s.forEachTimed(k, func(i int) {
+			full[i] = run(i)
+		}, func(idxs []int, elapsed time.Duration) {
+			ran := make([]int, 0, len(idxs))
+			for _, i := range idxs {
+				if full[i] {
+					ran = append(ran, i)
+				}
+			}
+			s.observeChain(m, shared, ran, elapsed)
+		})
+	} else {
+		s.forEach(k, func(i int) { run(i) })
+	}
+	return !hit.Load()
 }
 
 // cloneResults materializes machine-owned results into independent

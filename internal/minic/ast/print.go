@@ -282,7 +282,8 @@ func (p *printer) expr(e Expr) {
 		}
 		if isUnsignedLit(e) {
 			p.buf.WriteByte('U')
-		} else if e.T != nil && e.T.Kind == types.Long {
+		}
+		if e.T != nil && (e.T.Kind == types.Long || e.T.Kind == types.ULong) {
 			p.buf.WriteByte('L')
 		}
 	case *FloatLit:
@@ -369,7 +370,8 @@ func (p *printer) expr(e Expr) {
 }
 
 // isUnsignedLit reports whether an integer literal prints with a U
-// suffix (and so never with a minus sign).
+// suffix (and so never with a minus sign); an unsigned long one prints
+// UL.
 func isUnsignedLit(e *IntLit) bool {
 	return e.T != nil && !e.T.IsSigned() && e.T.IsInteger()
 }

@@ -9,6 +9,8 @@ import (
 	"compdiff/internal/minic/ast"
 	"compdiff/internal/minic/parser"
 	"compdiff/internal/minic/sema"
+	"compdiff/internal/telemetry"
+	"compdiff/internal/vm"
 )
 
 // ReduceOptions configures a reduction.
@@ -82,6 +84,12 @@ var ErrNoDivergence = errors.New("triage: finding does not diverge")
 // Reduce is deterministic: same finding, same options, same result,
 // regardless of Suite.Parallelism.
 func Reduce(src string, input []byte, opts ReduceOptions) (*Reduction, error) {
+	red, _, err := reduce(src, input, opts)
+	return red, err
+}
+
+// reduce is Reduce, also returning the reducer for in-package tests.
+func reduce(src string, input []byte, opts ReduceOptions) (*Reduction, *reducer, error) {
 	cfgs := opts.Configs
 	if len(cfgs) == 0 {
 		cfgs = compiler.DefaultSet()
@@ -94,7 +102,7 @@ func Reduce(src string, input []byte, opts ReduceOptions) (*Reduction, error) {
 
 	suite, co, err := r.buildDifferential(src)
 	if err != nil {
-		return nil, fmt.Errorf("triage: baseline: %w", err)
+		return nil, r, fmt.Errorf("triage: baseline: %w", err)
 	}
 	if fp, ok := OfCompile(co); ok {
 		// Compile-stage finding: the program itself is the reproducer.
@@ -117,20 +125,22 @@ func Reduce(src string, input []byte, opts ReduceOptions) (*Reduction, error) {
 			OrigInputBytes:  len(input),
 			SuiteRuns:       r.runs,
 			Builds:          r.builds,
-		}, nil
+		}, r, nil
 	}
 	if suite == nil {
 		// Uniformly rejected program: nothing diverges.
-		return nil, ErrNoDivergence
+		return nil, r, ErrNoDivergence
 	}
 	base := r.run(suite, input)
 	if base == nil || !base.Diverged {
-		return nil, ErrNoDivergence
+		return nil, r, ErrNoDivergence
 	}
 	r.fp = Of(base)
 	r.best = src
 	r.bestSuite = suite
 	r.input = input
+	r.capSteps = capEnabled(r.fp)
+	r.setBestSteps(base)
 
 	// Alternate program and input reduction until a full round makes
 	// no progress (or the budget runs dry). Program first: dropping
@@ -151,7 +161,7 @@ func Reduce(src string, input []byte, opts ReduceOptions) (*Reduction, error) {
 		OrigInputBytes:  len(input),
 		SuiteRuns:       r.runs,
 		Builds:          r.builds,
-	}, nil
+	}, r, nil
 }
 
 // reducer carries one reduction's state.
@@ -179,8 +189,78 @@ type reducer struct {
 	// charged against the budget like a suite run.
 	compileMode bool
 
+	// capSteps says whether candidates run under the step cap (see
+	// stepCap); bestSteps is the largest step count among the current
+	// best's k results.
+	capSteps  bool
+	bestSteps int64
+	// cappedRuns counts the candidates run under the step cap, and
+	// capRejects those the cap rejected.
+	cappedRuns, capRejects int
+
 	runs   int
 	builds int
+}
+
+// The candidate step cap. Each candidate runs with every binary
+// bounded by capFactor times the current best's step count, and at
+// least capFloor steps; a candidate that hits the cap in any binary is
+// rejected there, so an edit that leaves an infinite loop costs a few
+// hundred thousand steps instead of ten full step limits. A run that
+// finishes within the cap is exactly the run the uncapped suite would
+// make, so the cap only ever rejects: it changes a reduction only if
+// some candidate needing more than capFactor times the best's steps
+// would have reproduced the finding (DESIGN §8.6).
+const (
+	capFactor = 8
+	capFloor  = 64 << 10
+)
+
+// capOff switches the step cap off, for tests that compare a
+// reduction against its uncapped twin.
+var capOff bool
+
+// capEnabled reports whether a finding's candidates may run capped.
+// Step-limit findings may not: a binary of theirs must time out, and a
+// capped run rejects every candidate in which one does.
+func capEnabled(fp Fingerprint) bool {
+	if capOff {
+		return false
+	}
+	for _, c := range fp.Classes {
+		if c == uint8(telemetry.ClassStepLimitHang) {
+			return false
+		}
+	}
+	return true
+}
+
+// setBestSteps records the step count of a new best's outcome.
+func (r *reducer) setBestSteps(o *core.Outcome) {
+	r.bestSteps = 0
+	for _, res := range o.Results {
+		r.bestSteps = max(r.bestSteps, res.Steps)
+	}
+}
+
+// stepCap returns the step limit a candidate runs under, or 0 for the
+// ordinary uncapped run. A cap at or above the suite's own step limit
+// runs uncapped: the capped path drops the RQ6 re-runs, so it could
+// otherwise finish a candidate the ordinary path times out, and a best
+// that needed those re-runs keeps them.
+func (r *reducer) stepCap() int64 {
+	if !r.capSteps {
+		return 0
+	}
+	limit := r.sopts.StepLimit
+	if limit <= 0 {
+		limit = vm.DefaultStepLimit
+	}
+	c := max(capFactor*r.bestSteps, capFloor)
+	if c >= limit {
+		return 0
+	}
+	return c
 }
 
 func (r *reducer) exhausted() bool { return r.runs >= r.budget }
@@ -252,6 +332,23 @@ func (r *reducer) run(s *core.Suite, input []byte) *core.Outcome {
 	return s.Run(input)
 }
 
+// runCandidate is run under the step cap: it also returns nil when
+// the cap rejected the candidate, which is charged one suite run all
+// the same.
+func (r *reducer) runCandidate(s *core.Suite, input []byte) *core.Outcome {
+	c := r.stepCap()
+	if c == 0 || r.exhausted() {
+		return r.run(s, input)
+	}
+	r.runs++
+	r.cappedRuns++
+	o := s.RunCapped(input, c)
+	if o == nil {
+		r.capRejects++
+	}
+	return o
+}
+
 // tryProgram evaluates one candidate source. Accepting updates best
 // and bestSuite.
 func (r *reducer) tryProgram(src string) bool {
@@ -265,7 +362,7 @@ func (r *reducer) tryProgram(src string) bool {
 	if err != nil {
 		return false // does not parse or does not check: rejected free
 	}
-	o := r.run(suite, r.input)
+	o := r.runCandidate(suite, r.input)
 	if o == nil || !o.Diverged || !Of(o).Equal(r.fp) {
 		r.spares.Release(suite)
 		return false
@@ -273,6 +370,7 @@ func (r *reducer) tryProgram(src string) bool {
 	r.spares.Release(r.bestSuite)
 	r.setBest(src)
 	r.bestSuite = suite
+	r.setBestSteps(o)
 	return true
 }
 
@@ -317,11 +415,12 @@ func (r *reducer) tryInput(cand []byte) bool {
 	if len(cand) >= len(r.input) {
 		return false
 	}
-	o := r.run(r.bestSuite, cand)
+	o := r.runCandidate(r.bestSuite, cand)
 	if o == nil || !o.Diverged || !Of(o).Equal(r.fp) {
 		return false
 	}
 	r.input = append([]byte(nil), cand...)
+	r.setBestSteps(o)
 	return true
 }
 

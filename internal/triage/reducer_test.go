@@ -239,21 +239,36 @@ func TestReduceRejectsBrokenSource(t *testing.T) {
 // result — source, input, fingerprint, and even the budget spent — is
 // identical whether candidate suites execute sequentially or on four
 // workers. Divergence checksums are deterministic per implementation,
-// so parallelism must only change wall-clock.
+// so parallelism must only change wall-clock. The looping case holds
+// the step cap to the same rule: where a capped candidate stops must
+// not depend on the worker count.
 func TestReduceDeterministicAcrossParallelism(t *testing.T) {
-	tc := reduceCases[1]
-	seq, err := Reduce(tc.src, tc.input, ReduceOptions{Suite: core.Options{Parallelism: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Reduce(tc.src, tc.input, ReduceOptions{Suite: core.Options{Parallelism: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Source != par.Source || string(seq.Input) != string(par.Input) {
-		t.Fatalf("parallelism changed the reduction:\nseq:\n%s\npar:\n%s", seq.Source, par.Source)
-	}
-	if !seq.Fingerprint.Equal(par.Fingerprint) || seq.SuiteRuns != par.SuiteRuns {
-		t.Fatalf("parallelism changed fingerprint or cost: %d vs %d runs", seq.SuiteRuns, par.SuiteRuns)
+	for _, tc := range []struct {
+		name string
+		src  string
+		cap  bool
+	}{
+		{reduceCases[1].name, reduceCases[1].src, false},
+		{"looping", loopingSrc, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seq, rs, err := reduce(tc.src, nil, ReduceOptions{Suite: core.Options{Parallelism: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, rp, err := reduce(tc.src, nil, ReduceOptions{Suite: core.Options{Parallelism: 4}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq.Source != par.Source || string(seq.Input) != string(par.Input) {
+				t.Fatalf("parallelism changed the reduction:\nseq:\n%s\npar:\n%s", seq.Source, par.Source)
+			}
+			if !seq.Fingerprint.Equal(par.Fingerprint) || seq.SuiteRuns != par.SuiteRuns {
+				t.Fatalf("parallelism changed fingerprint or cost: %d vs %d runs", seq.SuiteRuns, par.SuiteRuns)
+			}
+			if tc.cap && (rs.capRejects == 0 || rs.capRejects != rp.capRejects) {
+				t.Fatalf("cap rejections: %d sequential, %d parallel; want equal and nonzero", rs.capRejects, rp.capRejects)
+			}
+		})
 	}
 }

@@ -7,11 +7,18 @@ package vm_test
 // run to run without reconstruction.
 
 import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"compdiff/internal/compiler"
 	"compdiff/internal/minic/parser"
 	"compdiff/internal/minic/sema"
+	"compdiff/internal/progen"
+	"compdiff/internal/targets"
 	"compdiff/internal/vm"
 )
 
@@ -155,5 +162,108 @@ func TestStepLimitBatchAccounting(t *testing.T) {
 	if r := fast.RunWithLimit(nil, natural-1); r.Exit != vm.StepLimit || r.Steps != natural {
 		t.Errorf("limit == natural-1: exit %v steps %d, want timeout at %d",
 			r.Exit, r.Steps, natural)
+	}
+}
+
+// TestLargerLimitKeepsFinishedRun is the premise of a capped suite
+// run (core.Suite.RunCapped): a run that finishes in S steps finishes
+// identically under every limit of at least S, and a limit of S-1
+// stops it with a timeout. Every golden program, target and progen
+// seed 1-40 runs on its seed inputs under all ten implementations,
+// plus the three sanitizer builds, on both interpreter loops. The
+// clock is pinned: time_now otherwise folds in the machine's run
+// counter, which every probe advances.
+func TestLargerLimitKeepsFinishedRun(t *testing.T) {
+	type build struct {
+		cfg compiler.Config
+		san vm.SanMode
+	}
+	var builds []build
+	for _, cfg := range compiler.DefaultSet() {
+		builds = append(builds, build{cfg, vm.SanNone})
+	}
+	for _, sc := range sanConfigs {
+		builds = append(builds, build{sc.cfg, sc.san})
+	}
+	clock := func(_ int64, call int) int64 { return 1_700_000_000 + int64(call) }
+	finished := 0
+	for _, p := range limitCorpus(t) {
+		info := sema.MustCheck(parser.MustParse(p.src))
+		for _, b := range builds {
+			bin := compiler.MustCompile(info, b.cfg)
+			for _, ref := range []bool{false, true} {
+				m := vm.New(bin, vm.Options{San: b.san, Reference: ref, TimeNow: clock})
+				for _, input := range p.inputs {
+					want := m.Run(input)
+					if want.Exit == vm.StepLimit {
+						continue
+					}
+					finished++
+					s := want.Steps
+					what := fmt.Sprintf("%s %s reference=%v input %q", p.name, b.cfg.Name(), ref, input)
+					for _, limit := range []int64{s, s + 1, 2 * s, vm.DefaultStepLimit} {
+						assertSameFinishedRun(t, fmt.Sprintf("%s limit %d", what, limit), want, m.RunWithLimit(input, limit))
+					}
+					if r := m.RunWithLimit(input, s-1); r.Exit != vm.StepLimit || r.Steps != s {
+						t.Fatalf("%s limit %d: exit %v steps %d, want a timeout at %d", what, s-1, r.Exit, r.Steps, s)
+					}
+				}
+			}
+		}
+	}
+	if finished == 0 {
+		t.Fatal("no corpus run finished; nothing was checked")
+	}
+	t.Logf("%d finished runs checked", finished)
+}
+
+// limitCorpus is every golden program that reaches the VM with its
+// pinned input (or none), every target with its seeds, and progen
+// seeds 1-40 on the empty input.
+func limitCorpus(t *testing.T) []selfTestProgram {
+	t.Helper()
+	srcs, err := filepath.Glob(filepath.Join("..", "..", "testdata", "golden", "*.mc"))
+	if err != nil || len(srcs) == 0 {
+		t.Fatalf("golden corpus unavailable: %v", err)
+	}
+	var progs []selfTestProgram
+	for _, srcPath := range srcs {
+		name := strings.TrimSuffix(filepath.Base(srcPath), ".mc")
+		if strings.HasPrefix(name, "compile_") {
+			continue
+		}
+		src, err := os.ReadFile(srcPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		input, _ := os.ReadFile(strings.TrimSuffix(srcPath, ".mc") + ".input")
+		progs = append(progs, selfTestProgram{name: name, src: string(src), inputs: [][]byte{input}})
+	}
+	for _, tg := range targets.All() {
+		progs = append(progs, selfTestProgram{name: tg.Name, src: tg.Src, inputs: tg.Seeds})
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		progs = append(progs, selfTestProgram{
+			name:   fmt.Sprintf("progen_%d", seed),
+			src:    progen.Generate(seed).Src,
+			inputs: [][]byte{nil},
+		})
+	}
+	return progs
+}
+
+// assertSameFinishedRun compares exit, code, stdout, stderr, steps and
+// sanitizer report.
+func assertSameFinishedRun(t *testing.T, what string, want, got *vm.Result) {
+	t.Helper()
+	if got.Exit != want.Exit || got.Code != want.Code || got.Steps != want.Steps {
+		t.Fatalf("%s: exit %v/%d steps %d, want %v/%d steps %d",
+			what, got.Exit, got.Code, got.Steps, want.Exit, want.Code, want.Steps)
+	}
+	if !bytes.Equal(got.Stdout, want.Stdout) || !bytes.Equal(got.Stderr, want.Stderr) {
+		t.Fatalf("%s: output %q/%q, want %q/%q", what, got.Stdout, got.Stderr, want.Stdout, want.Stderr)
+	}
+	if (got.San == nil) != (want.San == nil) || got.San != nil && got.San.String() != want.San.String() {
+		t.Fatalf("%s: sanitizer report %v, want %v", what, got.San, want.San)
 	}
 }

@@ -12,7 +12,7 @@
 #                compilation, lowering alone, the front end alone,
 #                machine construction and rebinding +
 #                the fuzzer loop on one B_fuzz machine + a steady-state
-#                checkpoint save)
+#                checkpoint save + reduction of the golden reproducers)
 #   benchtime    defaults to 1s
 #
 #        scripts/bench.sh -diff OLD.json NEW.json
@@ -71,7 +71,7 @@ if [ "${1:-}" = "-diff" ]; then
 fi
 
 OUT="${1:-BENCH_$(date +%Y-%m-%d).json}"
-BENCH="${2:-OverheadSingleBinary|OverheadRecommendedPair|OverheadFullTen|SuiteRunSequential|SuiteRunFast|SuiteRunParallel\$|SuiteRunBatch64|ProgCacheHit|CampaignFourShards|DifferentialRunListing1|CompileTenImplementations|LowerTenImplementations|ParseSema|MachineNew|MachineRebind|FuzzerExec|CheckpointSave}"
+BENCH="${2:-OverheadSingleBinary|OverheadRecommendedPair|OverheadFullTen|SuiteRunSequential|SuiteRunFast|SuiteRunParallel\$|SuiteRunBatch64|ProgCacheHit|CampaignFourShards|DifferentialRunListing1|CompileTenImplementations|LowerTenImplementations|ParseSema|MachineNew|MachineRebind|FuzzerExec|CheckpointSave|ReduceGolden}"
 BENCHTIME="${3:-1s}"
 
 RAW="$(mktemp)"

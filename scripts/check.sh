@@ -74,6 +74,17 @@ echo "== front-end equivalence (-race)"
 go test -race -run 'TestParseMatchesParent|TestErrorTextBounded|TestErrorsCapped|TestPrintNegativeLiteralOperands|TestPrintMultiDeclarators|TestReduceMatchesParent|TestEvolveMatchesParent|TestEvolveResumesParentCheckpoint|TestMutateTreesMatchParse|TestGetCheckedMatchesCompile' \
 	-count=1 ./internal/minic/... ./internal/triage ./internal/evolve ./internal/progcache .
 
+# The reducer step cap rests on one VM premise, that a run finishing
+# within a step limit finishes identically under any larger one; on
+# Suite.RunCapped equalling Run whenever it returns an outcome; and on
+# the reducer rejecting looping candidates at the cap with the same
+# reduction as the uncapped path, taking the uncapped path where it
+# must, at any parallelism. Kept out of internal/difffuzz, whose -race
+# suite is the slow one.
+echo "== reducer step cap (-race)"
+go test -race -run 'TestLargerLimitKeepsFinishedRun|TestRunCappedMatchesRun|TestRunCappedMetricsCountFullRuns|TestReduceStepCap|TestReduceDeterministicAcrossParallelism' \
+	-count=1 ./internal/vm ./internal/core ./internal/triage
+
 # Benchmark smoke: the headline hot-path benchmark must still run (10
 # iterations — correctness of the harness, not a timing gate).
 echo "== bench smoke (BenchmarkOverheadFullTen, 10x)"
@@ -81,13 +92,13 @@ go test -run='^$' -bench='^BenchmarkOverheadFullTen$' -benchtime=10x -benchmem .
 
 # Batch/cache/construction bench smoke: the persistent-mode batch
 # executor, the compiled-program cache, the machine-construction,
-# checkpoint-save, lowering and front-end benchmarks must exist and
+# checkpoint-save, lowering, front-end and reducer benchmarks must exist and
 # produce rows bench.sh can parse into the trajectory record (guards
 # both the benchmarks and the bench.sh JSON pipeline).
-echo "== bench smoke (SuiteRunBatch64 + ProgCacheHit + MachineNew + MachineRebind + FuzzerExec + CheckpointSave + LowerTenImplementations + ParseSema via bench.sh)"
+echo "== bench smoke (SuiteRunBatch64 + ProgCacheHit + MachineNew + MachineRebind + FuzzerExec + CheckpointSave + LowerTenImplementations + ParseSema + ReduceGolden via bench.sh)"
 BENCH_SMOKE_JSON="$(mktemp)"
-scripts/bench.sh "$BENCH_SMOKE_JSON" 'SuiteRunBatch64|ProgCacheHit|MachineNew|MachineRebind|FuzzerExec|CheckpointSave|LowerTenImplementations|ParseSema' 10x >/dev/null 2>&1
-for b in BenchmarkSuiteRunBatch64 BenchmarkProgCacheHit BenchmarkMachineNew BenchmarkMachineRebind BenchmarkFuzzerExec BenchmarkCheckpointSave BenchmarkLowerTenImplementations BenchmarkParseSema; do
+scripts/bench.sh "$BENCH_SMOKE_JSON" 'SuiteRunBatch64|ProgCacheHit|MachineNew|MachineRebind|FuzzerExec|CheckpointSave|LowerTenImplementations|ParseSema|ReduceGolden' 10x >/dev/null 2>&1
+for b in BenchmarkSuiteRunBatch64 BenchmarkProgCacheHit BenchmarkMachineNew BenchmarkMachineRebind BenchmarkFuzzerExec BenchmarkCheckpointSave BenchmarkLowerTenImplementations BenchmarkParseSema BenchmarkReduceGolden; do
 	grep -q "\"name\": \"$b\", \"ns_per_op\": [0-9]" "$BENCH_SMOKE_JSON" || {
 		echo "bench smoke: $b missing from bench.sh output" >&2
 		cat "$BENCH_SMOKE_JSON" >&2
