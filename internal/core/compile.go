@@ -180,11 +180,7 @@ func (sp *Spares) AssembleDifferential(results []compiler.Result, cfgs []compile
 		return nil, co, nil
 	}
 
-	s := &Suite{opts: opts}
-	for i, cfg := range cfgs {
-		s.Impls = append(s.Impls, sp.implementation(cfg, results[i].Prog, opts.StepLimit))
-	}
-	return s, co, nil
+	return sp.suite(results, cfgs, opts), co, nil
 }
 
 // BuildSourceDifferential parses, checks, and builds differentially.

@@ -29,58 +29,10 @@ import (
 )
 
 // Implementation is one compiler implementation with its compiled
-// binary and a free list of reusable executors.
+// binary.
 type Implementation struct {
 	Config compiler.Config
 	Prog   *ir.Program
-
-	stepLimit int64
-
-	// Machines are borrowed per run and returned afterwards
-	// (forkserver style: loaded once, memory reset between runs), so
-	// warm machines are reused with no per-run reallocation while
-	// concurrent Suite.Run calls never share mutable state. A
-	// single-slot atomic cache covers the dominant sequential case in
-	// two uncontended operations per borrow; the mutex-guarded free
-	// list (kept over sync.Pool so pooled machines survive GC cycles)
-	// backs it for concurrent runs.
-	fast atomic.Pointer[vm.Machine]
-	mu   sync.Mutex
-	free []*vm.Machine
-}
-
-// acquire returns a warm machine for this binary, creating one only
-// when every pooled machine is already in use.
-func (im *Implementation) acquire() *vm.Machine {
-	if m := im.fast.Swap(nil); m != nil {
-		return m
-	}
-	im.mu.Lock()
-	if n := len(im.free); n > 0 {
-		m := im.free[n-1]
-		im.free[n-1] = nil
-		im.free = im.free[:n-1]
-		im.mu.Unlock()
-		return m
-	}
-	im.mu.Unlock()
-	return im.newMachine()
-}
-
-// newMachine builds a machine for the implementation's binary: the one
-// constructor behind every free list.
-func (im *Implementation) newMachine() *vm.Machine {
-	return vm.New(im.Prog, vm.Options{StepLimit: im.stepLimit})
-}
-
-// release returns a machine to the pool for the next run.
-func (im *Implementation) release(m *vm.Machine) {
-	if im.fast.CompareAndSwap(nil, m) {
-		return
-	}
-	im.mu.Lock()
-	im.free = append(im.free, m)
-	im.mu.Unlock()
 }
 
 // Name returns the implementation name, e.g. "gcc -O2".
@@ -100,9 +52,9 @@ type Options struct {
 	// Parallelism is the number of worker goroutines each Run fans
 	// its k per-binary executions across. Values <= 1 keep the
 	// sequential path (byte-identical to the historical behavior).
-	// Suite.Run is safe for concurrent use at any setting: runs
-	// borrow machines from per-implementation free lists instead of
-	// mutating shared state, and outcomes are identical regardless of
+	// Suite.Run is safe for concurrent use at any setting: each run
+	// borrows a machine set of its own instead of mutating shared
+	// state, and outcomes are identical regardless of
 	// Parallelism for any program whose output does not depend on the
 	// wall clock.
 	Parallelism int
@@ -132,21 +84,25 @@ type Suite struct {
 	Impls []*Implementation
 	opts  Options
 
-	// scratch caches one complete borrow set — the k machines plus the
-	// slice that holds their shared results — so the sequential hot
-	// path checks machines in and out with two atomic operations
-	// instead of 2k, and reuses the slices. Concurrent runs fall back
-	// to the per-implementation free lists.
-	scratch atomic.Pointer[runScratch]
+	// idle holds the machine sets no run has borrowed. Machines are
+	// reused forkserver style — each binary loaded once, its memory
+	// reset between runs — and only ever as a complete set, so the set
+	// is the unit of reuse: a run pops one (or builds one when every
+	// set is in use) and pushes it back when it returns, and
+	// concurrent runs never share mutable state.
+	mu   sync.Mutex
+	idle []*machineSet
 }
 
-// runScratch is one run's borrow set: a machine per implementation,
-// the result slots they fill, and a warm encode buffer for the
-// small-output checksum fast path.
-type runScratch struct {
-	machines []*vm.Machine
-	shared   []*vm.Result
-	enc      []byte
+// machineSet is one run's borrow: a machine per implementation, the
+// result slots they fill, and a warm encode buffer for the
+// small-output checksum fast path. stepLimit is the limit the machines
+// were built with.
+type machineSet struct {
+	machines  []*vm.Machine
+	shared    []*vm.Result
+	enc       []byte
+	stepLimit int64
 }
 
 // Build compiles the checked program under every configuration.
@@ -168,11 +124,7 @@ func (sp *Spares) Build(info *sema.Info, cfgs []compiler.Config, opts Options) (
 			return nil, res.Err
 		}
 	}
-	s := &Suite{opts: opts}
-	for i, cfg := range cfgs {
-		s.Impls = append(s.Impls, sp.implementation(cfg, results[i].Prog, opts.StepLimit))
-	}
-	return s, nil
+	return sp.suite(results, cfgs, opts), nil
 }
 
 // BuildSource parses, checks, and builds in one step.
@@ -238,7 +190,7 @@ func (o *Outcome) Signature() uint64 {
 // canonical output (the value golden files pin).
 const outputHashSeed = 0xaf1d
 
-// smallEncodeLimit bounds the output size hashed via the scratch
+// smallEncodeLimit bounds the output size hashed via the machine set's
 // encode buffer; larger outputs stream through the digest instead of
 // being copied.
 const smallEncodeLimit = 4096
@@ -287,74 +239,87 @@ func (s *Suite) RunFast(input []byte) *Outcome {
 // RunBatch is the persistent-mode batch executor: it borrows one warm
 // machine set, runs every input in order against it (dirty-page reset
 // between inputs happens inside each machine), and parks the set once
-// at the end — the borrow/park atomics and scratch lookups leave the
-// per-exec path entirely. Each input gets exactly the RunFast
+// at the end, so the borrow and park leave the per-exec path
+// entirely. Each input gets exactly the RunFast
 // treatment (same machines, same retry policy, same checksums), so a
 // batch of N is byte-identical to N sequential RunFast calls; the
 // differential self-test layer pins that equivalence. One outcome per
 // input is appended to dst (reusable across calls) and the extended
 // slice returned. Outcomes of diverged inputs are materialized;
-// callers that retain them must also stop reusing the input buffers,
-// as Outcome.Input aliases the caller's slice.
+// Outcome.Input aliases the caller's slice, so a caller that retains
+// an outcome must not reuse its input buffer.
 func (s *Suite) RunBatch(inputs [][]byte, dst []*Outcome) []*Outcome {
 	if len(inputs) == 0 {
 		return dst
 	}
-	sc := s.borrow()
-	defer s.park(sc)
+	set := s.borrow()
+	defer s.park(set)
 	for _, input := range inputs {
-		dst = append(dst, s.runWith(sc, input, false, 0))
+		dst = append(dst, s.runWith(set, input, false, 0))
 	}
 	return dst
 }
 
-// borrow checks out one complete machine set, preferring the parked
-// scratch (two atomics) over the per-implementation free lists.
-func (s *Suite) borrow() *runScratch {
-	sc := s.scratch.Swap(nil)
-	if sc == nil {
-		sc = &runScratch{
-			machines: make([]*vm.Machine, len(s.Impls)),
-			shared:   make([]*vm.Result, len(s.Impls)),
-		}
-		for i, im := range s.Impls {
-			sc.machines[i] = im.acquire()
-		}
+// borrow checks out an idle machine set, or builds one when every set
+// is in use.
+func (s *Suite) borrow() *machineSet {
+	s.mu.Lock()
+	if n := len(s.idle); n > 0 {
+		set := s.idle[n-1]
+		s.idle[n-1] = nil
+		s.idle = s.idle[:n-1]
+		s.mu.Unlock()
+		return set
 	}
-	return sc
+	s.mu.Unlock()
+	return s.newSet()
 }
 
-// park returns a borrow set; if another run parked its set first the
-// machines go back to their implementations' free lists.
-func (s *Suite) park(sc *runScratch) {
-	if !s.scratch.CompareAndSwap(nil, sc) {
-		for i, im := range s.Impls {
-			im.release(sc.machines[i])
-		}
+// park returns a borrowed set for the next run.
+func (s *Suite) park(set *machineSet) {
+	s.mu.Lock()
+	s.idle = append(s.idle, set)
+	s.mu.Unlock()
+}
+
+// newSet builds a machine for every binary of the suite.
+func (s *Suite) newSet() *machineSet {
+	set := &machineSet{
+		machines:  make([]*vm.Machine, len(s.Impls)),
+		shared:    make([]*vm.Result, len(s.Impls)),
+		stepLimit: s.opts.StepLimit,
 	}
+	for i, im := range s.Impls {
+		set.machines[i] = s.newMachine(im)
+	}
+	return set
+}
+
+func (s *Suite) newMachine(im *Implementation) *vm.Machine {
+	return vm.New(im.Prog, vm.Options{StepLimit: s.opts.StepLimit})
 }
 
 func (s *Suite) run(input []byte, materialize bool, limit int64) *Outcome {
-	sc := s.borrow()
-	defer s.park(sc)
-	return s.runWith(sc, input, materialize, limit)
+	set := s.borrow()
+	defer s.park(set)
+	return s.runWith(set, input, materialize, limit)
 }
 
 // runWith is the differential execution core, operating on an
 // already-borrowed machine set. A positive limit is RunCapped's step
 // cap: the binaries run under it with no RQ6 re-runs, and the outcome
 // is nil if any of them hits it.
-func (s *Suite) runWith(sc *runScratch, input []byte, materialize bool, limit int64) *Outcome {
+func (s *Suite) runWith(set *machineSet, input []byte, materialize bool, limit int64) *Outcome {
 	if limit > 0 {
-		if !s.runCapped(sc, input, limit) {
+		if !s.runCapped(set, input, limit) {
 			return nil
 		}
 	} else {
-		s.runAll(sc, input)
+		s.runAll(set, input)
 	}
 	// shared holds machine-owned results (vm.RunShared): valid while
 	// the machines stay borrowed.
-	shared := sc.shared
+	shared := set.shared
 	out := &Outcome{Input: input}
 	for _, r := range shared {
 		if r.Exit == vm.StepLimit {
@@ -365,12 +330,12 @@ func (s *Suite) runWith(sc *runScratch, input []byte, materialize bool, limit in
 	out.Hashes = make([]uint64, len(shared))
 	if s.opts.Normalizer == nil {
 		// Small outputs (the overwhelming fuzzing case) are checksummed
-		// via one canonical encode into the scratch's warm buffer and a
+		// via one canonical encode into the set's warm buffer and a
 		// one-shot Sum64 — cheaper than four buffered Digest writes per
 		// result. Large outputs stream through the pooled digest and
 		// are never copied. Both produce the identical MurmurHash3
 		// value (hash.TestDigestMatchesOneShotAllSplits pins this).
-		enc := sc.enc
+		enc := set.enc
 		var d *hash.Digest
 		for i, r := range shared {
 			if len(r.Stdout)+len(r.Stderr) <= smallEncodeLimit {
@@ -385,7 +350,7 @@ func (s *Suite) runWith(sc *runScratch, input []byte, materialize bool, limit in
 				out.Hashes[i], _ = d.Sum128()
 			}
 		}
-		sc.enc = enc
+		set.enc = enc
 		if d != nil {
 			digestPool.Put(d)
 		}
@@ -418,8 +383,8 @@ func (s *Suite) runWith(sc *runScratch, input []byte, materialize bool, limit in
 // output is not comparable. Re-run the timed-out ones with a growing
 // budget; only if they still exceed it do we report (flagged for
 // manual scrutiny).
-func (s *Suite) runAll(sc *runScratch, input []byte) {
-	machines, shared := sc.machines, sc.shared
+func (s *Suite) runAll(set *machineSet, input []byte) {
+	machines, shared := set.machines, set.shared
 	k := len(machines)
 	if m := s.opts.Metrics; m != nil {
 		s.forEachTimed(k, func(i int) {
@@ -478,8 +443,8 @@ func (s *Suite) runAll(sc *runScratch, input []byte) {
 // exactly one run per call, as under Run when every binary times out,
 // whichever binary stopped first and on whichever worker. Metrics see
 // only the full runs.
-func (s *Suite) runCapped(sc *runScratch, input []byte, limit int64) bool {
-	machines, shared := sc.machines, sc.shared
+func (s *Suite) runCapped(set *machineSet, input []byte, limit int64) bool {
+	machines, shared := set.machines, set.shared
 	var hit atomic.Bool
 	run := func(i int) bool {
 		if hit.Load() {

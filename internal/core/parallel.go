@@ -127,18 +127,12 @@ func (s *Suite) forEachTimed(n int, fn func(int), flush func(idxs []int, elapsed
 	wg.Wait()
 }
 
-// Warm pre-populates every implementation's machine free list with
-// enough machines for the given concurrency level, so that the first
-// parallel runs do not pay machine construction on the hot path.
-func (s *Suite) Warm(workers int) {
-	if workers < 1 {
-		workers = 1
+// Warm tops the suite's idle machine sets up to n, so that the first
+// n concurrent runs do not pay machine construction on the hot path.
+func (s *Suite) Warm(n int) {
+	s.mu.Lock()
+	for len(s.idle) < n {
+		s.idle = append(s.idle, s.newSet())
 	}
-	for _, im := range s.Impls {
-		im.mu.Lock()
-		for len(im.free) < workers {
-			im.free = append(im.free, im.newMachine())
-		}
-		im.mu.Unlock()
-	}
+	s.mu.Unlock()
 }

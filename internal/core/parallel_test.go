@@ -84,8 +84,8 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 }
 
 // TestSuiteRunConcurrent hammers one Suite from many goroutines and
-// checks every outcome against the sequential reference: the
-// machine free lists must fully isolate concurrent runs.
+// checks every outcome against the sequential reference: the pooled
+// machine sets must fully isolate concurrent runs.
 func TestSuiteRunConcurrent(t *testing.T) {
 	ref := buildParSuite(t, 1)
 	inputs := parInputs()
@@ -160,18 +160,21 @@ int main() {
 	}
 }
 
-// TestWarm pre-populates free lists so parallel workers never build
-// machines on the hot path.
+// TestWarm tops the idle machine sets up so concurrent runs never
+// build machines on the hot path.
 func TestWarm(t *testing.T) {
 	s := buildParSuite(t, 4)
 	s.Warm(4)
-	for _, im := range s.Impls {
-		im.mu.Lock()
-		n := len(im.free)
-		im.mu.Unlock()
-		if n < 4 {
-			t.Fatalf("impl %s: %d warm machines, want >= 4", im.Name(), n)
+	s.mu.Lock()
+	n := len(s.idle)
+	for _, set := range s.idle {
+		if len(set.machines) != len(s.Impls) {
+			t.Fatalf("idle set holds %d machines, want %d", len(set.machines), len(s.Impls))
 		}
+	}
+	s.mu.Unlock()
+	if n < 4 {
+		t.Fatalf("%d warm machine sets, want >= 4", n)
 	}
 	sameOutcome(t, buildParSuite(t, 1).Run(nil), s.Run(nil), "warmed suite")
 }

@@ -2,96 +2,79 @@ package core
 
 import (
 	"compdiff/internal/compiler"
-	"compdiff/internal/ir"
-	"compdiff/internal/vm"
 )
 
-// Spares is an owner-scoped set of idle machines that suite
-// construction draws from. A suite built through a set takes a spare
-// machine for each implementation and rebinds it to the new binary
-// (vm.Machine.Rebind) before it falls back to vm.New, and Release
-// hands a finished suite's machines back. A stream of programs — a
-// compile-oracle epoch, one reduction's candidates — then builds ten
-// machines once instead of ten per program, the way the paper's fork
-// server loads each binary once.
+// Spares is an owner-scoped stack of released machine sets that suite
+// construction draws from. A suite built through it takes the last
+// released set and rebinds its machines to the new binaries index by
+// index (vm.Machine.Rebind); a slot whose profile or step limit does
+// not match gets a new machine instead. Release hands a finished
+// suite's sets back. A stream of programs built under the same
+// configurations — a compile-oracle epoch, one reduction's candidates
+// — then builds ten machines once instead of ten per program, the way
+// the paper's fork server loads each binary once.
 //
-// The owner keeps the set as a local and drops it when its stream
+// The owner keeps the stack as a local and drops it when its stream
 // ends, so no machine outlives the work that uses it. A nil *Spares is
 // the no-spares case: every machine is new and Release does nothing.
-// A set is not safe for concurrent use; the suites it builds are, as
-// any suite is.
+// A Spares is not safe for concurrent use; the suites it builds are,
+// as any suite is.
 type Spares struct {
-	idle map[spareKey][]*vm.Machine
+	sets []*machineSet
 }
 
-// spareKey is what a machine must share with a binary to be rebound to
-// it: the implementation profile (Rebind's precondition) and the
-// options core builds machines with.
-type spareKey struct {
-	prof      ir.Profile
-	stepLimit int64
-}
-
-func (im *Implementation) spareKey() spareKey {
-	return spareKey{im.Prog.Profile, im.stepLimit}
-}
-
-// NewSpares returns an empty set.
+// NewSpares returns an empty stack.
 func NewSpares() *Spares {
-	return &Spares{idle: map[spareKey][]*vm.Machine{}}
+	return &Spares{}
 }
 
-// implementation wraps one compiled binary with one machine on its
-// free list: a spare rebound to prog when sp holds one, else a new one.
-func (sp *Spares) implementation(cfg compiler.Config, prog *ir.Program, stepLimit int64) *Implementation {
-	im := &Implementation{Config: cfg, Prog: prog, stepLimit: stepLimit}
-	im.free = []*vm.Machine{sp.take(im)}
-	return im
+// suite wraps the compiled binaries of cfgs in a Suite whose first
+// machine set comes from sp.
+func (sp *Spares) suite(results []compiler.Result, cfgs []compiler.Config, opts Options) *Suite {
+	s := &Suite{opts: opts, Impls: make([]*Implementation, len(cfgs))}
+	for i, cfg := range cfgs {
+		s.Impls[i] = &Implementation{Config: cfg, Prog: results[i].Prog}
+	}
+	s.idle = []*machineSet{sp.take(s)}
+	return s
 }
 
-// take returns a machine for im's binary.
-func (sp *Spares) take(im *Implementation) *vm.Machine {
-	if sp != nil {
-		k := im.spareKey()
-		if idle := sp.idle[k]; len(idle) > 0 {
-			m := idle[len(idle)-1]
-			idle[len(idle)-1] = nil
-			sp.idle[k] = idle[:len(idle)-1]
+// take returns a machine set for s's binaries: the last released set
+// rebound to them when sp holds one of the right size, else a new one.
+func (sp *Spares) take(s *Suite) *machineSet {
+	if sp == nil || len(sp.sets) == 0 {
+		return s.newSet()
+	}
+	set := sp.sets[len(sp.sets)-1]
+	sp.sets[len(sp.sets)-1] = nil
+	sp.sets = sp.sets[:len(sp.sets)-1]
+	if len(set.machines) != len(s.Impls) {
+		return s.newSet()
+	}
+	for i, im := range s.Impls {
+		if m := set.machines[i]; set.stepLimit == s.opts.StepLimit && m.Program().Profile == im.Prog.Profile {
 			m.Rebind(im.Prog)
-			return m
+		} else {
+			set.machines[i] = s.newMachine(im)
 		}
 	}
-	return im.newMachine()
+	set.stepLimit = s.opts.StepLimit
+	// The result slots alias the machines' old runs until the next run
+	// overwrites them.
+	clear(set.shared)
+	return set
 }
 
-// Release hands every machine s holds to the set: its parked run set,
-// each implementation's fast slot and its free list. Call it once the
-// suite's last Run has returned; outcomes already returned stay valid,
-// and a later Run of s builds new machines rather than sharing the
-// set's.
+// Release hands every idle machine set of s to the stack. Call it once
+// the suite's last Run has returned; outcomes already returned stay
+// valid, and a later Run of s builds a new set rather than sharing
+// the released ones.
 func (sp *Spares) Release(s *Suite) {
 	if sp == nil || s == nil {
 		return
 	}
-	if sc := s.scratch.Swap(nil); sc != nil {
-		for i, m := range sc.machines {
-			sp.put(s.Impls[i], m)
-		}
-	}
-	for _, im := range s.Impls {
-		if m := im.fast.Swap(nil); m != nil {
-			sp.put(im, m)
-		}
-		im.mu.Lock()
-		for _, m := range im.free {
-			sp.put(im, m)
-		}
-		im.free = nil
-		im.mu.Unlock()
-	}
-}
-
-func (sp *Spares) put(im *Implementation, m *vm.Machine) {
-	k := im.spareKey()
-	sp.idle[k] = append(sp.idle[k], m)
+	s.mu.Lock()
+	sp.sets = append(sp.sets, s.idle...)
+	s.idle = nil
+	s.mu.Unlock()
 }

@@ -15,6 +15,7 @@ import (
 	"compdiff/internal/minic/parser"
 	"compdiff/internal/minic/sema"
 	"compdiff/internal/progen"
+	"compdiff/internal/vm"
 )
 
 // clockSrc prints the time_now clock, which derives from each
@@ -39,6 +40,17 @@ int main() {
         x; x; x; x; x; x; x; x; x; x;
     }
     printf("done\n");
+    return 0;
+}
+`
+
+// slowSrc runs past a 50k step limit on every implementation, so no
+// RQ6 re-run rescues it.
+const slowSrc = `
+int main() {
+    long s = 0;
+    for (int i = 0; i < 40000; i++) { s = s + i; }
+    printf("%ld\n", s);
     return 0;
 }
 `
@@ -137,5 +149,66 @@ func TestRecycledSuitesMatchFresh(t *testing.T) {
 					v.name, par, diverged, suspects)
 			}
 		}
+	}
+}
+
+// TestSparesMismatchedSlotsMatchFresh builds suites from a released set
+// that does not fit them slot for slot: configurations in another
+// order (some or every slot's profile differs), another step limit,
+// and another number of configurations. Matching slots are rebound and
+// the rest get new machines; every outcome must equal a fresh suite's.
+func TestSparesMismatchedSlotsMatchFresh(t *testing.T) {
+	golden := batchSelfTestSources(t)
+	srcs := []string{golden["uninit_stack"], golden["heap_reuse"], clockSrc, slowSrc}
+	def := compiler.DefaultSet()
+	swapped := append([]compiler.Config(nil), def...)
+	swapped[1], swapped[6] = swapped[6], swapped[1]
+	reversed := make([]compiler.Config, len(def))
+	for i, c := range def {
+		reversed[len(def)-1-i] = c
+	}
+	inputs := [][]byte{nil, []byte("u"), bytes.Repeat([]byte{0xff}, 16)}
+	timeouts := 0
+	for _, next := range []struct {
+		name string
+		cfgs []compiler.Config
+		opts core.Options
+	}{
+		{"swapped", swapped, core.Options{}},
+		{"reversed", reversed, core.Options{}},
+		{"step-limit", def, core.Options{StepLimit: 50_000}},
+		{"fewer", def[3:5], core.Options{}},
+	} {
+		for _, src := range srcs {
+			info := sema.MustCheck(parser.MustParse(src))
+			spares := core.NewSpares()
+			first, err := spares.Build(info, def, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			first.Run(nil)
+			spares.Release(first)
+			recycled, err := spares.Build(info, next.cfgs, next.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := spares.IdleMachines(); n != 0 {
+				t.Fatalf("%s: %d machines left in the stack", next.name, n)
+			}
+			fresh, err := core.Build(info, next.cfgs, next.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, in := range inputs {
+				want := fresh.Run(in)
+				assertSameFullOutcome(t, next.name, in, want, recycled.Run(in))
+				if want.Results[0].Exit == vm.StepLimit {
+					timeouts++
+				}
+			}
+		}
+	}
+	if timeouts == 0 {
+		t.Fatal("no run hit the lowered step limit; the step-limit case is vacuous")
 	}
 }

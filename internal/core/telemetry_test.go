@@ -107,7 +107,7 @@ func TestRQ6RerunDoesNotLeakBudgetIntoPooledMachines(t *testing.T) {
 	if h2 := hangsAfter(); h2 != 2*h1 {
 		t.Fatalf("second run on warm machines: hangs %d -> %d, want exact doubling (budget leak?)", h1, h2)
 	}
-	// The same holds with the parallel worker pool over its free lists.
+	// The same holds with the parallel worker pool over warmed sets.
 	mp := telemetry.NewSuiteMetrics(namesOf(compiler.DefaultSet()))
 	sp, err := BuildSource(delayLoopSrc, compiler.DefaultSet(),
 		Options{StepLimit: delayLoopLimit, Parallelism: 4, Metrics: mp})

@@ -60,11 +60,12 @@ type Options struct {
 
 	// BatchSize buffers this many generated inputs and cross-checks
 	// them in one core.Suite.RunBatch call — one warm machine-set
-	// borrow per batch instead of per exec. Values <= 1 keep the
-	// per-exec path. Batching is throughput-only: the differential
-	// verdicts are byte-identical at any batch size (the self-test
-	// layer pins this), so BatchSize is excluded from CampaignHash and
-	// a checkpoint may be resumed under a different batch size.
+	// borrow per batch instead of per exec. Values <= 1 cross-check
+	// each input as it is generated. Batching is throughput-only: the
+	// differential verdicts are byte-identical at any batch size (the
+	// self-test layer pins this), so BatchSize is excluded from
+	// CampaignHash and a checkpoint may be resumed under a different
+	// batch size.
 	// Ignored (clamped to 1) when DivergenceFeedback is on: feedback
 	// must see each verdict before the next input is generated, which
 	// is inherently per-exec.
@@ -152,17 +153,17 @@ type campaign struct {
 	// running exec count; a single-shard pool uses it for StatsEvery.
 	statsTick func(execs int64)
 
-	// Batch executor state (Options.BatchSize > 1). Generated inputs
-	// are copied into batchBuf (the fuzzer reuses its mutation buffer,
-	// so deferral requires ownership) and cross-checked batchSize at a
-	// time through Suite.RunBatch. batchOffs holds len(batch)+1 prefix
-	// offsets into batchBuf; batchCls the per-input B_fuzz class when
-	// stats are on. batchIn/batchOuts are flush-time scratch.
+	// Batch executor state. Every generated input is queued in
+	// batchIn and cross-checked batchSize at a time through
+	// Suite.RunBatch; batchCls holds the per-input B_fuzz class when
+	// stats are on, and batchOuts is flush-time scratch. The fuzzer
+	// hands OnExec a fresh slice it never writes again, so a queued
+	// input needs no copy. feedback is Options.DivergenceFeedback,
+	// which forces batchSize to 1.
 	batchSize int
-	batchBuf  []byte
-	batchOffs []int
-	batchCls  []telemetry.Class
+	feedback  bool
 	batchIn   [][]byte
+	batchCls  []telemetry.Class
 	batchOuts []*core.Outcome
 }
 
@@ -220,9 +221,7 @@ func newCampaign(info *sema.Info, seeds [][]byte, opts Options) (*campaign, erro
 		buckets:   triage.NewBucketStore(),
 		metrics:   metrics,
 		batchSize: batch,
-	}
-	if batch > 1 {
-		c.batchOffs = make([]int, 1, batch+1)
+		feedback:  opts.DivergenceFeedback,
 	}
 	c.fuzzer = fuzz.New(machine, seeds, fuzz.Options{
 		Seed:              opts.FuzzSeed,
@@ -230,83 +229,54 @@ func newCampaign(info *sema.Info, seeds [][]byte, opts Options) (*campaign, erro
 		SkipDeterministic: opts.SkipDeterministic,
 		// Algorithm 1, lines 9-12: run every generated input through
 		// the CompDiff binaries and save it on output discrepancy.
-		OnExec: func(input []byte, res *vm.Result) {
-			// Batch path: defer the cross-check until batchSize inputs
-			// have accumulated. Initial-corpus ingestion (c.fuzzer nil)
-			// always takes the per-exec path so seed verdicts are
-			// available the moment newCampaign returns, batched or not.
-			if c.batchSize > 1 && c.fuzzer != nil {
-				c.enqueue(input, res)
-				return
-			}
-			// Fast path: outputs are checksummed in machine-owned
-			// buffers; o.Results is materialized only on divergence,
-			// which is exactly when diffs.Add needs the bytes.
-			o := c.suite.RunFast(input)
-			var cls telemetry.Class
-			if c.metrics != nil {
-				cls = core.ClassifyResult(res)
-			}
-			c.observe(input, o, cls, opts.DivergenceFeedback)
-		},
+		OnExec: c.enqueue,
 	})
+	// Seed verdicts are complete the moment newCampaign returns,
+	// batched or not.
+	c.flushBatch()
 	return c, nil
 }
 
-// enqueue copies one generated input into the pending batch and
-// flushes when it reaches batchSize. The copy is required: the fuzzer
-// owns input and reuses the buffer for its next mutation.
+// enqueue queues one generated input and flushes the pending batch
+// when it reaches batchSize.
 func (c *campaign) enqueue(input []byte, res *vm.Result) {
-	c.batchBuf = append(c.batchBuf, input...)
-	c.batchOffs = append(c.batchOffs, len(c.batchBuf))
+	c.batchIn = append(c.batchIn, input)
 	if c.metrics != nil {
 		// Classify against the live B_fuzz result now; it is
 		// machine-owned and invalid by flush time.
 		c.batchCls = append(c.batchCls, core.ClassifyResult(res))
 	}
-	if len(c.batchOffs)-1 >= c.batchSize {
+	if len(c.batchIn) >= c.batchSize {
 		c.flushBatch()
 	}
 }
 
 // flushBatch cross-checks every pending input in one RunBatch call
-// and feeds the outcomes through the same observation path the
-// per-exec mode uses, in the same order the fuzzer generated them.
+// and observes the outcomes in the order the fuzzer generated them.
+// Outputs are checksummed in machine-owned buffers; o.Results is
+// materialized only on divergence, which is exactly when diffs.Add
+// needs the bytes.
 func (c *campaign) flushBatch() {
-	nb := len(c.batchOffs) - 1
-	if nb <= 0 {
+	if len(c.batchIn) == 0 {
 		return
-	}
-	c.batchIn = c.batchIn[:0]
-	for i := 0; i < nb; i++ {
-		c.batchIn = append(c.batchIn, c.batchBuf[c.batchOffs[i]:c.batchOffs[i+1]])
 	}
 	c.batchOuts = c.suite.RunBatch(c.batchIn, c.batchOuts[:0])
 	for i, o := range c.batchOuts {
-		if o.Diverged {
-			// Diverged outcomes are retained by the diff store, but
-			// o.Input aliases batchBuf, which the next batch reuses:
-			// give the outcome its own copy.
-			o.Input = append([]byte(nil), o.Input...)
-		}
 		var cls telemetry.Class
 		if c.metrics != nil {
 			cls = c.batchCls[i]
 		}
-		// Feedback is always off here: newCampaign clamps batchSize to 1
-		// when DivergenceFeedback is requested.
-		c.observe(o.Input, o, cls, false)
+		c.observe(o, cls)
 		c.batchOuts[i] = nil
 	}
-	c.batchBuf = c.batchBuf[:0]
-	c.batchOffs = c.batchOffs[:1]
+	clear(c.batchIn)
+	c.batchIn = c.batchIn[:0]
 	c.batchCls = c.batchCls[:0]
 }
 
 // observe records one cross-checked input: divergence bookkeeping,
-// optional fuzzer feedback, and telemetry. Shared verbatim by the
-// per-exec and batch paths so their observable state is identical.
-func (c *campaign) observe(input []byte, o *core.Outcome, cls telemetry.Class, feedback bool) {
+// optional fuzzer feedback, and telemetry.
+func (c *campaign) observe(o *core.Outcome, cls telemetry.Class) {
 	atomic.AddInt64(&c.diffExecs, int64(len(c.suite.Impls)))
 	if o.Diverged {
 		fresh, err := c.diffs.Add(o)
@@ -320,8 +290,8 @@ func (c *campaign) observe(input []byte, o *core.Outcome, cls telemetry.Class, f
 		// c.fuzzer is nil while the initial corpus is being
 		// ingested inside fuzz.New; those seeds are already
 		// queued.
-		if fresh && feedback && c.fuzzer != nil {
-			c.fuzzer.ForceSeed(input)
+		if fresh && c.feedback && c.fuzzer != nil {
+			c.fuzzer.ForceSeed(o.Input)
 		}
 	}
 	if m := c.metrics; m != nil {

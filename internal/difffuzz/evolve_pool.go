@@ -364,8 +364,3 @@ func (p *EvolvePool) Stats() EvolvePoolStats {
 func (p *EvolvePool) PassCoverageBits() []compiler.PassBits {
 	return append([]compiler.PassBits(nil), p.cum...)
 }
-
-// Population returns the current genomes (read-only view).
-func (p *EvolvePool) Population() []*evolve.Genome {
-	return append([]*evolve.Genome(nil), p.pop...)
-}

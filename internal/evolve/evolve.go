@@ -95,10 +95,11 @@ type Options struct {
 	// Tournament is the selection tournament size. Default 3.
 	Tournament int
 	// Elite is the number of top genomes copied unchanged into the
-	// next generation. Default 2.
+	// next generation. Zero copies none; a negative value means 2.
 	Elite int
 	// Immigrants is the number of fresh progen genomes injected per
-	// generation to keep the gene pool from collapsing. Default 1.
+	// generation to keep the gene pool from collapsing. Zero injects
+	// none; a negative value means 1.
 	Immigrants int
 }
 

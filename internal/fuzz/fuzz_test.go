@@ -200,6 +200,37 @@ func TestOnExecHookSeesEveryInput(t *testing.T) {
 	}
 }
 
+// TestOnExecInputsAreFresh pins the OnExec ownership contract: every
+// input the hook sees is a slice the fuzzer never writes again, across
+// seed ingestion and the deterministic, havoc and splice stages, so a
+// hook may keep it without copying.
+func TestOnExecInputsAreFresh(t *testing.T) {
+	m := machineFor(t, maze)
+	var kept, copies [][]byte
+	f := New(m, [][]byte{[]byte("AAAA"), []byte("FUAA")}, Options{
+		Seed: 11,
+		OnExec: func(in []byte, res *vm.Result) {
+			kept = append(kept, in)
+			copies = append(copies, append([]byte(nil), in...))
+		},
+	})
+	seeds := len(kept)
+	stats := f.Run(4_000)
+	// The deterministic stage of one 4-byte seed alone yields 144
+	// mutants; splicing needs a second queue entry.
+	if seeds != 2 || stats.Execs <= 2*144 || stats.Seeds < 2 || stats.Cycles < 2 {
+		t.Fatalf("%d seed execs, %+v: the stages under test did not all run", seeds, stats)
+	}
+	if int64(len(kept)) != stats.Execs {
+		t.Fatalf("hook saw %d inputs, fuzzer counted %d execs", len(kept), stats.Execs)
+	}
+	for i := range kept {
+		if !bytes.Equal(kept[i], copies[i]) {
+			t.Fatalf("input %d changed after OnExec returned: %q, was %q", i, kept[i], copies[i])
+		}
+	}
+}
+
 func TestCrashDeduplication(t *testing.T) {
 	// Every input longer than 3 bytes crashes at the same place: one
 	// unique crash expected.

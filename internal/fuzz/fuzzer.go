@@ -71,8 +71,10 @@ type Options struct {
 	// Algorithm 1 adds its differential oracle here, leaving the
 	// fuzzing loop untouched.
 	//
-	// When the executor implements SharedExecutor, res aliases
-	// executor-owned buffers and is valid only for the duration of the
+	// input is a fresh slice that the fuzzer never writes again, so
+	// the callback may keep it without copying. res is machine-owned
+	// when the executor implements SharedExecutor: it aliases
+	// executor buffers and is valid only for the duration of the
 	// callback; use res.Clone() to retain it.
 	OnExec func(input []byte, res *vm.Result)
 }

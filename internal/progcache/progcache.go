@@ -64,12 +64,10 @@ type Compiled struct {
 	// the order the configs were given.
 	Results []compiler.Result
 
+	// size is the record's cost against the cache budget: an estimate
+	// of the retained bytecode, rodata, and diagnostics.
 	size int64
 }
-
-// SizeBytes is the record's cost against the cache budget: an
-// estimate of the retained bytecode, rodata, and diagnostics.
-func (c *Compiled) SizeBytes() int64 { return c.size }
 
 // Compile runs the shared front end once and then lowers under every
 // configuration through compiler.CompileAll, k-way in parallel when

@@ -10,7 +10,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
+	pathpkg "path"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -23,7 +25,7 @@ import (
 
 // synthWorker lays out worker index under farm with a checkpoint
 // holding the given findings and a plot.jsonl of the given snapshots.
-func synthWorker(t *testing.T, farm string, index int, spent int64, diffs []*core.StoredDiff, buckets []triage.BucketSnapshot, snaps ...telemetry.Snapshot) {
+func synthWorker(t testing.TB, farm string, index int, spent int64, diffs []*core.StoredDiff, buckets []triage.BucketSnapshot, snaps ...telemetry.Snapshot) {
 	t.Helper()
 	dirs, err := checkpoint.EnsureWorker(farm, index)
 	if err != nil {
@@ -75,7 +77,10 @@ func getJSON(t *testing.T, url string, out any) {
 	}
 }
 
-func TestControlPlaneMergesSyntheticFarm(t *testing.T) {
+// synthFarm lays out a two-worker synthetic farm whose merge and dedup
+// arithmetic TestControlPlaneMergesSyntheticFarm checks.
+func synthFarm(t testing.TB) string {
+	t.Helper()
 	farm := t.TempDir()
 	bucket := func(key uint64, kind triage.Kind, count int) triage.BucketSnapshot {
 		return triage.BucketSnapshot{Key: key, Fingerprint: triage.Fingerprint{Kind: kind}, Count: count}
@@ -91,8 +96,11 @@ func TestControlPlaneMergesSyntheticFarm(t *testing.T) {
 		[]*core.StoredDiff{{Signature: 0xaa, Count: 2}, {Signature: 0xcc, Count: 5}},
 		[]triage.BucketSnapshot{bucket(0x1, triage.KindRuntime, 2)},
 		telemetry.Snapshot{UnixMs: 150, ElapsedMs: 1000, Execs: 600, OK: 595, Diff: 5, UniqueDiffs: 2, Queue: 3})
+	return farm
+}
 
-	s, err := New(Config{Farm: farm, Workers: 2, Command: fakeCommand("fail", 0, 0, 0)})
+func TestControlPlaneMergesSyntheticFarm(t *testing.T) {
+	s, err := New(Config{Farm: synthFarm(t), Workers: 2, Command: fakeCommand("fail", 0, 0, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,4 +294,55 @@ func TestControlPlaneMutationsAndMethods(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad since = %d, want 400", resp.StatusCode)
 	}
+}
+
+// FuzzSupervisorHandler drives the control plane with arbitrary
+// requests: method, path, raw query and body. The supervisor is never
+// started, so no request can launch a worker (/reshard answers 409).
+// Every request must be answered without a panic, with a status the
+// handlers can produce, and with a decodable body whenever the
+// response claims JSON. Paths are cleaned first: the mux answers an
+// unclean path with a redirect before any handler runs.
+func FuzzSupervisorHandler(f *testing.F) {
+	f.Add("GET", "/healthz", "", "")
+	f.Add("GET", "/stats", "", "")
+	f.Add("GET", "/plot", "worker=0&n=1", "")
+	f.Add("GET", "/plot", "worker=-3&n=-1", "")
+	f.Add("GET", "/buckets", "", "")
+	f.Add("GET", "/findings", "", "")
+	f.Add("GET", "/events", "since=x", "")
+	f.Add("POST", "/pause", "", "{}")
+	f.Add("POST", "/resume", "", "")
+	f.Add("POST", "/reshard", "workers=2", "")
+	f.Add("POST", "/reshard", "workers=%zz;", "")
+	f.Add("DELETE", "/nope", "", "\x00")
+	s, err := New(Config{Farm: synthFarm(f), Workers: 2, Command: fakeCommand("fail", 0, 0, 0)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, method, path, query, body string) {
+		req := &http.Request{
+			Method: method,
+			URL:    &url.URL{Path: pathpkg.Clean("/" + path), RawQuery: query},
+			Header: http.Header{},
+			Body:   io.NopCloser(strings.NewReader(body)),
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusNotFound, http.StatusMethodNotAllowed, http.StatusConflict:
+		default:
+			t.Fatalf("%s %s?%s: status %d", method, req.URL.Path, query, rec.Code)
+		}
+		if rec.Header().Get("Content-Type") == "application/json" {
+			var v any
+			if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+				t.Fatalf("%s %s?%s: %d body is not JSON: %v\n%s", method, req.URL.Path, query, rec.Code, err, rec.Body.Bytes())
+			}
+		}
+		if n := len(s.Status()); n != 0 {
+			t.Fatalf("%s %s?%s started %d workers", method, req.URL.Path, query, n)
+		}
+	})
 }

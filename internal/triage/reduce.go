@@ -265,24 +265,10 @@ func (r *reducer) stepCap() int64 {
 
 func (r *reducer) exhausted() bool { return r.runs >= r.budget }
 
-// build compiles src under every configuration. Parse or sema
-// failures are returned, not counted against the budget.
-func (r *reducer) build(src string) (*core.Suite, error) {
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	info, err := sema.Check(prog)
-	if err != nil {
-		return nil, err
-	}
-	r.builds++
-	return r.spares.Build(info, r.cfgs, r.sopts)
-}
-
 // buildDifferential compiles src under every configuration with the
-// compile-stage oracle. Parse or sema failures are returned, not
-// counted against the budget.
+// compile-stage oracle; the suite is nil when any configuration
+// rejected src. Parse or sema failures are returned, not counted
+// against the budget.
 func (r *reducer) buildDifferential(src string) (*core.Suite, *core.CompileOutcome, error) {
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -358,9 +344,11 @@ func (r *reducer) tryProgram(src string) bool {
 	if r.compileMode {
 		return r.tryProgramCompile(src)
 	}
-	suite, err := r.build(src)
-	if err != nil {
-		return false // does not parse or does not check: rejected free
+	suite, _, err := r.buildDifferential(src)
+	if err != nil || suite == nil {
+		// Does not parse, does not check, or some implementation
+		// rejects it: rejected free.
+		return false
 	}
 	o := r.runCandidate(suite, r.input)
 	if o == nil || !o.Diverged || !Of(o).Equal(r.fp) {
@@ -379,9 +367,9 @@ func (r *reducer) tryProgram(src string) bool {
 // Returns whether anything shrank. Every candidate is one edit applied
 // to a fresh clone of the best program's tree, so a rejected edit
 // needs no undo; the tree itself is parsed once per accepted best.
-// The printed candidate is still parsed and checked again by build:
-// positions, and with them __LINE__, come from the printed text, not
-// from the edited clone.
+// The printed candidate is still parsed and checked again by
+// buildDifferential: positions, and with them __LINE__, come from the
+// printed text, not from the edited clone.
 func (r *reducer) reduceProgram() bool {
 	progress := false
 	for _, ps := range reductionPasses {

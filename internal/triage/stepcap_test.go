@@ -117,3 +117,46 @@ func TestReduceStepCapFallbacks(t *testing.T) {
 		})
 	}
 }
+
+// longLoopSrc counts x up to INT_MAX in a 3,000-iteration loop, then
+// asks the overflow check that FoldOverflowChecks deletes in some
+// implementations. The check only wraps at exactly that count, so no
+// reduction can shorten the loop: the best keeps running well over
+// capFloor / capFactor steps, and the cap is capFactor times its step
+// count. Dropping or collapsing an increment leaves a loop that never
+// ends. Written as the printer prints it, so every candidate is
+// shorter than the source.
+const longLoopSrc = `int main() {
+    int x = 2147480647;
+    int i = 0;
+    while (i < 3000) {
+        x = (x + 1);
+        i = (i + 1);
+    }
+    int n = 1;
+    if (n < 0) {
+        return 1;
+    }
+    if ((x + n) < x) {
+        printf("wrapped\n");
+        return 2;
+    }
+    printf("ok\n");
+    return 0;
+}
+`
+
+func TestReduceStepCapScalesWithBest(t *testing.T) {
+	red, r, err := reduce(longLoopSrc, nil, ReduceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := r.stepCap(); c <= capFloor {
+		t.Fatalf("cap %d after the reduction (best runs %d steps), want above the %d floor", c, r.bestSteps, capFloor)
+	}
+	if r.cappedRuns == 0 || r.capRejects == 0 {
+		t.Fatalf("%d capped runs, %d cap rejects: the cap never fired", r.cappedRuns, r.capRejects)
+	}
+	assertSameReduction(t, red, reduceUncapped(t, longLoopSrc, nil, ReduceOptions{}))
+	assertReproduces(t, red)
+}

@@ -126,7 +126,7 @@ type slot struct {
 //
 // A Machine is single-goroutine (all run state lives on it); parallel
 // execution layers (core's worker pool, difffuzz's shards) give each
-// worker its own machine via per-implementation free lists.
+// worker its own machine via core's pooled machine sets.
 type Machine struct {
 	prog *ir.Program
 	opts Options
@@ -453,7 +453,7 @@ func (m *Machine) Run(input []byte) *Result {
 // partial-timeout re-run policy uses it). The limit applies to this
 // run only and never touches the machine's configured options, so a
 // temporary budget cannot leak into later runs of a machine reused
-// from a free list. Non-positive limits fall back to the configured
+// from a pooled set. Non-positive limits fall back to the configured
 // one instead of tripping an instant spurious timeout.
 func (m *Machine) RunWithLimit(input []byte, limit int64) *Result {
 	if limit <= 0 {
@@ -465,7 +465,7 @@ func (m *Machine) RunWithLimit(input []byte, limit int64) *Result {
 // RunShared is the zero-copy fast path: it executes input and returns
 // a machine-owned Result whose Stdout/Stderr/Trace slices alias the
 // machine's internal buffers. The Result is valid only until the
-// machine's next run (or release back to a free list); callers that
+// machine's next run (or its return to a pooled set); callers that
 // need to retain it must Clone. The differential hot path hashes the
 // aliased output via Result.EncodeTo and materializes a Clone only
 // when a divergence is actually detected.

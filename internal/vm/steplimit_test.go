@@ -3,8 +3,8 @@ package vm_test
 // Regression tests for one-off step limits on reused machines: the
 // partial-timeout re-run policy (RQ6) hands a machine a temporary
 // budget, and that budget must never survive into the next run of the
-// same warm machine — the free-list pools in core hand machines from
-// run to run without reconstruction.
+// same warm machine — core's machine sets hand machines from run to
+// run without reconstruction.
 
 import (
 	"bytes"

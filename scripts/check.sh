@@ -38,17 +38,21 @@ go test -race -run 'TestDifferentialSelfTest|TestRunSharedMatchesRun|TestStepLim
 # The fuzzer's bitmap walkers visit only the words the coverage summary
 # marks; this holds them to the dense reference scans per exec, and a
 # fuzzer over an executor without a summary to one over the machine.
+# The campaign queues every input OnExec hands it without a copy, so
+# the fuzzer must never write an input again once the hook has seen it.
 echo "== fuzz sparse-coverage equivalence (-race)"
-go test -race -run 'TestSparseBitmapMatchesDense|TestSparseBitmapWrappedCounters|TestFuzzerSummaryAdaptor' \
+go test -race -run 'TestSparseBitmapMatchesDense|TestSparseBitmapWrappedCounters|TestFuzzerSummaryAdaptor|TestOnExecInputsAreFresh' \
 	-count=1 ./internal/fuzz
 
 # The batch-executor self-test is the same guard one layer up:
 # Suite.RunBatch must be byte-identical to per-input Run over the
 # golden corpus and the generated sweep, sequentially and with the
 # parallel cross-check, under the race detector. Suites built from
-# recycled machines must match fresh suites the same way.
+# recycled machine sets must match fresh suites the same way, also
+# where a released set fits the new suite only in some slots, and
+# warmed suites must hold complete sets.
 echo "== core batch-executor self-test (-race)"
-go test -race -run 'TestRunBatchMatchesRun|TestRunBatchMatchesRunParallel|TestRunBatchSingletonIsRunFast|TestRecycledSuitesMatchFresh' \
+go test -race -run 'TestRunBatchMatchesRun|TestRunBatchMatchesRunParallel|TestRunBatchSingletonIsRunFast|TestRecycledSuitesMatchFresh|TestSparesMismatchedSlotsMatchFresh|TestWarm|TestSuiteRunConcurrent' \
 	-count=1 ./internal/core
 
 # The lowering equivalence gates: CompileAll, which shares one
@@ -118,6 +122,7 @@ go test -fuzz=FuzzEvolveMutate -fuzztime="$FUZZTIME" -run='^$' ./internal/evolve
 go test -fuzz=FuzzCoverageWords -fuzztime="$FUZZTIME" -run='^$' ./internal/fuzz
 go test -fuzz=FuzzRestoreState -fuzztime="$FUZZTIME" -run='^$' ./internal/fuzz
 go test -fuzz=FuzzMachineRebind -fuzztime="$FUZZTIME" -run='^$' ./internal/vm
+go test -fuzz=FuzzSupervisorHandler -fuzztime="$FUZZTIME" -run='^$' ./internal/supervisor
 go test -fuzz=FuzzCheckpointLoad -fuzztime="$FUZZTIME" -run='^$' ./internal/checkpoint
 
 # Coverage gate: per-package table plus hard floors on the triage
