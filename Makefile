@@ -1,13 +1,16 @@
 # Tier-1 gate and developer targets. `make check` is what CI runs:
-# vet, build, the full test suite under the race detector, and a short
-# native-fuzz smoke over the parser and the differential engine.
+# scripts/check.sh, the one list of gate steps (vet, build, the race
+# suite and its named equivalence steps, the benchmark module, the
+# bench and native-fuzz smokes, coverage floors and the CLI smokes).
+# FUZZTIME is each fuzz target's budget there.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race fuzz-smoke cover bench bench-quick golden
+.PHONY: check vet build test race cover bench bench-quick golden
 
-check: vet build race fuzz-smoke cover
+check:
+	scripts/check.sh $(FUZZTIME)
 
 vet:
 	$(GO) vet ./...
@@ -20,12 +23,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-fuzz-smoke:
-	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -run='^$$' ./internal/minic/parser
-	$(GO) test -fuzz=FuzzSuiteRun -fuzztime=$(FUZZTIME) -run='^$$' .
-	$(GO) test -fuzz=FuzzReduce -fuzztime=$(FUZZTIME) -run='^$$' ./internal/triage
-	$(GO) test -fuzz=FuzzCompileOracle -fuzztime=$(FUZZTIME) -run='^$$' .
 
 # Per-package coverage table with hard floors on the triage layer
 # (internal/triage, internal/difffuzz); see scripts/cover.sh.

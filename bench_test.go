@@ -312,6 +312,32 @@ func campaignShardBench(b *testing.B, shards int) {
 	b.ReportMetric(float64(diffs), "unique-diffs")
 }
 
+// BenchmarkCompilePoolCorpus is the compile mode's per-program cost
+// at pool level: one op builds a compile-oracle pool over progen seeds
+// 1–48 on two shards with a barrier every 8 programs (six epochs) and
+// runs it to the end. The front end, the ten lowerings, machine
+// assembly and the empty-input runtime cross-check of every program
+// are inside it; the pool's program cache starts cold each op, so
+// every program is a miss.
+func BenchmarkCompilePoolCorpus(b *testing.B) {
+	var corpus []string
+	for seed := int64(1); seed <= 48; seed++ {
+		corpus = append(corpus, progen.Generate(seed).Src)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pool, err := compdiff.NewCompileCampaign(corpus, compdiff.CompileCampaignOptions{Shards: 2, SyncEvery: 8})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st := pool.Run(context.Background()); st.Programs != int64(len(corpus)) {
+			b.Fatalf("%d of %d programs processed", st.Programs, len(corpus))
+		}
+	}
+	b.ReportMetric(float64(len(corpus)*b.N)/b.Elapsed().Seconds(), "programs/s")
+}
+
 // BenchmarkCheckpointSave times one steady-state barrier save of a real
 // pool state: the fuzz-triage campaign shape (curl, two shards,
 // divergence feedback) checkpointed after 10,000 execs per shard, about

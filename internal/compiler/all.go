@@ -14,9 +14,10 @@ import (
 // that the work depending on the program alone is done once per call
 // and shared read-only by all the lowerings: the UB-exploitation
 // analysis of each function (once per pass-bit combination, of which
-// the ten default configurations have two non-trivial ones) and the
-// constant-UB site list. With parallelism > 1 up to that many lowerings
-// run concurrently; the results do not depend on it.
+// the ten default configurations have two non-trivial ones), the
+// constant value of every expression and the constant-UB site list.
+// With parallelism > 1 up to that many lowerings run concurrently; the
+// results do not depend on it.
 func CompileAll(info *sema.Info, cfgs []Config, parallelism int) []Result {
 	an := newAnalysis(info)
 	results := make([]Result, len(cfgs))
@@ -57,6 +58,7 @@ type analysis struct {
 		once  sync.Once
 		funcs []memo[*decisions]
 	}
+	consts  memo[*constTable]
 	ubSites memo[[]ubSite]
 }
 
@@ -71,12 +73,17 @@ func (an *analysis) decisions(k analysisKey, i int, f *ast.FuncDecl) *decisions 
 	}
 	d := &an.dec[k]
 	d.once.Do(func() { d.funcs = make([]memo[*decisions], len(an.info.Prog.Funcs)) })
-	return d.funcs[i].get(func() *decisions { return analyzeFunc(k, f) })
+	return d.funcs[i].get(func() *decisions { return analyzeFunc(k, f, an.info.FuncIDs[i]) })
+}
+
+// constants returns the program's constant table.
+func (an *analysis) constants() *constTable {
+	return an.consts.get(func() *constTable { return newConstTable(an.info) })
 }
 
 // constUB returns the program's constant-UB sites.
 func (an *analysis) constUB() []ubSite {
-	return an.ubSites.get(func() []ubSite { return constUBSites(an.info) })
+	return an.ubSites.get(func() []ubSite { return constUBSites(an.info, an.constants()) })
 }
 
 // memo is a value computed at most once, by the first caller. A panic

@@ -5,6 +5,7 @@ import (
 
 	"compdiff/internal/ir"
 	"compdiff/internal/minic/ast"
+	"compdiff/internal/minic/sema"
 	"compdiff/internal/minic/types"
 )
 
@@ -28,12 +29,15 @@ func (v constVal) isZero() bool {
 	return v.word == 0
 }
 
-// evalConst attempts to evaluate e as a compile-time constant with
-// fully defined semantics. UB constants (signed overflow, div by zero,
-// oversized shifts) are refused so that they are resolved at run time
-// by the execution profile, never by the folder — keeping compile-time
-// and run-time arithmetic interchangeable on defined values.
-func evalConst(e ast.Expr) (constVal, bool) {
+// evalNode evaluates e as a compile-time constant with fully defined
+// semantics, given its operands' values. UB constants (signed
+// overflow, div by zero, oversized shifts) are refused so that they
+// are resolved at run time by the execution profile, never by the
+// folder — keeping compile-time and run-time arithmetic
+// interchangeable on defined values. A node's value depends on its
+// operands' values alone, so a program's values are computed once,
+// bottom up, into its constTable.
+func evalNode(e ast.Expr, ops operands) (constVal, bool) {
 	switch e := e.(type) {
 	case *ast.IntLit:
 		tc := typeCode(e.Type())
@@ -50,14 +54,14 @@ func evalConst(e ast.Expr) (constVal, bool) {
 	case *ast.SizeofExpr:
 		return constVal{tc: ir.I64, word: uint64(e.Of.Size())}, true
 	case *ast.CastExpr:
-		v, ok := evalConst(e.X)
+		v, ok := ops.value(e.X)
 		if !ok || v.isStr {
 			return constVal{}, false
 		}
 		to := typeCode(e.To)
 		return constVal{tc: to, word: ir.ConvWord(v.tc, to, v.word)}, true
 	case *ast.Unary:
-		v, ok := evalConst(e.X)
+		v, ok := ops.value(e.X)
 		if !ok || v.isStr {
 			return constVal{}, false
 		}
@@ -85,29 +89,29 @@ func evalConst(e ast.Expr) (constVal, bool) {
 		}
 		return constVal{}, false
 	case *ast.Binary:
-		return evalConstBinary(e)
+		return evalBinary(e, ops)
 	case *ast.Cond:
-		c, ok := evalConst(e.C)
+		c, ok := ops.value(e.C)
 		if !ok {
 			return constVal{}, false
 		}
 		if !c.isZero() {
-			return evalConst(e.X)
+			return ops.value(e.X)
 		}
-		return evalConst(e.Y)
+		return ops.value(e.Y)
 	}
 	return constVal{}, false
 }
 
-func evalConstBinary(e *ast.Binary) (constVal, bool) {
+func evalBinary(e *ast.Binary, ops operands) (constVal, bool) {
 	if e.Op == ast.LogAnd || e.Op == ast.LogOr {
-		x, ok := evalConst(e.X)
+		x, ok := ops.value(e.X)
 		if !ok {
 			return constVal{}, false
 		}
 		// Short-circuit, but only if the other side is also constant
 		// (we must not hide a runtime side effect).
-		y, ok := evalConst(e.Y)
+		y, ok := ops.value(e.Y)
 		if !ok {
 			return constVal{}, false
 		}
@@ -124,11 +128,11 @@ func evalConstBinary(e *ast.Binary) (constVal, bool) {
 		return constVal{tc: ir.I32, word: w}, true
 	}
 
-	x, ok := evalConst(e.X)
+	x, ok := ops.value(e.X)
 	if !ok || x.isStr {
 		return constVal{}, false
 	}
-	y, ok := evalConst(e.Y)
+	y, ok := ops.value(e.Y)
 	if !ok || y.isStr {
 		return constVal{}, false
 	}
@@ -153,6 +157,115 @@ func evalConstBinary(e *ast.Binary) (constVal, bool) {
 		return constVal{tc: ir.I32, word: w}, true
 	}
 	return constVal{tc: tc, word: w}, true
+}
+
+// operands supplies the constant values of an expression's operands
+// to evalNode.
+type operands interface {
+	value(e ast.Expr) (constVal, bool)
+}
+
+// constTable holds the constant value of every checked expression of
+// one program, indexed by dense expression id. It depends on the
+// program alone, so CompileAll's lowerings share one, built by the
+// first that asks.
+type constTable struct {
+	// kind is 0 for an expression that is not constant, constStr for a
+	// string constant (word indexes strs), else 1 + its type code.
+	kind []uint8
+	word []uint64
+	strs []string
+}
+
+const constStr = 0xff
+
+// newConstTable evaluates every expression of info's program, operands
+// before the expressions that use them.
+func newConstTable(info *sema.Info) *constTable {
+	n := info.NumExprs + 1
+	t := &constTable{kind: make([]uint8, n), word: make([]uint64, n)}
+	for _, g := range info.Prog.Globals {
+		t.fill(g.Init)
+	}
+	for _, f := range info.Prog.Funcs {
+		ast.Walk(f.Body, func(s ast.Stmt) bool {
+			switch s := s.(type) {
+			case *ast.DeclStmt:
+				for _, d := range s.Decls {
+					t.fill(d.Init)
+				}
+			case *ast.ExprStmt:
+				t.fill(s.X)
+			case *ast.IfStmt:
+				t.fill(s.Cond)
+			case *ast.WhileStmt:
+				t.fill(s.Cond)
+			case *ast.ForStmt:
+				t.fill(s.Cond)
+				t.fill(s.Post)
+			case *ast.ReturnStmt:
+				t.fill(s.Value)
+			}
+			return true
+		})
+	}
+	return t
+}
+
+// fill records the values of e's subtree, post-order.
+func (t *constTable) fill(e ast.Expr) {
+	switch e := e.(type) {
+	case nil:
+		return
+	case *ast.Unary:
+		t.fill(e.X)
+	case *ast.Binary:
+		t.fill(e.X)
+		t.fill(e.Y)
+	case *ast.Assign:
+		t.fill(e.LHS)
+		t.fill(e.RHS)
+	case *ast.Cond:
+		t.fill(e.C)
+		t.fill(e.X)
+		t.fill(e.Y)
+	case *ast.Call:
+		for _, a := range e.Args {
+			t.fill(a)
+		}
+	case *ast.Index:
+		t.fill(e.X)
+		t.fill(e.Idx)
+	case *ast.Member:
+		t.fill(e.X)
+	case *ast.CastExpr:
+		t.fill(e.X)
+	}
+	v, ok := evalNode(e, t)
+	if !ok {
+		return
+	}
+	id := e.ID()
+	if v.isStr {
+		t.kind[id], t.word[id] = constStr, uint64(len(t.strs))
+		t.strs = append(t.strs, v.str)
+		return
+	}
+	t.kind[id], t.word[id] = uint8(v.tc)+1, v.word
+}
+
+// value returns e's recorded constant value; it is how evalNode reads
+// operands while the table fills.
+func (t *constTable) value(e ast.Expr) (constVal, bool) {
+	id := e.ID()
+	switch k := t.kind[id]; k {
+	case 0:
+		return constVal{}, false
+	case constStr:
+		return constVal{tc: ir.U64, isStr: true, str: t.strs[t.word[id]]}, true
+	default:
+		return constVal{tc: ir.TypeCode(k - 1), word: t.word[id]}, true
+	}
 }
 
 // yWord converts the right operand; shifts keep the count unconverted.

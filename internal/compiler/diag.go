@@ -112,10 +112,10 @@ const (
 
 // constUBAt reports whether e is an integer binary operation with both
 // operands compile-time constant whose result is undefined — exactly
-// the expressions evalConst refuses to fold. Sites whose operands are
+// the expressions evalNode refuses to fold. Sites whose operands are
 // not both constant are resolved at run time by the execution profile
 // and are invisible to the front end.
-func constUBAt(e *ast.Binary) (ubKind, bool) {
+func constUBAt(e *ast.Binary, consts *constTable) (ubKind, bool) {
 	switch e.Op {
 	case ast.Add, ast.Sub, ast.Mul, ast.Div, ast.Mod, ast.Shl, ast.Shr:
 	default:
@@ -128,11 +128,11 @@ func constUBAt(e *ast.Binary) (ubKind, bool) {
 	if tc.IsFloat() {
 		return 0, false
 	}
-	x, ok := evalConst(e.X)
+	x, ok := consts.value(e.X)
 	if !ok || x.isStr {
 		return 0, false
 	}
-	y, ok := evalConst(e.Y)
+	y, ok := consts.value(e.Y)
 	if !ok || y.isStr {
 		return 0, false
 	}
@@ -206,7 +206,7 @@ type ubSite struct {
 // constUBSites lists the program's constant-UB sites in source walk
 // order. The list depends on the program alone; each configuration
 // renders it in its own family's wording (scanConstUB).
-func constUBSites(info *sema.Info) []ubSite {
+func constUBSites(info *sema.Info, consts *constTable) []ubSite {
 	var sites []ubSite
 	for _, f := range info.Prog.Funcs {
 		ast.WalkExprs(f.Body, func(e ast.Expr) {
@@ -214,7 +214,7 @@ func constUBSites(info *sema.Info) []ubSite {
 			if !ok {
 				return
 			}
-			if kind, ok := constUBAt(bin); ok {
+			if kind, ok := constUBAt(bin, consts); ok {
 				sites = append(sites, ubSite{line: bin.Pos().Line, op: bin.Op, kind: kind})
 			}
 		})

@@ -16,7 +16,9 @@ import (
 // stack access hits and what uninitialized locals contain, so each
 // implementation orders slots differently.
 type frameLayout struct {
-	offsets   map[*ast.Symbol]int64
+	// offsets holds the parameters' offsets, then the locals', each in
+	// declaration order (see offset).
+	offsets   []int64
 	size      int64
 	slots     []ir.Slot
 	paramOff  []int64
@@ -68,7 +70,7 @@ func (lw *lowerer) planFrame(fn *ast.FuncDecl, params, locals []*ast.Symbol) *fr
 		slices.SortStableFunc(entries, func(a, b entry) int { return cmp.Compare(a.hash, b.hash) })
 	}
 
-	fl := &frameLayout{offsets: make(map[*ast.Symbol]int64, n)}
+	fl := &frameLayout{offsets: make([]int64, n)}
 	if n > 0 {
 		fl.slots = make([]ir.Slot, 0, n)
 	}
@@ -81,7 +83,7 @@ func (lw *lowerer) planFrame(fn *ast.FuncDecl, params, locals []*ast.Symbol) *fr
 	for _, e := range entries {
 		t := e.sym.Type
 		off = alignUp(off, t.Align())
-		fl.offsets[e.sym] = off
+		fl.offsets[e.src] = off
 		fl.slots = append(fl.slots, ir.Slot{Name: e.sym.Name, Off: off, Size: t.Size(), Param: e.param})
 		off += t.Size()
 		off += redzone
@@ -94,10 +96,19 @@ func (lw *lowerer) planFrame(fn *ast.FuncDecl, params, locals []*ast.Symbol) *fr
 	fl.paramOff = make([]int64, len(params))
 	fl.paramKind = make([]ir.TypeCode, len(params))
 	for i, s := range params {
-		fl.paramOff[i] = fl.offsets[s]
+		fl.paramOff[i] = fl.offsets[i]
 		fl.paramKind[i] = typeCode(s.Type)
 	}
 	return fl
+}
+
+// offset is the frame offset of sym, a parameter or local of the
+// function: sema numbers each kind in declaration order (Symbol.Index).
+func (fl *frameLayout) offset(sym *ast.Symbol) int64 {
+	if sym.Kind == ast.SymParam {
+		return fl.offsets[sym.Index]
+	}
+	return fl.offsets[len(fl.paramOff)+sym.Index]
 }
 
 type slotOrder int
@@ -138,11 +149,11 @@ func orderRule(cfg Config) slotOrder {
 	}
 }
 
-// planGlobals assigns offsets in the globals segment. Source order at
-// O0; a personality-keyed order otherwise (seed is cfg's personality).
-// Globals are always zero-initialized (C semantics), so ordering
-// matters only to UB.
-func planGlobals(cfg Config, seed uint64, globals []*ast.Symbol) (map[*ast.Symbol]int64, int64) {
+// planGlobals assigns offsets in the globals segment, indexed like
+// globals (by Symbol.Index). Source order at O0; a personality-keyed
+// order otherwise (seed is cfg's personality). Globals are always
+// zero-initialized (C semantics), so ordering matters only to UB.
+func planGlobals(cfg Config, seed uint64, globals []*ast.Symbol) ([]int64, int64) {
 	type entry struct {
 		sym  *ast.Symbol
 		hash uint64
@@ -162,12 +173,12 @@ func planGlobals(cfg Config, seed uint64, globals []*ast.Symbol) (map[*ast.Symbo
 			return cmp.Compare(a.sym.Index, b.sym.Index)
 		})
 	}
-	offsets := make(map[*ast.Symbol]int64, len(order))
+	offsets := make([]int64, len(order))
 	var off int64
 	for _, e := range order {
 		s := e.sym
 		off = alignUp(off, s.Type.Align())
-		offsets[s] = off
+		offsets[s.Index] = off
 		off += s.Type.Size()
 	}
 	return offsets, alignUp(off, 8)

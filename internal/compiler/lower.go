@@ -37,23 +37,24 @@ func newLowerer(an *analysis, cfg Config) *lowerer {
 	ps := cfg.passes()
 	prof := cfg.profile()
 	return &lowerer{
-		info:    an.info,
-		an:      an,
-		cfg:     cfg,
-		name:    cfg.Name(),
-		prof:    prof,
-		seed:    prof.Key,
-		ps:      ps,
-		akey:    ps.analysisKey(),
-		strOff:  map[string]int64{},
-		funcIdx: make(map[string]int, len(an.info.Prog.Funcs)),
+		info:   an.info,
+		an:     an,
+		cfg:    cfg,
+		name:   cfg.Name(),
+		prof:   prof,
+		seed:   prof.Key,
+		ps:     ps,
+		akey:   ps.analysisKey(),
+		strOff: map[string]int64{},
 	}
 }
 
 type lowerer struct {
 	info *sema.Info
 	an   *analysis
-	cfg  Config
+	// consts is the program's constant table (analysis.constants).
+	consts *constTable
+	cfg    Config
 	// name, prof and seed (the personality, prof.Key) are derived from
 	// cfg once per lowering.
 	name string
@@ -65,7 +66,7 @@ type lowerer struct {
 	rodata    []byte
 	strOff    map[string]int64
 	funcIdx   map[string]int
-	globalOff map[*ast.Symbol]int64
+	globalOff []int64 // by Symbol.Index
 
 	// diags accumulates rendered warnings/errors (see diag.go); depth
 	// tracks expression-lowering recursion for the ICE ceiling.
@@ -92,13 +93,14 @@ type lowerer struct {
 
 // scratch holds the buffers a lowerer reuses for every function it
 // lowers: the emission buffer, the frame planner's hash-key buffer and
-// the peephole fixpoint's buffers (see foldCode). CompileAll hands a
-// finished lowerer's scratch on to the next lowering of the same
-// worker. Nothing a Result retains points into it.
+// the peephole's buffers (see foldCode). CompileAll hands a finished
+// lowerer's scratch on to the next lowering of the same worker.
+// Nothing a Result retains points into it.
 type scratch struct {
 	code     []ir.Instr // the current function's code
 	keyBuf   []byte
-	spare    []ir.Instr // the output buffer of the next peephole pass
+	spare    []ir.Instr // the peephole's output
+	tail     []tailInfo
 	isTarget []bool
 	newIdx   []int
 }
@@ -112,8 +114,8 @@ func (lw *lowerer) compile() (*ir.Program, error) {
 		Profile:   lw.prof,
 		Main:      -1,
 	}
+	lw.funcIdx = prog.FuncIndex
 	for i, f := range lw.info.Prog.Funcs {
-		lw.funcIdx[f.Name] = i
 		prog.FuncIndex[f.Name] = i
 		if f.Name == "main" {
 			prog.Main = i
@@ -123,6 +125,7 @@ func (lw *lowerer) compile() (*ir.Program, error) {
 		return nil, fmt.Errorf("program has no main function")
 	}
 
+	lw.consts = lw.an.constants()
 	// Front-end diagnostics pass: constant-UB sites warn (or, under a
 	// strict personality, reject) before any code is generated.
 	if err := lw.scanConstUB(); err != nil {
@@ -138,7 +141,7 @@ func (lw *lowerer) compile() (*ir.Program, error) {
 
 	// Global and static-local initializers become data-segment images.
 	appendInit := func(sym *ast.Symbol, declType *types.Type, init ast.Expr) error {
-		v, ok := evalConst(init)
+		v, ok := lw.consts.value(init)
 		if !ok {
 			return lw.rejectf(init.Pos().Line, initNotConstText(lw.cfg.Family))
 		}
@@ -150,7 +153,7 @@ func (lw *lowerer) compile() (*ir.Program, error) {
 				data[i] = byte(addr >> (8 * i))
 			}
 		}
-		prog.GlobalInit = append(prog.GlobalInit, ir.GlobalInit{Offset: lw.globalOff[sym], Data: data})
+		prog.GlobalInit = append(prog.GlobalInit, ir.GlobalInit{Offset: lw.globalOff[sym.Index], Data: data})
 		return nil
 	}
 	for _, g := range lw.info.Prog.Globals {
@@ -269,7 +272,7 @@ func (lw *lowerer) edge() {
 // Statements
 
 func (lw *lowerer) stmt(s ast.Stmt) {
-	if s == nil || lw.dec.dead[s] {
+	if s == nil || lw.dec.isDead(s) {
 		return
 	}
 	if p := s.Pos(); p.Line > 0 {
@@ -288,7 +291,7 @@ func (lw *lowerer) stmt(s ast.Stmt) {
 			if d.Init == nil {
 				continue // uninitialized: the slot holds stack garbage
 			}
-			lw.emit(ir.Instr{Op: ir.FrameAddr, Imm: lw.fl.offsets[d.Sym]})
+			lw.emit(ir.Instr{Op: ir.FrameAddr, Imm: lw.fl.offset(d.Sym)})
 			lw.exprConv(d.Init, d.DeclType)
 			lw.store(d.DeclType)
 		}
@@ -320,11 +323,11 @@ func (lw *lowerer) stmt(s ast.Stmt) {
 // could prove) is constant: optimizer folds first, then plain constant
 // folding at -O1+.
 func (lw *lowerer) constCond(e ast.Expr) (bool, bool) {
-	if v, ok := lw.dec.fold[e]; ok {
+	if v, ok := lw.dec.folded(e); ok {
 		return v != 0, true
 	}
 	if lw.ps.ConstFold {
-		if v, ok := evalConst(e); ok && !v.isStr {
+		if v, ok := lw.consts.value(e); ok && !v.isStr {
 			lw.passBits |= PassConstFold
 			return !v.isZero(), true
 		}
@@ -474,7 +477,7 @@ func (lw *lowerer) exprNode(e ast.Expr) {
 	if p := e.Pos(); p.Line > 0 {
 		lw.line = int32(p.Line)
 	}
-	if v, ok := lw.dec.fold[e]; ok {
+	if v, ok := lw.dec.folded(e); ok {
 		lw.emit(ir.Instr{Op: ir.ConstI, Imm: int64(v)})
 		return
 	}
@@ -542,7 +545,7 @@ func (lw *lowerer) widenable(e ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	if _, folded := lw.dec.fold[e]; folded {
+	if _, folded := lw.dec.folded(e); folded {
 		return false
 	}
 	switch bin.Op {
@@ -577,7 +580,7 @@ func (lw *lowerer) lowerWidened(e ast.Expr) {
 }
 
 func (lw *lowerer) widenableNode(bin *ast.Binary) bool {
-	if _, folded := lw.dec.fold[bin]; folded {
+	if _, folded := lw.dec.folded(bin); folded {
 		return false
 	}
 	switch bin.Op {
@@ -615,9 +618,9 @@ func (lw *lowerer) addr(e ast.Expr) {
 		sym := e.Sym
 		switch sym.Kind {
 		case ast.SymLocal, ast.SymParam:
-			lw.emit(ir.Instr{Op: ir.FrameAddr, Imm: lw.fl.offsets[sym]})
+			lw.emit(ir.Instr{Op: ir.FrameAddr, Imm: lw.fl.offset(sym)})
 		case ast.SymGlobal, ast.SymStaticLocal:
-			lw.emit(ir.Instr{Op: ir.GlobalAddr, Imm: lw.globalOff[sym]})
+			lw.emit(ir.Instr{Op: ir.GlobalAddr, Imm: lw.globalOff[sym.Index]})
 		default:
 			lw.emit(ir.Instr{Op: ir.Unreach})
 		}
@@ -812,7 +815,7 @@ func (lw *lowerer) lowerIncDec(e *ast.Unary, needValue bool) {
 func (lw *lowerer) lowerBinary(e *ast.Binary) {
 	// Implementation-level constant folding (never of UB constants).
 	if lw.ps.ConstFold {
-		if v, ok := evalConst(e); ok && !v.isStr {
+		if v, ok := lw.consts.value(e); ok && !v.isStr {
 			lw.passBits |= PassConstFold
 			if v.tc.IsFloat() {
 				lw.emit(ir.Instr{Op: ir.ConstF, FImm: math.Float64frombits(v.word)})
@@ -888,7 +891,7 @@ func (lw *lowerer) lowerBinary(e *ast.Binary) {
 	// FMA contraction: a*b + c in double, fused into one rounding.
 	if e.Op == ast.Add && lw.ps.ContractFMA && typeCode(e.CommonType) == ir.F64 {
 		if mul, ok := e.X.(*ast.Binary); ok && mul.Op == ast.Mul && typeCode(mul.CommonType) == ir.F64 {
-			if _, folded := lw.dec.fold[e.X]; !folded {
+			if _, folded := lw.dec.folded(e.X); !folded {
 				lw.passBits |= PassContractFMA
 				lw.exprOperand(mul.X, e.CommonType)
 				lw.exprOperand(mul.Y, e.CommonType)

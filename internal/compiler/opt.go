@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"compdiff/internal/minic/ast"
+	"compdiff/internal/minic/sema"
 	"compdiff/internal/minic/types"
 )
 
@@ -9,14 +10,17 @@ import (
 // implementation decided to apply to one function. The shared AST is
 // never mutated — the same program object is compiled under many
 // configurations concurrently — so lowering consults these side
-// tables instead.
+// tables instead. Both are indexed by the function's dense node ids
+// (sema.FuncIDs) less the range's start.
 type decisions struct {
-	// fold maps an expression to the constant (0 or 1) that replaces
-	// it: eliminated overflow checks and null checks. Every fold here
-	// is sound under the standard's "UB never happens" licence.
-	fold map[ast.Expr]uint64
+	ids sema.FuncIDs
+	// fold holds, per expression, the constant (0 or 1) that replaces
+	// it plus one, or 0 for none: eliminated overflow checks and null
+	// checks. Every fold here is sound under the standard's "UB never
+	// happens" licence.
+	fold []uint8
 	// dead marks statements the optimizer drops (dead loads).
-	dead map[ast.Stmt]bool
+	dead []bool
 	// fired is the pass-coverage bitmap for this function: which
 	// rewrite kinds the side tables above record. The lowerer unions it
 	// (plus the lowering-time passes) into the per-compilation bitmap.
@@ -24,10 +28,24 @@ type decisions struct {
 }
 
 // noDecisions is the empty side table: what analyzeFunc decides for a
-// pass set that exploits no UB. Lowering only reads decisions, and
-// reads of nil maps are empty, so every function of every such
-// configuration shares it.
+// pass set that exploits no UB. Its tables are empty, so every lookup
+// misses, and every function of every such configuration shares it.
 var noDecisions = &decisions{}
+
+// folded returns the constant the analysis replaced e with, if any.
+func (d *decisions) folded(e ast.Expr) (uint64, bool) {
+	i := uint32(e.ID() - d.ids.Exprs.Lo)
+	if i >= uint32(len(d.fold)) || d.fold[i] == 0 {
+		return 0, false
+	}
+	return uint64(d.fold[i] - 1), true
+}
+
+// isDead reports whether the optimizer drops statement s.
+func (d *decisions) isDead(s ast.Stmt) bool {
+	i := uint32(s.ID() - d.ids.Stmts.Lo)
+	return i < uint32(len(d.dead)) && d.dead[i]
+}
 
 // analysisKey packs the three pass bits analyzeFunc reads. It is the
 // whole of a configuration the analysis depends on, so lowerings whose
@@ -56,13 +74,14 @@ func (ps passSet) analysisKey() analysisKey {
 }
 
 // analyzeFunc runs the flow-sensitive UB-exploitation analysis over a
-// function for the passes in k.
-func analyzeFunc(k analysisKey, fn *ast.FuncDecl) *decisions {
+// function, whose checked nodes have the dense ids in ids, for the
+// passes in k.
+func analyzeFunc(k analysisKey, fn *ast.FuncDecl, ids sema.FuncIDs) *decisions {
 	if k == 0 {
 		return noDecisions
 	}
-	dec := &decisions{fold: map[ast.Expr]uint64{}, dead: map[ast.Stmt]bool{}}
-	a := &analyzer{k: k, dec: dec, writes: map[ast.Stmt][]*ast.Symbol{}}
+	dec := &decisions{ids: ids, fold: make([]uint8, ids.Exprs.Len()), dead: make([]bool, ids.Stmts.Len())}
+	a := &analyzer{k: k, dec: dec, writes: make([]writeSpan, ids.Stmts.Len())}
 	a.stmts(fn.Body.Stmts, newFacts())
 	return dec
 }
@@ -98,9 +117,11 @@ func (f *facts) kill(sym *ast.Symbol) {
 type analyzer struct {
 	k   analysisKey
 	dec *decisions
-	// writes memoises writeSet per statement: a loop body's write set
-	// is needed at every enclosing loop and twice at its own.
-	writes map[ast.Stmt][]*ast.Symbol
+	// writes memoises writeSet per statement, indexed like dec.dead: a
+	// loop body's write set is needed at every enclosing loop and twice
+	// at its own. The sets themselves live in arena.
+	writes []writeSpan
+	arena  []*ast.Symbol
 }
 
 // stmts processes a statement list, threading facts forward.
@@ -127,7 +148,7 @@ func (a *analyzer) stmt(s ast.Stmt, f *facts) {
 	case *ast.ExprStmt:
 		a.applyFolds(s.X, f)
 		if a.k&keyDeadLoad != 0 && pureExpr(s.X) {
-			a.dec.dead[s] = true
+			a.dec.dead[s.ID()-a.dec.ids.Stmts.Lo] = true
 			a.dec.fired |= PassDeadLoad
 			return // the optimizer never executes it: no facts from it
 		}
@@ -197,21 +218,26 @@ func (a *analyzer) applyFolds(e ast.Expr, f *facts) {
 	walk(e, func(x ast.Expr) {
 		if a.k&keyFoldOverflow != 0 {
 			if v, ok := matchOverflowCheck(x, f); ok {
-				a.dec.fold[x] = v
+				a.fold(x, v)
 				a.dec.fired |= PassFoldOverflow
 			}
 		}
 		if a.k&keyFoldNull != 0 {
 			if sym, eqZero, ok := matchNullCheck(x); ok && f.derefed[sym] {
 				if eqZero {
-					a.dec.fold[x] = 0 // p was dereferenced: p == 0 is "never" true
+					a.fold(x, 0) // p was dereferenced: p == 0 is "never" true
 				} else {
-					a.dec.fold[x] = 1
+					a.fold(x, 1)
 				}
 				a.dec.fired |= PassFoldNull
 			}
 		}
 	})
+}
+
+// fold records that e is replaced by the constant v (0 or 1).
+func (a *analyzer) fold(e ast.Expr, v uint64) {
+	a.dec.fold[e.ID()-a.dec.ids.Exprs.Lo] = uint8(v) + 1
 }
 
 // recordDerefs adds pointers unconditionally dereferenced by e.
@@ -513,9 +539,7 @@ func terminates(s ast.Stmt) bool {
 // killAssigned removes facts about every symbol e may write (assigned,
 // incremented, or address-taken).
 func killAssigned(e ast.Expr, f *facts) {
-	for _, sym := range assignedSyms(e) {
-		f.kill(sym)
-	}
+	forAssigned(e, f.kill)
 }
 
 // killWrites removes facts about every symbol statement s may write:
@@ -527,34 +551,47 @@ func (a *analyzer) killWrites(s ast.Stmt, f *facts) {
 	}
 }
 
-// writeSet lists the symbols s may write, possibly with repeats. It is
-// built from the children's memoised sets, so every statement is walked
-// once however deep it nests.
+// writeSet lists the symbols s may write, possibly with repeats and in
+// no particular order (killWrites only deletes facts). It is built
+// from the children's memoised sets, so every statement is walked once
+// however deep it nests. Every set is a span of one arena, so the
+// children's sets are memoised before s's own span starts.
 func (a *analyzer) writeSet(s ast.Stmt) []*ast.Symbol {
 	if s == nil {
 		return nil
 	}
-	if w, ok := a.writes[s]; ok {
-		return w
+	i := s.ID() - a.dec.ids.Stmts.Lo
+	if w := a.writes[i]; w.done {
+		return a.arena[w.lo:w.hi]
 	}
-	var w []*ast.Symbol
-	exprs := func(e ast.Expr) {
-		if e != nil {
-			w = append(w, assignedSyms(e)...)
+	var children []ast.Stmt
+	switch s := s.(type) {
+	case *ast.BlockStmt:
+		children = s.Stmts
+	case *ast.IfStmt:
+		children = []ast.Stmt{s.Then, s.Else}
+	case *ast.WhileStmt:
+		children = []ast.Stmt{s.Body}
+	case *ast.ForStmt:
+		children = []ast.Stmt{s.Init, s.Body}
+	}
+	for _, c := range children {
+		a.writeSet(c)
+	}
+	lo := len(a.arena)
+	exprs := func(es ...ast.Expr) {
+		for _, e := range es {
+			if e != nil {
+				forAssigned(e, func(sym *ast.Symbol) { a.arena = append(a.arena, sym) })
+			}
 		}
 	}
 	switch s := s.(type) {
-	case *ast.BlockStmt:
-		for _, c := range s.Stmts {
-			w = append(w, a.writeSet(c)...)
-		}
 	case *ast.DeclStmt:
 		for _, d := range s.Decls {
 			exprs(d.Init)
-		}
-		for _, d := range s.Decls {
 			if d.Sym != nil {
-				w = append(w, d.Sym)
+				a.arena = append(a.arena, d.Sym)
 			}
 		}
 	case *ast.ExprStmt:
@@ -563,50 +600,51 @@ func (a *analyzer) writeSet(s ast.Stmt) []*ast.Symbol {
 		exprs(s.Value)
 	case *ast.IfStmt:
 		exprs(s.Cond)
-		w = append(w, a.writeSet(s.Then)...)
-		w = append(w, a.writeSet(s.Else)...)
 	case *ast.WhileStmt:
 		exprs(s.Cond)
-		w = append(w, a.writeSet(s.Body)...)
 	case *ast.ForStmt:
-		w = append(w, a.writeSet(s.Init)...)
-		exprs(s.Cond)
-		exprs(s.Post)
-		w = append(w, a.writeSet(s.Body)...)
+		exprs(s.Cond, s.Post)
 	}
-	a.writes[s] = w
-	return w
+	for _, c := range children {
+		a.arena = append(a.arena, a.writeSet(c)...)
+	}
+	a.writes[i] = writeSpan{lo: int32(lo), hi: int32(len(a.arena)), done: true}
+	return a.arena[lo:]
+}
+
+// writeSpan locates a memoised write set in analyzer.arena.
+type writeSpan struct {
+	lo, hi int32
+	done   bool
 }
 
 func assignedIn(s ast.Stmt, sym *ast.Symbol) bool {
 	found := false
 	ast.WalkExprs(s, func(e ast.Expr) {
-		for _, w := range assignedSyms(e) {
+		forAssigned(e, func(w *ast.Symbol) {
 			if w == sym {
 				found = true
 			}
-		}
+		})
 	})
 	return found
 }
 
-// assignedSyms lists symbols e writes or exposes to writes.
-func assignedSyms(e ast.Expr) []*ast.Symbol {
-	var out []*ast.Symbol
+// forAssigned calls fn for each symbol e writes or exposes to writes.
+func forAssigned(e ast.Expr, fn func(*ast.Symbol)) {
 	walk(e, func(x ast.Expr) {
 		switch x := x.(type) {
 		case *ast.Assign:
 			if id, ok := x.LHS.(*ast.Ident); ok && id.Sym != nil {
-				out = append(out, id.Sym)
+				fn(id.Sym)
 			}
 		case *ast.Unary:
 			switch x.Op {
 			case ast.PreInc, ast.PreDec, ast.PostInc, ast.PostDec, ast.AddrOf:
 				if id, ok := x.X.(*ast.Ident); ok && id.Sym != nil {
-					out = append(out, id.Sym)
+					fn(id.Sym)
 				}
 			}
 		}
 	})
-	return out
 }

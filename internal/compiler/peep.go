@@ -32,38 +32,34 @@ import (
 // The pass runs for every configuration, so it cannot introduce a
 // cross-implementation divergence either.
 
-// foldCode rewrites the current function's emitted code (lw.code) to a
-// fixpoint of the folds above, remapping branch targets around removed
-// instructions, and returns it as an exact-size copy. The passes
-// ping-pong between lw.code and the scratch buffer, which both stay
-// with the lowerer; the copy keeps their slack capacity out of the
-// retained program, where progcache's byte budget would not see it.
+// foldCode rewrites the current function's emitted code (lw.code) to
+// the fixpoint of the folds above, remapping branch targets around
+// removed instructions, and returns it as an exact-size copy.
+//
+// The fixpoint is the one a loop of greedy left-to-right passes
+// reaches — each pass folding a window at the first instruction it
+// matches and resuming after it, until a pass folds nothing — but it
+// is built in one pass over the output tail. Every fold ends at a
+// Conv, Load, Cmp* or ALU instruction and starts at a ConstI or
+// address, and no instruction is both, so each window is complete,
+// with its final neighbours, the moment its last instruction is
+// appended: windows are folded there. The one choice this leaves is
+// FrameAddr/GlobalAddr/StrAddr; ConstI; Add(u64), which the ConstI;
+// Add fold competes for. The loop folds a window in the pass after
+// the latest of the passes that produced its instructions, and within
+// a pass the earlier window; tailInfo.pass records those passes, so
+// the tail picks the window the loop would have.
+//
+// The output goes to the scratch buffer, which stays with the
+// lowerer; the copy keeps its slack capacity out of the retained
+// program, where progcache's byte budget would not see it.
 func (lw *lowerer) foldCode() []ir.Instr {
-	code, spare := lw.code, lw.spare
-	for {
-		out, changed := lw.foldOnce(code, spare[:0])
-		if !changed {
-			spare = out
-			break
-		}
-		code, spare = out, code
-	}
-	lw.code, lw.spare = code, spare
-	exact := make([]ir.Instr, len(code))
-	copy(exact, code)
-	return exact
-}
-
-// foldOnce runs one pass over code, appending the rewritten code to
-// out. It reports whether anything folded; if not, out holds no
-// meaningful code and code is the fixpoint.
-func (sc *scratch) foldOnce(code, out []ir.Instr) ([]ir.Instr, bool) {
+	code := lw.code
 	n := len(code)
 	// A fold window may only swallow instructions no branch lands on;
 	// jumping into the middle of a fused pair would change behaviour.
-	sc.isTarget = slices.Grow(sc.isTarget[:0], n+1)[:n+1]
-	clear(sc.isTarget)
-	isTarget := sc.isTarget
+	isTarget := grown(&lw.isTarget, n+1)
+	clear(isTarget)
 	for i := range code {
 		switch code[i].Op {
 		case ir.Jmp, ir.Jz, ir.Jnz:
@@ -72,72 +68,74 @@ func (sc *scratch) foldOnce(code, out []ir.Instr) ([]ir.Instr, bool) {
 			}
 		}
 	}
-	sc.newIdx = slices.Grow(sc.newIdx[:0], n+1)[:n+1]
-	newIdx := sc.newIdx
-	out = slices.Grow(out, n)
-	changed := false
-	i := 0
-	for i < n {
-		newIdx[i] = len(out)
-		in := code[i]
-		if in.Op == ir.ConstI && i+1 < n && code[i+1].Op == ir.Conv && !isTarget[i+1] {
-			cv := &code[i+1]
-			in.Imm = int64(ir.ConvWord(ir.TypeCode(cv.A), ir.TypeCode(cv.B), uint64(in.Imm)))
-			newIdx[i+1] = len(out)
-			out = append(out, in)
-			i += 2
-			changed = true
+	newIdx := grown(&lw.newIdx, n+1)
+	out := slices.Grow(lw.spare[:0], n)
+	tail := slices.Grow(lw.tail[:0], n)
+	for i, in := range code {
+		k := len(out)
+		newIdx[i] = k
+		out = append(out, in)
+		tail = append(tail, tailInfo{target: isTarget[i]})
+		if isTarget[i] || k == 0 || out[k-1].Op != ir.ConstI && out[k-1].Op != ir.FrameAddr {
 			continue
 		}
-		if (in.Op == ir.FrameAddr || in.Op == ir.GlobalAddr || in.Op == ir.StrAddr) &&
-			i+2 < n && code[i+1].Op == ir.ConstI && code[i+2].Op == ir.Add &&
-			ir.TypeCode(code[i+2].A) == ir.U64 && !isTarget[i+1] && !isTarget[i+2] {
-			in.Imm += code[i+1].Imm
-			newIdx[i+1] = len(out)
-			newIdx[i+2] = len(out)
-			out = append(out, in)
-			i += 3
-			changed = true
+		prev := &out[k-1]
+		switch {
+		case in.Op == ir.Conv && prev.Op == ir.ConstI:
+			prev.Imm = int64(ir.ConvWord(ir.TypeCode(in.A), ir.TypeCode(in.B), uint64(prev.Imm)))
+			tail[k-1].pass++
+		case in.Op == ir.Load && prev.Op == ir.FrameAddr:
+			*prev = ir.Instr{Op: ir.LdLoc, A: in.A, B: in.B, Imm: prev.Imm, Line: in.Line}
+		case prev.Op != ir.ConstI:
 			continue
-		}
-		if in.Op == ir.FrameAddr && i+1 < n && code[i+1].Op == ir.Load && !isTarget[i+1] {
-			ld := &code[i+1]
-			out = append(out, ir.Instr{Op: ir.LdLoc, A: ld.A, B: ld.B, Imm: in.Imm, Line: ld.Line})
-			newIdx[i+1] = len(out) - 1
-			i += 2
-			changed = true
-			continue
-		}
-		if in.Op == ir.ConstI && i+1 < n && !isTarget[i+1] {
-			switch nx := &code[i+1]; nx.Op {
-			case ir.CmpEq, ir.CmpNe, ir.CmpLt, ir.CmpLe, ir.CmpGt, ir.CmpGe:
-				if !ir.TypeCode(nx.A).IsFloat() {
-					out = append(out, ir.Instr{Op: ir.CmpImm, A: nx.A, B: uint8(nx.Op - ir.CmpEq), Imm: in.Imm, Line: nx.Line})
-					newIdx[i+1] = len(out) - 1
-					i += 2
-					changed = true
-					continue
-				}
-			case ir.Add, ir.Sub, ir.Mul, ir.BitAnd, ir.BitOr, ir.BitXor:
-				out = append(out, ir.Instr{Op: ir.AluImm, A: nx.A, B: uint8(nx.Op - ir.Add), Imm: in.Imm, Line: nx.Line})
-				newIdx[i+1] = len(out) - 1
-				i += 2
-				changed = true
+		case in.Op >= ir.CmpEq && in.Op <= ir.CmpGe:
+			if ir.TypeCode(in.A).IsFloat() {
 				continue
 			}
+			*prev = ir.Instr{Op: ir.CmpImm, A: in.A, B: uint8(in.Op - ir.CmpEq), Imm: prev.Imm, Line: in.Line}
+		case in.Op == ir.Add && ir.TypeCode(in.A) == ir.U64 && k >= 2 && !tail[k-1].target &&
+			isAddr(out[k-2].Op) && tail[k-2].pass <= tail[k-1].pass:
+			out[k-2].Imm += prev.Imm
+			tail[k-2].pass = tail[k-1].pass + 1
+			out, tail = out[:k-1], tail[:k-1]
+			continue
+		case in.Op == ir.Add || in.Op == ir.Sub || in.Op == ir.Mul ||
+			in.Op == ir.BitAnd || in.Op == ir.BitOr || in.Op == ir.BitXor:
+			*prev = ir.Instr{Op: ir.AluImm, A: in.A, B: uint8(in.Op - ir.Add), Imm: prev.Imm, Line: in.Line}
+		default:
+			continue
 		}
-		out = append(out, in)
-		i++
+		out, tail = out[:k], tail[:k]
 	}
 	newIdx[n] = len(out)
-	if !changed {
-		return out, false
-	}
-	for j := range out {
-		switch out[j].Op {
-		case ir.Jmp, ir.Jz, ir.Jnz:
-			out[j].Imm = int64(newIdx[out[j].Imm])
+	if len(out) < n { // every fold removes an instruction
+		for j := range out {
+			switch out[j].Op {
+			case ir.Jmp, ir.Jz, ir.Jnz:
+				out[j].Imm = int64(newIdx[out[j].Imm])
+			}
 		}
 	}
-	return out, true
+	lw.spare, lw.tail = out, tail
+	exact := make([]ir.Instr, len(out))
+	copy(exact, out)
+	return exact
+}
+
+// tailInfo is what foldCode keeps per output instruction: the pass of
+// the iterate-to-fixpoint loop that would have produced it (0 for an
+// input instruction copied unchanged) and whether a branch lands on it.
+type tailInfo struct {
+	pass   int32
+	target bool
+}
+
+func isAddr(op ir.Op) bool {
+	return op == ir.FrameAddr || op == ir.GlobalAddr || op == ir.StrAddr
+}
+
+// grown returns (*buf)[:n], growing the buffer if needed.
+func grown[T any](buf *[]T, n int) []T {
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	return *buf
 }

@@ -292,8 +292,15 @@ func (s *Suite) newSet() *machineSet {
 	for i, im := range s.Impls {
 		set.machines[i] = s.newMachine(im)
 	}
+	if newSetHook != nil {
+		newSetHook(set)
+	}
 	return set
 }
+
+// newSetHook, when set, sees every machine set newSet builds. It is a
+// test seam (export_test.go); install it only while no suite builds.
+var newSetHook func(*machineSet)
 
 func (s *Suite) newMachine(im *Implementation) *vm.Machine {
 	return vm.New(im.Prog, vm.Options{StepLimit: s.opts.StepLimit})

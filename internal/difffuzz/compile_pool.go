@@ -19,7 +19,6 @@ import (
 
 	"compdiff/internal/checkpoint"
 	"compdiff/internal/compiler"
-	"compdiff/internal/core"
 	"compdiff/internal/telemetry"
 	"compdiff/internal/triage"
 )
@@ -194,10 +193,9 @@ func (p *CompilePool) next() bool {
 
 func (p *CompilePool) epoch(_ context.Context, si int) bool {
 	sh := p.shards[si]
-	spares := core.NewSpares()
 	for i := p.cursor; i < p.end; i++ {
 		if i%len(p.shards) == si {
-			sh.tally(sh.buckets, p.check(p.corpus[i], nil, spares))
+			sh.tally(sh.buckets, p.check(p.corpus[i], nil, p.spares[si]))
 		}
 	}
 	return true

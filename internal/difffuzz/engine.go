@@ -97,6 +97,11 @@ type engine struct {
 	ckptErrs atomic.Int64
 	// recorder is nil when stats are disabled.
 	recorder *telemetry.Recorder
+	// spares holds each shard's released machine sets for one run:
+	// shard si builds its suites from spares[si] in every epoch, so a
+	// shard builds one set per run, not one per epoch. run drops them
+	// on return, so no machine outlives the Run that used it.
+	spares []*core.Spares
 
 	// barrierHook, when set, runs last at every barrier.
 	barrierHook func()
@@ -175,6 +180,11 @@ func (e *engine) run(ctx context.Context) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	e.spares = make([]*core.Spares, len(e.dead))
+	for si := range e.spares {
+		e.spares[si] = core.NewSpares()
+	}
+	defer func() { e.spares = nil }()
 	for epoch := 0; ctx.Err() == nil && e.w.next(); epoch++ {
 		if e.hook != nil {
 			e.hook(epoch, -1)
@@ -474,9 +484,10 @@ type verdict struct {
 // misses produce identical verdicts. info, when non-nil, is the
 // caller's checked front end for src, which a miss lowers directly.
 // The suite's machines come from the caller's spares and go back to
-// them after the verdict: each shard epoch keeps its own set, so
-// shards share compiled programs read-only, never execution state, and
-// a rebound machine runs exactly as a new one would.
+// them after the verdict: each shard keeps its own spares for the
+// whole Run (engine.spares), so shards share compiled programs
+// read-only, never execution state, and a rebound machine runs exactly
+// as a new one would.
 func (o *programOracle) check(src string, info *sema.Info, spares *core.Spares) verdict {
 	var v verdict
 	comp := o.cache.GetChecked(src, info, o.cfgs, o.copts.Parallelism)

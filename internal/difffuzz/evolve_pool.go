@@ -21,7 +21,6 @@ import (
 
 	"compdiff/internal/checkpoint"
 	"compdiff/internal/compiler"
-	"compdiff/internal/core"
 	"compdiff/internal/evolve"
 	"compdiff/internal/telemetry"
 )
@@ -218,7 +217,6 @@ func (p *EvolvePool) next() bool {
 // epoch measures shard si's genomes through the oracles. It stops
 // early, dropping the generation, when ctx is cancelled.
 func (p *EvolvePool) epoch(ctx context.Context, si int) bool {
-	spares := core.NewSpares()
 	for i := si; i < len(p.pop); i += p.opts.Shards {
 		if p.evalHook != nil {
 			p.evalHook(p.generation, i)
@@ -227,7 +225,7 @@ func (p *EvolvePool) epoch(ctx context.Context, si int) bool {
 			return false
 		}
 		g := p.pop[i]
-		p.evals[i] = p.check(g.Src, g.Checked(), spares)
+		p.evals[i] = p.check(g.Src, g.Checked(), p.spares[si])
 	}
 	return true
 }

@@ -14,18 +14,36 @@ type Node interface {
 	Pos() token.Pos
 }
 
-// Expr is an expression node. After sema, Type() returns the value type.
+// Expr is an expression node. After sema, Type() returns the value
+// type and ID() the node's dense id.
 type Expr interface {
 	Node
 	Type() *types.Type
+	ID() int32
 	exprNode()
 }
 
-// Stmt is a statement node.
+// Stmt is a statement node. After sema, ID() returns its dense id.
 type Stmt interface {
 	Node
+	ID() int32
 	stmtNode()
 }
+
+// nodeID is the dense id sema gives each expression and statement it
+// checks (sema.Info.NumExprs, NumStmts): expressions and statements
+// are numbered separately, from 1, in checking order. Zero marks a
+// node no check has reached. Back ends index per-program and
+// per-function side tables by it instead of hashing node pointers.
+type nodeID struct {
+	id int32
+}
+
+// ID returns the node's dense id (0 before sema).
+func (n *nodeID) ID() int32 { return n.id }
+
+// SetID records the node's dense id; sema calls it.
+func (n *nodeID) SetID(id int32) { n.id = id }
 
 // ---------------------------------------------------------------------------
 // Program structure
@@ -116,6 +134,7 @@ type Symbol struct {
 
 // BlockStmt is `{ ... }`.
 type BlockStmt struct {
+	nodeID
 	LBrace token.Pos
 	Stmts  []Stmt
 }
@@ -125,6 +144,7 @@ func (*BlockStmt) stmtNode()        {}
 
 // DeclStmt wraps local variable declarations.
 type DeclStmt struct {
+	nodeID
 	Decls []*VarDecl
 }
 
@@ -138,6 +158,7 @@ func (*DeclStmt) stmtNode() {}
 
 // ExprStmt is an expression evaluated for its side effects.
 type ExprStmt struct {
+	nodeID
 	X Expr
 }
 
@@ -146,6 +167,7 @@ func (*ExprStmt) stmtNode()        {}
 
 // IfStmt is if/else.
 type IfStmt struct {
+	nodeID
 	IfPos token.Pos
 	Cond  Expr
 	Then  Stmt
@@ -157,6 +179,7 @@ func (*IfStmt) stmtNode()        {}
 
 // WhileStmt is a while loop.
 type WhileStmt struct {
+	nodeID
 	WhilePos token.Pos
 	Cond     Expr
 	Body     Stmt
@@ -167,6 +190,7 @@ func (*WhileStmt) stmtNode()        {}
 
 // ForStmt is a C-style for loop.
 type ForStmt struct {
+	nodeID
 	ForPos token.Pos
 	Init   Stmt // DeclStmt or ExprStmt, may be nil
 	Cond   Expr // may be nil (infinite)
@@ -179,6 +203,7 @@ func (*ForStmt) stmtNode()        {}
 
 // ReturnStmt returns from the enclosing function.
 type ReturnStmt struct {
+	nodeID
 	RetPos token.Pos
 	Value  Expr // may be nil
 }
@@ -187,13 +212,19 @@ func (s *ReturnStmt) Pos() token.Pos { return s.RetPos }
 func (*ReturnStmt) stmtNode()        {}
 
 // BreakStmt breaks the innermost loop.
-type BreakStmt struct{ KwPos token.Pos }
+type BreakStmt struct {
+	nodeID
+	KwPos token.Pos
+}
 
 func (s *BreakStmt) Pos() token.Pos { return s.KwPos }
 func (*BreakStmt) stmtNode()        {}
 
 // ContinueStmt continues the innermost loop.
-type ContinueStmt struct{ KwPos token.Pos }
+type ContinueStmt struct {
+	nodeID
+	KwPos token.Pos
+}
 
 func (s *ContinueStmt) Pos() token.Pos { return s.KwPos }
 func (*ContinueStmt) stmtNode()        {}
@@ -202,6 +233,7 @@ func (*ContinueStmt) stmtNode()        {}
 // Expressions
 
 type typedExpr struct {
+	nodeID
 	T *types.Type
 }
 

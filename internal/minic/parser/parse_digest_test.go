@@ -27,6 +27,7 @@ import (
 	"compdiff/internal/hash"
 	"compdiff/internal/minic/lexer"
 	"compdiff/internal/minic/parser"
+	"compdiff/internal/minic/token"
 	"compdiff/internal/minic/types"
 	"compdiff/internal/progen"
 	"compdiff/internal/targets"
@@ -208,12 +209,54 @@ func readFuzzString(t testing.TB, path string) string {
 // struct field, pointers followed, floats by bit pattern, errors by
 // their text. Struct types are numbered by identity, so the dump also
 // pins which declarations share one parser-interned struct type.
+//
+// Two layout details stay out of the dump. The dense node ids
+// (ast.nodeID) are sema's, not the parser's: the dump checks that a
+// parse leaves them zero and writes nothing for them. And token.Token
+// is written in its field order when the digest was pinned
+// (tokenFields): Kind has since moved beside the two flags to pack the
+// struct, which is layout, not lexer behaviour.
 type dumper struct {
 	b       strings.Builder
 	structs map[*types.Type]int
 }
 
-var typePtr = reflect.TypeOf((*types.Type)(nil))
+var (
+	typePtr   = reflect.TypeOf((*types.Type)(nil))
+	tokenType = reflect.TypeOf(token.Token{})
+)
+
+// tokenFields is token.Token's field order in the pinned digest.
+var tokenFields = []string{"Kind", "Text", "Pos", "IntVal", "FloatVal", "StrVal", "Unsigned", "Long"}
+
+// fieldOrder lists the struct fields of t in dump order.
+func fieldOrder(t reflect.Type) []reflect.StructField {
+	if t == tokenType {
+		if t.NumField() != len(tokenFields) {
+			panic(fmt.Sprintf("dump: token.Token has %d fields, the pinned order %d", t.NumField(), len(tokenFields)))
+		}
+		fields := make([]reflect.StructField, len(tokenFields))
+		for i, name := range tokenFields {
+			f, ok := t.FieldByName(name)
+			if !ok {
+				panic("dump: token.Token has no field " + name)
+			}
+			fields[i] = f
+		}
+		return fields
+	}
+	fields := make([]reflect.StructField, t.NumField())
+	for i := range fields {
+		fields[i] = t.Field(i)
+	}
+	return fields
+}
+
+// isNodeID reports whether f is the embedded dense node id of an AST
+// node.
+func isNodeID(f reflect.StructField) bool {
+	return f.Anonymous && f.Type.Name() == "nodeID" && f.Type.PkgPath() == "compdiff/internal/minic/ast"
+}
 
 func (d *dumper) value(v reflect.Value) {
 	if v.Kind() == reflect.Interface {
@@ -248,9 +291,16 @@ func (d *dumper) value(v reflect.Value) {
 	case reflect.Struct:
 		d.b.WriteString(v.Type().Name())
 		d.b.WriteByte('{')
-		for i := 0; i < v.NumField(); i++ {
-			d.b.WriteString(v.Type().Field(i).Name + ":")
-			d.value(v.Field(i))
+		for _, f := range fieldOrder(v.Type()) {
+			fv := v.FieldByIndex(f.Index)
+			if isNodeID(f) {
+				if !fv.IsZero() {
+					panic("dump: the parser gave a node a dense id")
+				}
+				continue
+			}
+			d.b.WriteString(f.Name + ":")
+			d.value(fv)
 			d.b.WriteByte(' ')
 		}
 		d.b.WriteByte('}')

@@ -44,7 +44,28 @@ type Info struct {
 	// pointer conversions) in a stable order; the static analyzers and
 	// some Juliet ground-truth checks read them.
 	Warnings []string
+
+	// NumExprs and NumStmts count the dense ids Check gave the
+	// expression and statement nodes it checked (ast.Expr.ID,
+	// ast.Stmt.ID): ids run from 1 in checking order, so a side table
+	// indexed by id has NumExprs+1 (NumStmts+1) slots.
+	NumExprs, NumStmts int32
+
+	// FuncIDs holds each function's id ranges, indexed like Prog.Funcs:
+	// a function's body is checked in one go, so its nodes' ids are
+	// contiguous.
+	FuncIDs []FuncIDs
 }
+
+// IDRange is the half-open range [Lo, Hi) of dense node ids.
+type IDRange struct{ Lo, Hi int32 }
+
+// Len is the number of ids in r.
+func (r IDRange) Len() int { return int(r.Hi - r.Lo) }
+
+// FuncIDs are the id ranges of one function's checked expressions and
+// statements, its body block included.
+type FuncIDs struct{ Exprs, Stmts IDRange }
 
 // Check type-checks prog, mutating the AST in place (resolving symbols
 // and assigning types). It returns the analysis Info, or an error
@@ -185,8 +206,12 @@ func (c *checker) program(prog *ast.Program) {
 	}
 
 	// Pass 4: function bodies.
-	for _, f := range prog.Funcs {
+	c.info.FuncIDs = make([]FuncIDs, len(prog.Funcs))
+	for i, f := range prog.Funcs {
+		ids := &c.info.FuncIDs[i]
+		ids.Exprs.Lo, ids.Stmts.Lo = c.info.NumExprs+1, c.info.NumStmts+1
 		c.checkFunc(f)
+		ids.Exprs.Hi, ids.Stmts.Hi = c.info.NumExprs+1, c.info.NumStmts+1
 	}
 }
 
@@ -290,6 +315,7 @@ func (c *checker) checkFunc(f *ast.FuncDecl) {
 		}
 		c.scope.syms[p.Name] = sym
 	}
+	c.stmtID(f.Body)
 	c.block(f.Body, false)
 	c.fn = nil
 	c.scope = nil
@@ -305,10 +331,17 @@ func (c *checker) block(b *ast.BlockStmt, newScope_ bool) {
 	}
 }
 
+// stmtID gives s the next statement id.
+func (c *checker) stmtID(s ast.Stmt) {
+	c.info.NumStmts++
+	s.(interface{ SetID(int32) }).SetID(c.info.NumStmts)
+}
+
 func (c *checker) stmt(s ast.Stmt) {
 	if s == nil {
 		return
 	}
+	c.stmtID(s)
 	if line := s.Pos().Line; line > 0 {
 		c.stmtLine = line
 	}
@@ -424,6 +457,8 @@ func setType(e ast.Expr, t *types.Type) {
 var invalid = &types.Type{Kind: types.Invalid}
 
 func (c *checker) exprNoDecay(e ast.Expr) *types.Type {
+	c.info.NumExprs++
+	e.(interface{ SetID(int32) }).SetID(c.info.NumExprs)
 	switch e := e.(type) {
 	case *ast.IntLit, *ast.FloatLit, *ast.StrLit:
 		return e.Type()

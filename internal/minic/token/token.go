@@ -5,8 +5,9 @@ package token
 
 import "fmt"
 
-// Kind identifies a lexical token class.
-type Kind int
+// Kind identifies a lexical token class. It is a byte, so a Token
+// packs it beside its two flags.
+type Kind uint8
 
 const (
 	EOF Kind = iota
@@ -177,17 +178,18 @@ func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 // IsValid reports whether the position has been set.
 func (p Pos) IsValid() bool { return p.Line > 0 }
 
-// Token is one lexical token with its source text and position.
+// Token is one lexical token with its source text and position. Kind
+// sits with the two flags, so the three share one word.
 type Token struct {
-	Kind Kind
 	Text string // raw text (identifiers, literals)
 	Pos  Pos
 
 	IntVal   int64   // IntLit, CharLit: decoded value
 	FloatVal float64 // FloatLit
 	StrVal   string  // StrLit: decoded (unescaped) value
-	Unsigned bool    // IntLit had a 'U' suffix
-	Long     bool    // IntLit had an 'L' suffix
+	Kind     Kind
+	Unsigned bool // IntLit had a 'U' suffix
+	Long     bool // IntLit had an 'L' suffix
 }
 
 // String renders the token for diagnostics.

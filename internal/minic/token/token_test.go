@@ -3,6 +3,7 @@ package token
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestKindStrings(t *testing.T) {
@@ -15,7 +16,7 @@ func TestKindStrings(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", k, got, want)
 		}
 	}
-	if got := Kind(9999).String(); !strings.Contains(got, "9999") {
+	if got := Kind(250).String(); !strings.Contains(got, "250") {
 		t.Errorf("unknown kind = %q", got)
 	}
 }
@@ -62,5 +63,13 @@ func TestTokenString(t *testing.T) {
 	op := Token{Kind: Add}
 	if op.String() != "+" {
 		t.Errorf("op token = %q", op.String())
+	}
+}
+
+// TestTokenPacked: Kind shares a word with the two flags, so a token is
+// nine words (72 bytes on 64-bit), not ten.
+func TestTokenPacked(t *testing.T) {
+	if got, want := unsafe.Sizeof(Token{}), 9*unsafe.Sizeof(uintptr(0)); got != want {
+		t.Errorf("token.Token is %d bytes, want %d", got, want)
 	}
 }

@@ -9,7 +9,8 @@
 #   outfile      defaults to BENCH_<YYYY-MM-DD>.json
 #   bench-regex  defaults to the perf-tracked set (differential
 #                overhead + suite hot path + batch/cache/campaign +
-#                compilation, lowering alone, the front end alone,
+#                compilation, lowering alone, the compile pool, the
+#                front end alone,
 #                machine construction and rebinding +
 #                the fuzzer loop on one B_fuzz machine + a steady-state
 #                checkpoint save + reduction of the golden reproducers)
@@ -71,7 +72,7 @@ if [ "${1:-}" = "-diff" ]; then
 fi
 
 OUT="${1:-BENCH_$(date +%Y-%m-%d).json}"
-BENCH="${2:-OverheadSingleBinary|OverheadRecommendedPair|OverheadFullTen|SuiteRunSequential|SuiteRunFast|SuiteRunParallel\$|SuiteRunBatch64|ProgCacheHit|CampaignFourShards|DifferentialRunListing1|CompileTenImplementations|LowerTenImplementations|ParseSema|MachineNew|MachineRebind|FuzzerExec|CheckpointSave|ReduceGolden}"
+BENCH="${2:-OverheadSingleBinary|OverheadRecommendedPair|OverheadFullTen|SuiteRunSequential|SuiteRunFast|SuiteRunParallel\$|SuiteRunBatch64|ProgCacheHit|CampaignFourShards|DifferentialRunListing1|CompileTenImplementations|LowerTenImplementations|CompilePoolCorpus|ParseSema|MachineNew|MachineRebind|FuzzerExec|CheckpointSave|ReduceGolden}"
 BENCHTIME="${3:-1s}"
 
 RAW="$(mktemp)"

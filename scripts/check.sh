@@ -1,6 +1,7 @@
 #!/bin/sh
-# Tier-1 gate, shell form of `make check`: vet, build, race-enabled
-# tests, and a short native-fuzz smoke. Usage: scripts/check.sh
+# Tier-1 gate; `make check` runs it. Vet, build, race-enabled tests
+# and the named equivalence steps, the bench and native-fuzz smokes,
+# coverage floors and the CLI smokes. Usage: scripts/check.sh
 # [fuzztime], e.g. `scripts/check.sh 30s`.
 set -eu
 
@@ -50,19 +51,23 @@ go test -race -run 'TestSparseBitmapMatchesDense|TestSparseBitmapWrappedCounters
 # parallel cross-check, under the race detector. Suites built from
 # recycled machine sets must match fresh suites the same way, also
 # where a released set fits the new suite only in some slots, and
-# warmed suites must hold complete sets.
+# warmed suites must hold complete sets. The compile and evolve pools
+# must build one machine set per shard per Run, however many epochs it
+# has, and keep none once Run returns.
 echo "== core batch-executor self-test (-race)"
-go test -race -run 'TestRunBatchMatchesRun|TestRunBatchMatchesRunParallel|TestRunBatchSingletonIsRunFast|TestRecycledSuitesMatchFresh|TestSparesMismatchedSlotsMatchFresh|TestWarm|TestSuiteRunConcurrent' \
+go test -race -run 'TestRunBatchMatchesRun|TestRunBatchMatchesRunParallel|TestRunBatchSingletonIsRunFast|TestRecycledSuitesMatchFresh|TestSparesMismatchedSlotsMatchFresh|TestWarm|TestSuiteRunConcurrent|TestPoolSparesLastOneRun' \
 	-count=1 ./internal/core
 
 # The lowering equivalence gates: CompileAll, which shares one
 # per-program analysis across configurations and lowers them
 # concurrently, must equal per-configuration CompileGuarded; both must
 # match the lowering digest pinned in internal/compiler/testdata; a
-# shared-analysis panic must stay each configuration's own ICE; and
-# every retained function body must be an exact-size slice.
+# shared-analysis panic must stay each configuration's own ICE; every
+# retained function body must be an exact-size slice; and the
+# per-program constant table must equal recursive constant evaluation
+# on every expression.
 echo "== compiler lowering equivalence (-race)"
-go test -race -run 'TestLoweringMatchesParent|TestCompileAllMatchesCompileGuarded|TestSharedAnalysisPanicIsICE|TestRetainedCodeIsExact' \
+go test -race -run 'TestLoweringMatchesParent|TestCompileAllMatchesCompileGuarded|TestSharedAnalysisPanicIsICE|TestRetainedCodeIsExact|TestConstTableMatchesEvalConst' \
 	-count=1 ./internal/compiler
 
 # The front-end equivalence gates: the lexer and parser must match the
@@ -96,13 +101,14 @@ go test -run='^$' -bench='^BenchmarkOverheadFullTen$' -benchtime=10x -benchmem .
 
 # Batch/cache/construction bench smoke: the persistent-mode batch
 # executor, the compiled-program cache, the machine-construction,
-# checkpoint-save, lowering, front-end and reducer benchmarks must exist and
-# produce rows bench.sh can parse into the trajectory record (guards
-# both the benchmarks and the bench.sh JSON pipeline).
-echo "== bench smoke (SuiteRunBatch64 + ProgCacheHit + MachineNew + MachineRebind + FuzzerExec + CheckpointSave + LowerTenImplementations + ParseSema + ReduceGolden via bench.sh)"
+# checkpoint-save, lowering, compile-pool, front-end and reducer
+# benchmarks must exist and produce rows bench.sh can parse into the
+# trajectory record (guards both the benchmarks and the bench.sh JSON
+# pipeline).
+echo "== bench smoke (SuiteRunBatch64 + ProgCacheHit + MachineNew + MachineRebind + FuzzerExec + CheckpointSave + LowerTenImplementations + CompilePoolCorpus + ParseSema + ReduceGolden via bench.sh)"
 BENCH_SMOKE_JSON="$(mktemp)"
-scripts/bench.sh "$BENCH_SMOKE_JSON" 'SuiteRunBatch64|ProgCacheHit|MachineNew|MachineRebind|FuzzerExec|CheckpointSave|LowerTenImplementations|ParseSema|ReduceGolden' 10x >/dev/null 2>&1
-for b in BenchmarkSuiteRunBatch64 BenchmarkProgCacheHit BenchmarkMachineNew BenchmarkMachineRebind BenchmarkFuzzerExec BenchmarkCheckpointSave BenchmarkLowerTenImplementations BenchmarkParseSema BenchmarkReduceGolden; do
+scripts/bench.sh "$BENCH_SMOKE_JSON" 'SuiteRunBatch64|ProgCacheHit|MachineNew|MachineRebind|FuzzerExec|CheckpointSave|LowerTenImplementations|CompilePoolCorpus|ParseSema|ReduceGolden' 10x >/dev/null 2>&1
+for b in BenchmarkSuiteRunBatch64 BenchmarkProgCacheHit BenchmarkMachineNew BenchmarkMachineRebind BenchmarkFuzzerExec BenchmarkCheckpointSave BenchmarkLowerTenImplementations BenchmarkCompilePoolCorpus BenchmarkParseSema BenchmarkReduceGolden; do
 	grep -q "\"name\": \"$b\", \"ns_per_op\": [0-9]" "$BENCH_SMOKE_JSON" || {
 		echo "bench smoke: $b missing from bench.sh output" >&2
 		cat "$BENCH_SMOKE_JSON" >&2
@@ -124,6 +130,7 @@ go test -fuzz=FuzzRestoreState -fuzztime="$FUZZTIME" -run='^$' ./internal/fuzz
 go test -fuzz=FuzzMachineRebind -fuzztime="$FUZZTIME" -run='^$' ./internal/vm
 go test -fuzz=FuzzSupervisorHandler -fuzztime="$FUZZTIME" -run='^$' ./internal/supervisor
 go test -fuzz=FuzzCheckpointLoad -fuzztime="$FUZZTIME" -run='^$' ./internal/checkpoint
+go test -fuzz=FuzzPeepholeFixpoint -fuzztime="$FUZZTIME" -run='^$' ./internal/compiler
 
 # Coverage gate: per-package table plus hard floors on the triage
 # layer, whose whole contract lives in its tests.
