@@ -14,6 +14,7 @@
 //
 //	-target NAME    fuzz a built-in target (see -list)
 //	-src FILE       fuzz a MiniC source file
+//	-seedfile FILE  seed input for -src (repeatable)
 //	-programs DIR   compile-oracle campaign over every *.mc program in
 //	                DIR: accept/reject divergences, internal compiler
 //	                errors, and diagnostic mismatches become triage
@@ -34,6 +35,8 @@
 //	-seed N         fuzzer RNG seed
 //	-shards N       parallel fuzzer instances, AFL -M/-S style
 //	-jobs N         worker goroutines per differential cross-check
+//	-batch N        inputs cross-checked per warm machine-set borrow
+//	                (default 1: per-exec)
 //	-sync N         executions between shard synchronization barriers
 //	-san MODE       sanitizer on the fuzzing binary: none|asan|ubsan|msan
 //	-diffdir DIR    persist diverging inputs under DIR/diffs/
@@ -57,8 +60,15 @@
 //	-workers N      worker processes to supervise (with -serve)
 //	-list           list built-in targets and exit
 //
+// Each mode rejects a flag it does not read rather than ignore it.
 // -san, -diffdir, -batch, -stats-every, and -heartbeat tune input
-// fuzzing; -programs and -evolve campaigns reject them.
+// fuzzing; -programs and -evolve campaigns reject them, and -seedfile,
+// -execs, and -execs-total too. -programs also rejects -seed, and
+// -evolve -sync. -serve rejects -checkpoint, -stats, -diffdir,
+// -heartbeat, and -resume, which it derives for each worker. A
+// built-in -target rejects -seedfile. -pop and -generations need
+// -evolve; -farm and -workers need -serve. -list ignores every other
+// flag.
 //
 // Exit codes: 0 on success, 2 for command-line misuse (bad flags,
 // unknown -target, mutually exclusive modes, or -resume against a
@@ -75,6 +85,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -86,7 +97,9 @@ import (
 	"os/exec"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"syscall"
 	"text/tabwriter"
 	"time"
@@ -126,10 +139,6 @@ type usageError struct{ err error }
 func (e usageError) Error() string { return e.err.Error() }
 func (e usageError) Unwrap() error { return e.err }
 
-func usagef(format string, args ...any) error {
-	return usageError{fmt.Errorf(format, args...)}
-}
-
 // cliConfig holds every flag value that validation looks at. Keeping
 // it a plain struct keeps validate a pure function the tests can
 // drive without touching the flag package or os.Args.
@@ -143,8 +152,11 @@ type cliConfig struct {
 	generations int
 	gensSet     bool // -generations was given explicitly
 	execs       int64
+	execsSet    bool // -execs was given explicitly
 	execsTotal  int64
 	seed        int64
+	seedSet     bool // -seed was given explicitly
+	seedfileSet bool // -seedfile was given
 	shards      int
 	jobs        int
 	batch       int
@@ -165,143 +177,193 @@ type cliConfig struct {
 	list        bool
 }
 
+// Why a mode rejects a flag it does not read; {flag} and {mode} name
+// the two.
+const (
+	exclusive   = "-target, -src, and -programs are mutually exclusive"
+	ownPrograms = "-evolve generates its own programs; it excludes -target, -src, and -programs"
+	standalone  = "-serve supervises input-fuzzing workers; {flag} campaigns run standalone"
+	evolveOnly  = "-pop and -generations only make sense with -evolve"
+	serveOnly   = "{flag} only makes sense with -serve"
+	fuzzOnly    = "{flag} only applies to input fuzzing, not to {mode} campaigns"
+	perWorker   = "{flag} is per-worker under -serve; the farm layout derives it from -farm"
+	corpusBound = "{flag} is an execution budget; -programs campaigns are bounded by the corpus"
+	popBound    = "{flag} is an execution budget; -evolve campaigns are bounded by -pop × -generations"
+)
+
+// A cliFlag is a flag that some mode does not read or that -serve
+// forwards to its workers.
+type cliFlag struct {
+	name string
+	// given reports whether the command line set the flag: the *Set
+	// field where there is one, else a value other than the default.
+	given bool
+	// why is the reason a mode that does not read the flag gives,
+	// unless the mode has its own.
+	why string
+	// fwd is the value -serve hands every worker; "" for a flag it
+	// does not forward.
+	fwd string
+}
+
+// flags is every cliFlag, in the order validate checks them.
+func (c cliConfig) flags() []cliFlag {
+	return []cliFlag{
+		{"-target", c.target != "", exclusive, ""},
+		{"-src", c.src != "", exclusive, ""},
+		{"-programs", c.programs != "", standalone, ""},
+		{"-evolve", c.evolve, standalone, ""},
+		{"-pop", c.popSet, evolveOnly, ""},
+		{"-generations", c.gensSet, evolveOnly, ""},
+		{"-execs", c.execsSet, "{flag} is an execution budget, which {mode} campaigns do not have", ""},
+		{"-execs-total", c.execsTotal != 0, "{flag} is an execution budget, which {mode} campaigns do not have", ""},
+		{"-seed", c.seedSet, "{flag} seeds the fuzzer or the founders; {mode} campaigns are fixed by their corpus", ""},
+		{"-seedfile", c.seedfileSet, "{flag} seeds input fuzzing; {mode} campaigns run programs, not inputs", ""},
+		{"-shards", c.shards != 1, "", fmt.Sprint(c.shards)},
+		{"-jobs", c.jobs != 1, "", fmt.Sprint(c.jobs)},
+		{"-sync", c.syncSet, "{flag} spaces input or program barriers; {mode} campaigns meet at every generation", fmt.Sprint(c.sync)},
+		{"-checkpoint-every", c.ckptEvery != 0, "", fmt.Sprint(c.ckptEvery)},
+		// The input-fuzzing flags: -serve forwards the knobs and derives
+		// the outputs for each worker.
+		{"-san", c.san != "none", fuzzOnly, c.san},
+		{"-batch", c.batch > 1, fuzzOnly, fmt.Sprint(c.batch)},
+		{"-stats-every", c.statsEvery != 0, fuzzOnly, fmt.Sprint(c.statsEvery)},
+		{"-diffdir", c.diffdir != "", fuzzOnly, ""},
+		{"-heartbeat", c.heartbeat != "", fuzzOnly, ""},
+		{"-stats", c.statsDir != "", perWorker, ""},
+		{"-checkpoint", c.checkpoint != "", perWorker, ""},
+		{"-resume", c.resume, "-resume is implicit under -serve: workers always resume their own checkpoints", ""},
+		{"-farm", c.farm != "", serveOnly, ""},
+		{"-workers", c.workersSet, serveOnly, ""},
+	}
+}
+
+// The flag groups the mode table's reads lists are made of.
+const (
+	inputFlags    = "-target -src -seedfile -execs -execs-total -seed -sync "
+	fuzzKnobs     = "-san -batch -stats-every "
+	fuzzOutputs   = "-diffdir -heartbeat "
+	campaignFlags = "-shards -jobs -stats -checkpoint -checkpoint-every -resume "
+)
+
+// A mode is one entry of the mode table.
+type mode struct {
+	name string                 // the flag that selects it, as messages name it
+	on   func(c cliConfig) bool // whether the command line selects it
+	// reads is every cliFlag the mode reads; validate rejects any other
+	// that was given, for the reason in why or else the flag's own.
+	reads string
+	why   map[string]string
+	run   func(c cliConfig, seeds *seedList, stdout, stderr io.Writer) error
+}
+
+// modes is the mode table, in the order pickMode tries it.
+var modes = []mode{
+	{
+		name: "-list",
+		on:   func(c cliConfig) bool { return c.list },
+		run: func(_ cliConfig, _ *seedList, stdout, _ io.Writer) error {
+			for _, tg := range targets.All() {
+				fmt.Fprintf(stdout, "%-14s %-16s %d planted bugs\n", tg.Name, tg.InputType, len(tg.Bugs))
+			}
+			return nil
+		},
+	},
+	{
+		name:  "-serve",
+		on:    func(c cliConfig) bool { return c.serve != "" },
+		reads: inputFlags + fuzzKnobs + "-shards -jobs -checkpoint-every -farm -workers",
+		// Per-worker paths are derived from the farm layout; explicit
+		// ones would make every worker fight over one file.
+		why: map[string]string{"-diffdir": perWorker, "-heartbeat": perWorker},
+		run: runServe,
+	},
+	{
+		name:  "-evolve",
+		on:    func(c cliConfig) bool { return c.evolve },
+		reads: "-evolve -pop -generations -seed " + campaignFlags,
+		why: map[string]string{"-target": ownPrograms, "-src": ownPrograms, "-programs": ownPrograms,
+			"-execs": popBound, "-execs-total": popBound},
+		run: runEvolve,
+	},
+	{
+		name:  "-programs",
+		on:    func(c cliConfig) bool { return c.programs != "" },
+		reads: "-programs -sync " + campaignFlags,
+		why:   map[string]string{"-execs": corpusBound, "-execs-total": corpusBound},
+		run:   runPrograms,
+	},
+	{
+		name:  "-target/-src",
+		on:    func(c cliConfig) bool { return c.target != "" || c.src != "" },
+		reads: inputFlags + fuzzKnobs + fuzzOutputs + campaignFlags,
+		run:   runFuzz,
+	},
+}
+
+// pickMode is the mode the command line selects, or nil for none.
+func pickMode(c cliConfig) *mode {
+	for i := range modes {
+		if modes[i].on(c) {
+			return &modes[i]
+		}
+	}
+	return nil
+}
+
 // validate rejects nonsensical flag combinations up front — before
 // they reach the engine, where a zero shard count or a negative worker
-// count would be silently reinterpreted rather than diagnosed.
+// count would be silently reinterpreted rather than diagnosed. It picks
+// the mode, rejects every given flag the mode does not read, and then
+// checks the values; a mode's own checks name it in their condition.
 func (c cliConfig) validate() error {
 	if c.list {
-		return nil
+		return nil // -list ignores every other flag
 	}
-	if c.serve != "" {
-		if c.programs != "" {
-			return fmt.Errorf("-serve supervises input-fuzzing workers; -programs campaigns run standalone")
-		}
-		if c.evolve {
-			return fmt.Errorf("-serve supervises input-fuzzing workers; -evolve campaigns run standalone")
-		}
-		if c.target == "" && c.src == "" {
-			return fmt.Errorf("-serve needs -target or -src for its workers")
-		}
-		if c.farm == "" {
-			return fmt.Errorf("-serve needs -farm DIR to hold the worker subtrees")
-		}
-		if c.workers < 1 {
-			return fmt.Errorf("-workers %d: a farm needs at least one worker", c.workers)
-		}
-		// Per-worker observability paths are derived from the farm
-		// layout; explicit ones would make every worker fight over one
-		// file.
-		for flagName, v := range map[string]string{
-			"-checkpoint": c.checkpoint, "-stats": c.statsDir,
-			"-diffdir": c.diffdir, "-heartbeat": c.heartbeat,
-		} {
-			if v != "" {
-				return fmt.Errorf("%s is per-worker under -serve; the farm layout derives it from -farm", flagName)
-			}
-		}
-		if c.resume {
-			return fmt.Errorf("-resume is implicit under -serve: workers always resume their own checkpoints")
-		}
-	} else {
-		if c.farm != "" {
-			return fmt.Errorf("-farm only makes sense with -serve")
-		}
-		if c.workersSet {
-			return fmt.Errorf("-workers only makes sense with -serve")
-		}
-	}
-	if c.target == "" && c.src == "" && c.programs == "" && !c.evolve {
+	m := pickMode(c)
+	if m == nil {
 		return fmt.Errorf("need -target, -src, -programs, or -evolve (or -list)")
 	}
-	if (c.target != "" && c.src != "") || (c.programs != "" && (c.target != "" || c.src != "")) {
-		return fmt.Errorf("-target, -src, and -programs are mutually exclusive")
-	}
-	if c.evolve && (c.target != "" || c.src != "" || c.programs != "") {
-		return fmt.Errorf("-evolve generates its own programs; it excludes -target, -src, and -programs")
-	}
-	if !c.evolve && (c.popSet || c.gensSet) {
-		return fmt.Errorf("-pop and -generations only make sense with -evolve")
-	}
-	if c.evolve {
-		if c.pop < 2 {
-			return fmt.Errorf("-pop %d: an evolutionary population needs at least 2 genomes", c.pop)
+	reads := strings.Fields(m.reads)
+	for _, f := range c.flags() {
+		if !f.given || slices.Contains(reads, f.name) {
+			continue
 		}
-		if c.generations < 1 {
-			return fmt.Errorf("-generations %d: an evolutionary campaign needs at least 1 generation", c.generations)
+		why := cmp.Or(m.why[f.name], f.why)
+		return errors.New(strings.NewReplacer("{flag}", f.name, "{mode}", m.name).Replace(why))
+	}
+	serve := c.serve != ""
+	_, knownSan := sanModes[c.san]
+	for _, check := range []struct {
+		bad bool
+		err string
+	}{
+		{serve && c.target == "" && c.src == "", "-serve needs -target or -src for its workers"},
+		{serve && c.farm == "", "-serve needs -farm DIR to hold the worker subtrees"},
+		{serve && c.workers < 1, fmt.Sprintf("-workers %d: a farm needs at least one worker", c.workers)},
+		{c.evolve && c.pop < 2, fmt.Sprintf("-pop %d: an evolutionary population needs at least 2 genomes", c.pop)},
+		{c.evolve && c.generations < 1, fmt.Sprintf("-generations %d: an evolutionary campaign needs at least 1 generation", c.generations)},
+		{c.target != "" && c.src != "", exclusive},
+		{c.target != "" && c.seedfileSet, "-seedfile seeds a -src program; built-in targets bring their own seeds"},
+		{c.execs < 1, fmt.Sprintf("-execs %d: the execution budget must be at least 1", c.execs)},
+		{c.execsTotal < 0, fmt.Sprintf("-execs-total %d: the cumulative budget cannot be negative", c.execsTotal)},
+		{c.execsTotal > 0 && c.checkpoint == "" && !serve, "-execs-total needs -checkpoint: the cumulative budget is measured against the checkpointed watermark"},
+		{c.shards < 1, fmt.Sprintf("-shards %d: a campaign needs at least one fuzzer instance", c.shards)},
+		{c.jobs < 1, fmt.Sprintf("-jobs %d: the cross-check needs at least one worker", c.jobs)},
+		{c.batch < 0, fmt.Sprintf("-batch %d: the batch size cannot be negative (0 or 1 mean per-exec)", c.batch)},
+		{c.sync < 0, fmt.Sprintf("-sync %d: the barrier interval cannot be negative", c.sync)},
+		{c.syncSet && c.sync == 0 && c.shards > 1, "-sync 0 would disable the synchronization barriers a sharded pool requires; omit -sync for the default (budget/8)"},
+		{c.statsEvery < 0, fmt.Sprintf("-stats-every %d: the snapshot interval cannot be negative", c.statsEvery)},
+		{c.statsEvery > 0 && c.shards > 1, "-stats-every needs -shards 1: sharded pools snapshot at every barrier"},
+		{c.ckptEvery < 0, fmt.Sprintf("-checkpoint-every %d: the checkpoint interval cannot be negative", c.ckptEvery)},
+		{c.ckptEvery > 0 && c.checkpoint == "" && !serve, "-checkpoint-every needs -checkpoint DIR"},
+		{c.resume && c.checkpoint == "", "-resume needs -checkpoint DIR to resume from"},
+		{c.heartbeat != "" && c.checkpoint == "", "-heartbeat needs -checkpoint: the heartbeat is the live watermark over the checkpointed one"},
+		{!knownSan, fmt.Sprintf("-san %q: want none, asan, ubsan, or msan", c.san)},
+	} {
+		if check.bad {
+			return errors.New(check.err)
 		}
-	}
-	if c.programs != "" || c.evolve {
-		mode := "-programs"
-		if c.evolve {
-			mode = "-evolve"
-		}
-		// Input-fuzzing knobs: a program campaign has no fuzzing binary,
-		// no diverging inputs, and no barrier heartbeat, so these would
-		// be silently ignored.
-		for _, f := range []struct {
-			name string
-			set  bool
-		}{
-			{"-san", c.san != "none"}, {"-heartbeat", c.heartbeat != ""}, {"-diffdir", c.diffdir != ""},
-			{"-batch", c.batch > 1}, {"-stats-every", c.statsEvery > 0},
-		} {
-			if f.set {
-				return fmt.Errorf("%s only applies to input fuzzing, not to %s campaigns", f.name, mode)
-			}
-		}
-	}
-	if c.execs < 1 {
-		return fmt.Errorf("-execs %d: the execution budget must be at least 1", c.execs)
-	}
-	if c.execsTotal < 0 {
-		return fmt.Errorf("-execs-total %d: the cumulative budget cannot be negative", c.execsTotal)
-	}
-	if c.execsTotal > 0 && c.programs != "" {
-		return fmt.Errorf("-execs-total is an execution budget; -programs campaigns are bounded by the corpus")
-	}
-	if c.execsTotal > 0 && c.evolve {
-		return fmt.Errorf("-execs-total is an execution budget; -evolve campaigns are bounded by -pop × -generations")
-	}
-	if c.execsTotal > 0 && c.checkpoint == "" && c.serve == "" {
-		return fmt.Errorf("-execs-total needs -checkpoint: the cumulative budget is measured against the checkpointed watermark")
-	}
-	if c.shards < 1 {
-		return fmt.Errorf("-shards %d: a campaign needs at least one fuzzer instance", c.shards)
-	}
-	if c.jobs < 1 {
-		return fmt.Errorf("-jobs %d: the cross-check needs at least one worker", c.jobs)
-	}
-	if c.batch < 0 {
-		return fmt.Errorf("-batch %d: the batch size cannot be negative (0 or 1 mean per-exec)", c.batch)
-	}
-	if c.sync < 0 {
-		return fmt.Errorf("-sync %d: the barrier interval cannot be negative", c.sync)
-	}
-	if c.syncSet && c.sync == 0 && c.shards > 1 {
-		return fmt.Errorf("-sync 0 would disable the synchronization barriers a sharded pool requires; omit -sync for the default (budget/8)")
-	}
-	if c.statsEvery < 0 {
-		return fmt.Errorf("-stats-every %d: the snapshot interval cannot be negative", c.statsEvery)
-	}
-	if c.statsEvery > 0 && c.shards > 1 {
-		return fmt.Errorf("-stats-every needs -shards 1: sharded pools snapshot at every barrier")
-	}
-	if c.ckptEvery < 0 {
-		return fmt.Errorf("-checkpoint-every %d: the checkpoint interval cannot be negative", c.ckptEvery)
-	}
-	if c.ckptEvery > 0 && c.checkpoint == "" && c.serve == "" {
-		return fmt.Errorf("-checkpoint-every needs -checkpoint DIR")
-	}
-	if c.resume && c.checkpoint == "" {
-		return fmt.Errorf("-resume needs -checkpoint DIR to resume from")
-	}
-	if c.heartbeat != "" && c.checkpoint == "" {
-		return fmt.Errorf("-heartbeat needs -checkpoint: the heartbeat is the live watermark over the checkpointed one")
-	}
-	switch c.san {
-	case "none", "asan", "ubsan", "msan":
-	default:
-		return fmt.Errorf("-san %q: want none, asan, ubsan, or msan", c.san)
 	}
 	return nil
 }
@@ -351,16 +413,13 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	explicit := map[string]*bool{
+		"pop": &cfg.popSet, "generations": &cfg.gensSet, "execs": &cfg.execsSet, "seed": &cfg.seedSet,
+		"seedfile": &cfg.seedfileSet, "sync": &cfg.syncSet, "workers": &cfg.workersSet,
+	}
 	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "sync":
-			cfg.syncSet = true
-		case "workers":
-			cfg.workersSet = true
-		case "pop":
-			cfg.popSet = true
-		case "generations":
-			cfg.gensSet = true
+		if set := explicit[f.Name]; set != nil {
+			*set = true
 		}
 	})
 	if err := cfg.validate(); err != nil {
@@ -368,7 +427,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if err := run(cfg, &seeds, stdout, stderr); err != nil {
+	// Every failure comes back as an error (usageError for misuse) — no
+	// exits, no Fatals.
+	if err := pickMode(cfg).run(cfg, &seeds, stdout, stderr); err != nil {
 		fmt.Fprintf(stderr, "compdiff-fuzz: %v\n", err)
 		var ue usageError
 		if errors.As(err, &ue) {
@@ -379,26 +440,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// run dispatches to the selected mode. Every failure comes back as an
-// error (usageError for misuse) — no exits, no Fatals.
-func run(cfg cliConfig, seeds *seedList, stdout, stderr io.Writer) error {
-	switch {
-	case cfg.list:
-		for _, tg := range targets.All() {
-			fmt.Fprintf(stdout, "%-14s %-16s %d planted bugs\n", tg.Name, tg.InputType, len(tg.Bugs))
-		}
-		return nil
-	case cfg.serve != "":
-		return runServe(cfg, seeds, stdout, stderr)
-	case cfg.programs != "":
-		return runProgramsCampaign(cfg, stdout, stderr)
-	case cfg.evolve:
-		return runEvolveCampaign(cfg, stdout, stderr)
-	default:
-		return runFuzzCampaign(cfg, seeds, stdout, stderr)
-	}
-}
-
 // loadFuzzInput resolves -target / -src into (source, corpus,
 // normalizer). An unknown target name is command-line misuse; an
 // unreadable source file is a runtime failure.
@@ -406,7 +447,7 @@ func loadFuzzInput(cfg cliConfig, seeds *seedList) (string, [][]byte, *compdiff.
 	if cfg.target != "" {
 		tg := targets.ByName(cfg.target)
 		if tg == nil {
-			return "", nil, nil, usagef("unknown target %q (use -list)", cfg.target)
+			return "", nil, nil, usageError{fmt.Errorf("unknown target %q (use -list)", cfg.target)}
 		}
 		var norm *compdiff.Normalizer
 		if tg.NeedsNormalizer {
@@ -421,28 +462,84 @@ func loadFuzzInput(cfg cliConfig, seeds *seedList) (string, [][]byte, *compdiff.
 	return string(data), seeds.data, nil, nil
 }
 
-func sanMode(name string) compdiff.SanMode {
-	switch name {
-	case "asan":
-		return compdiff.SanASan
-	case "ubsan":
-		return compdiff.SanUBSan
-	case "msan":
-		return compdiff.SanMSan
-	}
-	return compdiff.SanNone
+// sanModes maps each -san value to its sanitizer.
+var sanModes = map[string]compdiff.SanMode{
+	"none": compdiff.SanNone, "asan": compdiff.SanASan, "ubsan": compdiff.SanUBSan, "msan": compdiff.SanMSan,
 }
 
-// runFuzzCampaign is the classic single-process mode: a campaign pool
-// of -shards fuzzers (one by default).
-func runFuzzCampaign(cfg cliConfig, seeds *seedList, stdout, stderr io.Writer) error {
+// A campaign is an opened campaign of any mode.
+type campaign interface {
+	CheckpointSeq() int
+	Close() error
+	Buckets() []*compdiff.Bucket
+	ImplNames() []string
+}
+
+// A campaignMode is how one mode opens, resumes, and runs its campaign.
+type campaignMode[P campaign] struct {
+	// A signal stops the campaign at its next barrier, unless
+	// defaultSignals leaves it its default meaning.
+	defaultSignals bool
+	fresh, resume  func() (P, error)
+	progress       func(P) string // what a resumed campaign has already done
+	run            func(ctx context.Context, p P) summary
+}
+
+// A summary is what one run prints around the lines every mode shares.
+type summary struct {
+	shards             int
+	plotErrs, ckptErrs int64
+	head, tail         func(w io.Writer) // lines before and after the error counts
+	crashes            []*fuzz.Crash
+}
+
+// drive runs a campaign of any mode: it opens or resumes it, runs it
+// to the end or to the barrier where a signal stops it, and prints
+// the summary, then one report per triage bucket — not per raw
+// signature: findings whose fingerprints coincide are the same
+// underlying bug — then the fuzzing binary's own crashes.
+func drive[P campaign](cfg cliConfig, cm campaignMode[P], stdout, stderr io.Writer) error {
+	ctx := context.Background()
+	if !cm.defaultSignals {
+		var stop context.CancelFunc
+		ctx, stop = signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+		defer stop()
+	}
+	p, err := openCampaign(cfg, stderr, cm.fresh, cm.resume, cm.progress)
+	if err != nil {
+		return err
+	}
+	defer p.Close()
+	s := cm.run(ctx, p)
+
+	fmt.Fprintf(stdout, "shards         : %d\n", s.shards)
+	s.head(stdout)
+	fmt.Fprintf(stdout, "plot errors    : %d\n", s.plotErrs)
+	fmt.Fprintf(stdout, "ckpt errors    : %d\n", s.ckptErrs)
+	s.tail(stdout)
+	fmt.Fprintln(stdout)
+	for _, b := range p.Buckets() {
+		fmt.Fprintln(stdout, b.Report(p.ImplNames()))
+	}
+	for _, c := range s.crashes {
+		fmt.Fprintf(stdout, "crash %s on input %q\n", c.Result.Exit, c.Input)
+		if c.Result.San != nil {
+			fmt.Fprintf(stdout, "  %s\n", c.Result.San)
+		}
+	}
+	return nil
+}
+
+// runFuzz is the classic single-process mode: a campaign pool of
+// -shards fuzzers (one by default).
+func runFuzz(cfg cliConfig, seeds *seedList, stdout, stderr io.Writer) error {
 	src, corpus, normalizer, err := loadFuzzInput(cfg, seeds)
 	if err != nil {
 		return err
 	}
 	opts := compdiff.CampaignOptions{
 		FuzzSeed:        cfg.seed,
-		Sanitizer:       sanMode(cfg.san),
+		Sanitizer:       sanModes[cfg.san],
 		Normalizer:      normalizer,
 		DiffDir:         cfg.diffdir,
 		Shards:          cfg.shards,
@@ -457,60 +554,62 @@ func runFuzzCampaign(cfg cliConfig, seeds *seedList, stdout, stderr io.Writer) e
 	if cfg.heartbeat != "" {
 		opts.BarrierHook = heartbeatHook(cfg.heartbeat)
 	}
-
-	// A signal cancels at the next barrier. A single shard without a
-	// checkpoint has only the final one, so there ^C keeps its default
-	// meaning and stops the process at once.
-	ctx := context.Background()
-	if cfg.shards > 1 || cfg.checkpoint != "" {
-		var stop context.CancelFunc
-		ctx, stop = signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-		defer stop()
-	}
-	pool, err := openCampaign(cfg, stderr,
-		func() (*compdiff.CampaignPool, error) { return compdiff.NewCampaignPool(src, corpus, opts) },
-		func() (*compdiff.CampaignPool, error) { return compdiff.ResumeCampaignPool(src, corpus, opts) },
-		func(p *compdiff.CampaignPool) string {
+	return drive(cfg, campaignMode[*compdiff.CampaignPool]{
+		// A single shard without a checkpoint has only the final
+		// barrier, so there ^C stops the process at once.
+		defaultSignals: cfg.shards == 1 && cfg.checkpoint == "",
+		fresh:          func() (*compdiff.CampaignPool, error) { return compdiff.NewCampaignPool(src, corpus, opts) },
+		resume:         func() (*compdiff.CampaignPool, error) { return compdiff.ResumeCampaignPool(src, corpus, opts) },
+		progress: func(p *compdiff.CampaignPool) string {
 			return fmt.Sprintf("%d execs per shard already spent", p.SpentExecs())
-		})
-	if err != nil {
-		return err
-	}
-	defer pool.Close()
-
-	budget := cfg.execs
-	if cfg.execsTotal > 0 {
-		// Cumulative budget: spend only what the checkpointed
-		// watermark has not already covered. A resumed-and-complete
-		// campaign runs nothing and just reprints its findings.
-		budget = cfg.execsTotal - pool.SpentExecs()
-	}
-	var stats compdiff.PoolStats
-	if budget > 0 {
-		stats = pool.Run(ctx, budget)
-	} else {
-		stats = pool.Stats()
-		fmt.Fprintf(stderr, "compdiff-fuzz: budget already spent (%d of %d execs per shard); reporting checkpointed findings\n",
-			pool.SpentExecs(), cfg.execsTotal)
-	}
-
-	printPoolStats(stdout, pool, stats, cfg.checkpoint != "")
-	return nil
-}
-
-// printReports renders one report per triage bucket — not per raw
-// signature: findings whose fingerprints coincide are the same
-// underlying bug — then the fuzzing binary's own crashes.
-func printReports(stdout io.Writer, buckets []*compdiff.Bucket, names []string, crashes []*fuzz.Crash) {
-	for _, b := range buckets {
-		fmt.Fprintln(stdout, b.Report(names))
-	}
-	for _, c := range crashes {
-		fmt.Fprintf(stdout, "crash %s on input %q\n", c.Result.Exit, c.Input)
-		if c.Result.San != nil {
-			fmt.Fprintf(stdout, "  %s\n", c.Result.San)
-		}
-	}
+		},
+		run: func(ctx context.Context, pool *compdiff.CampaignPool) summary {
+			budget := cfg.execs
+			if cfg.execsTotal > 0 {
+				// Cumulative budget: spend only what the checkpointed
+				// watermark has not already covered. A resumed-and-complete
+				// campaign runs nothing and just reprints its findings.
+				budget = cfg.execsTotal - pool.SpentExecs()
+			}
+			var stats compdiff.PoolStats
+			if budget > 0 {
+				stats = pool.Run(ctx, budget)
+			} else {
+				stats = pool.Stats()
+				fmt.Fprintf(stderr, "compdiff-fuzz: budget already spent (%d of %d execs per shard); reporting checkpointed findings\n",
+					pool.SpentExecs(), cfg.execsTotal)
+			}
+			return summary{
+				shards: stats.Shards, plotErrs: stats.PlotWriteErrors, ckptErrs: stats.CheckpointErrors,
+				crashes: pool.Crashes(),
+				head: func(w io.Writer) {
+					fmt.Fprintf(w, "executions     : %d (all shards)\n", stats.Execs)
+					if cfg.checkpoint != "" {
+						fmt.Fprintf(w, "spent budget   : %d execs per shard (across resumes)\n", stats.SpentExecs)
+					}
+					fmt.Fprintf(w, "unique crashes : %d\n", stats.UniqueCrashes)
+					fmt.Fprintf(w, "diff inputs    : %d (%d unique discrepancies, %d triage buckets)\n",
+						stats.TotalDiffInputs, stats.UniqueDiffs, stats.UniqueBuckets)
+					fmt.Fprintf(w, "diff execs     : %d across %d implementations\n",
+						stats.DiffExecs, len(pool.ImplNames()))
+					fmt.Fprintf(w, "persist errors : %d\n", stats.PersistErrors)
+				},
+				tail: func(w io.Writer) {
+					for si, fs := range stats.ShardStats {
+						role, status := "S", ""
+						if si == 0 {
+							role = "M"
+						}
+						if stats.ShardErrors[si] != nil {
+							status = "  [retired: panic]"
+						}
+						fmt.Fprintf(w, "  shard %d (-%s): %d execs, %d seeds%s\n", si, role, fs.Execs, fs.Seeds, status)
+					}
+					printTelemetry(w, pool.ImplSummaries(), pool.Snapshots())
+				},
+			}
+		},
+	}, stdout, stderr)
 }
 
 // heartbeatHook adapts barrier stats into the atomic heartbeat file
@@ -519,13 +618,10 @@ func heartbeatHook(path string) func(compdiff.PoolStats) {
 	var seq int64
 	return func(st compdiff.PoolStats) {
 		seq++
-		queue := 0
-		retired := 0
-		for _, fs := range st.ShardStats {
+		queue, retired := 0, 0
+		for si, fs := range st.ShardStats {
 			queue += fs.Seeds
-		}
-		for _, err := range st.ShardErrors {
-			if err != nil {
+			if st.ShardErrors[si] != nil {
 				retired++
 			}
 		}
@@ -539,37 +635,6 @@ func heartbeatHook(path string) func(compdiff.PoolStats) {
 			PersistErrors: st.PersistErrors, Shards: st.Shards, RetiredShards: retired,
 		})
 	}
-}
-
-// printPoolStats renders the sharded-campaign summary and reports.
-func printPoolStats(stdout io.Writer, pool *compdiff.CampaignPool, stats compdiff.PoolStats, ckpt bool) {
-	fmt.Fprintf(stdout, "shards         : %d\n", stats.Shards)
-	fmt.Fprintf(stdout, "executions     : %d (all shards)\n", stats.Execs)
-	if ckpt {
-		fmt.Fprintf(stdout, "spent budget   : %d execs per shard (across resumes)\n", stats.SpentExecs)
-	}
-	fmt.Fprintf(stdout, "unique crashes : %d\n", stats.UniqueCrashes)
-	fmt.Fprintf(stdout, "diff inputs    : %d (%d unique discrepancies, %d triage buckets)\n",
-		stats.TotalDiffInputs, stats.UniqueDiffs, stats.UniqueBuckets)
-	fmt.Fprintf(stdout, "diff execs     : %d across %d implementations\n",
-		stats.DiffExecs, len(pool.ImplNames()))
-	fmt.Fprintf(stdout, "persist errors : %d\n", stats.PersistErrors)
-	fmt.Fprintf(stdout, "plot errors    : %d\n", stats.PlotWriteErrors)
-	fmt.Fprintf(stdout, "ckpt errors    : %d\n", stats.CheckpointErrors)
-	for si, fs := range stats.ShardStats {
-		role := "S"
-		if si == 0 {
-			role = "M"
-		}
-		status := ""
-		if stats.ShardErrors[si] != nil {
-			status = "  [retired: panic]"
-		}
-		fmt.Fprintf(stdout, "  shard %d (-%s): %d execs, %d seeds%s\n", si, role, fs.Execs, fs.Seeds, status)
-	}
-	printTelemetry(stdout, pool.ImplSummaries(), pool.Snapshots())
-	fmt.Fprintln(stdout)
-	printReports(stdout, pool.Buckets(), pool.ImplNames(), pool.Crashes())
 }
 
 // runServe is the farm mode: supervise -workers worker processes
@@ -586,7 +651,7 @@ func runServe(cfg cliConfig, seeds *seedList, stdout, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("cannot locate own binary for worker re-exec: %w", err)
 	}
-	total := farmBudget(cfg)
+	total := cmp.Or(cfg.execsTotal, cfg.execs) // every worker's cumulative per-shard budget
 	command := func(index int, dirs checkpoint.WorkerDirs) *exec.Cmd {
 		return exec.Command(exe, workerArgs(cfg, seeds, index, dirs)...)
 	}
@@ -629,14 +694,9 @@ loop:
 				continue // a paused farm idles until /resume
 			}
 			st := sup.Status()
-			terminal := len(st) > 0
-			for _, ws := range st {
-				if ws.State != supervisor.StateDone && ws.State != supervisor.StateFailed {
-					terminal = false
-					break
-				}
-			}
-			if terminal {
+			if len(st) > 0 && !slices.ContainsFunc(st, func(ws supervisor.WorkerStatus) bool {
+				return ws.State != supervisor.StateDone && ws.State != supervisor.StateFailed
+			}) {
 				break loop
 			}
 		}
@@ -669,60 +729,39 @@ loop:
 	return nil
 }
 
-// farmBudget is the cumulative per-shard budget of every farm worker.
-func farmBudget(cfg cliConfig) int64 {
-	if cfg.execsTotal > 0 {
-		return cfg.execsTotal
-	}
-	return cfg.execs
-}
-
 // workerArgs is the command line of farm worker index: this binary in
 // single-process checkpointed mode over the worker's farm subtree,
-// carrying every input-fuzzing flag the supervisor was given.
+// carrying every flag the supervisor was given and forwards.
 func workerArgs(cfg cliConfig, seeds *seedList, index int, dirs checkpoint.WorkerDirs) []string {
 	args := []string{
-		"-execs-total", fmt.Sprint(farmBudget(cfg)),
+		"-execs-total", fmt.Sprint(cmp.Or(cfg.execsTotal, cfg.execs)),
 		"-seed", fmt.Sprint(supervisor.WorkerSeed(cfg.seed, index)),
-		"-shards", fmt.Sprint(cfg.shards),
-		"-jobs", fmt.Sprint(cfg.jobs),
 		"-checkpoint", dirs.Checkpoint,
 		"-stats", dirs.Stats,
 		"-diffdir", dirs.Diff,
 		"-heartbeat", dirs.Heartbeat,
 		"-resume",
 	}
-	if cfg.syncSet {
-		args = append(args, "-sync", fmt.Sprint(cfg.sync))
-	}
-	if cfg.ckptEvery > 0 {
-		args = append(args, "-checkpoint-every", fmt.Sprint(cfg.ckptEvery))
-	}
-	if cfg.batch > 1 {
-		args = append(args, "-batch", fmt.Sprint(cfg.batch))
-	}
-	if cfg.statsEvery > 0 {
-		args = append(args, "-stats-every", fmt.Sprint(cfg.statsEvery))
-	}
-	if cfg.san != "none" {
-		args = append(args, "-san", cfg.san)
+	for _, f := range cfg.flags() {
+		if f.fwd != "" && f.given {
+			args = append(args, f.name, f.fwd)
+		}
 	}
 	if cfg.target != "" {
-		args = append(args, "-target", cfg.target)
-	} else {
-		args = append(args, "-src", cfg.src)
-		for _, p := range seeds.paths {
-			args = append(args, "-seedfile", p)
-		}
+		return append(args, "-target", cfg.target)
+	}
+	args = append(args, "-src", cfg.src)
+	for _, p := range seeds.paths {
+		args = append(args, "-seedfile", p)
 	}
 	return args
 }
 
-// runProgramsCampaign is the -programs mode: a compile-oracle campaign
-// over a directory of MiniC programs. The corpus is read in sorted
-// filename order, so the campaign (and its checkpoint hash) is stable
-// across runs.
-func runProgramsCampaign(cfg cliConfig, stdout, stderr io.Writer) error {
+// runPrograms is the -programs mode: a compile-oracle campaign over a
+// directory of MiniC programs. The corpus is read in sorted filename
+// order, so the campaign (and its checkpoint hash) is stable across
+// runs.
+func runPrograms(cfg cliConfig, _ *seedList, stdout, stderr io.Writer) error {
 	paths, err := filepath.Glob(filepath.Join(cfg.programs, "*.mc"))
 	if err != nil {
 		return err
@@ -748,63 +787,52 @@ func runProgramsCampaign(cfg cliConfig, stdout, stderr io.Writer) error {
 		CheckpointDir:   cfg.checkpoint,
 		CheckpointEvery: cfg.ckptEvery,
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	pool, err := openCampaign(cfg, stderr,
-		func() (*compdiff.CompileCampaign, error) { return compdiff.NewCompileCampaign(corpus, opts) },
-		func() (*compdiff.CompileCampaign, error) { return compdiff.ResumeCompileCampaign(corpus, opts) },
-		func(p *compdiff.CompileCampaign) string {
+	return drive(cfg, campaignMode[*compdiff.CompileCampaign]{
+		fresh:  func() (*compdiff.CompileCampaign, error) { return compdiff.NewCompileCampaign(corpus, opts) },
+		resume: func() (*compdiff.CompileCampaign, error) { return compdiff.ResumeCompileCampaign(corpus, opts) },
+		progress: func(p *compdiff.CompileCampaign) string {
 			st := p.Stats()
 			return fmt.Sprintf("%d of %d programs already processed", st.Cursor, st.CorpusLen)
-		})
-	if err != nil {
-		return err
-	}
-	defer pool.Close()
-	stats := pool.Run(ctx)
-
-	fmt.Fprintf(stdout, "shards         : %d\n", stats.Shards)
-	fmt.Fprintf(stdout, "programs       : %d of %d processed (%d accepted everywhere, %d uniform rejects)\n",
-		stats.Programs, stats.CorpusLen, stats.Accepted, stats.FrontendRejects)
-	fmt.Fprintf(stdout, "findings       : %d (%d triage buckets)\n", stats.Findings, stats.UniqueBuckets)
-	fmt.Fprintf(stdout, "plot errors    : %d\n", stats.PlotWriteErrors)
-	fmt.Fprintf(stdout, "ckpt errors    : %d\n", stats.CheckpointErrors)
-	printProgramSummary(stdout, pool, "compile classes",
-		stats.CompileDivergences, stats.ICEs, stats.DiagMismatches, stats.RuntimeBuckets, stats.ShardErrors)
-	return nil
+		},
+		run: func(ctx context.Context, p *compdiff.CompileCampaign) summary {
+			st := p.Run(ctx)
+			return summary{
+				shards: st.Shards, plotErrs: st.PlotWriteErrors, ckptErrs: st.CheckpointErrors,
+				head: func(w io.Writer) {
+					fmt.Fprintf(w, "programs       : %d of %d processed (%d accepted everywhere, %d uniform rejects)\n",
+						st.Programs, st.CorpusLen, st.Accepted, st.FrontendRejects)
+					fmt.Fprintf(w, "findings       : %d (%d triage buckets)\n", st.Findings, st.UniqueBuckets)
+				},
+				tail: programTail(p, "compile classes",
+					st.CompileDivergences, st.ICEs, st.DiagMismatches, st.RuntimeBuckets, st.ShardErrors),
+			}
+		},
+	}, stdout, stderr)
 }
 
-// programCampaign is what the -programs and -evolve summaries share.
-type programCampaign interface {
-	CacheStats() progcache.Stats
-	Buckets() []*compdiff.Bucket
-	ImplNames() []string
-}
-
-// printProgramSummary renders the summary tail the two program-campaign
-// modes share: cache counters, findings by class, retired shards, and
-// one report per triage bucket.
-func printProgramSummary(stdout io.Writer, p programCampaign, classes string, divergences, ices, diags, runtime int, shardErrs []error) {
-	cs := p.CacheStats()
-	fmt.Fprintf(stdout, "compile cache  : %d hits, %d misses, %d evictions (%d resident, %d bytes)\n",
-		cs.Hits, cs.Misses, cs.Evictions, cs.Entries, cs.Bytes)
-	fmt.Fprintf(stdout, "%s: %d accept/reject divergences, %d ICEs, %d diagnostic mismatches, %d runtime\n",
-		classes, divergences, ices, diags, runtime)
-	for si, serr := range shardErrs {
-		if serr != nil {
-			fmt.Fprintf(stdout, "  shard %d retired: %v\n", si, serr)
+// programTail is the summary tail the two program-campaign modes
+// share: cache counters, findings by class, and retired shards.
+func programTail(p interface{ CacheStats() progcache.Stats }, classes string, divergences, ices, diags, runtime int, shardErrs []error) func(io.Writer) {
+	return func(w io.Writer) {
+		cs := p.CacheStats()
+		fmt.Fprintf(w, "compile cache  : %d hits, %d misses, %d evictions (%d resident, %d bytes)\n",
+			cs.Hits, cs.Misses, cs.Evictions, cs.Entries, cs.Bytes)
+		fmt.Fprintf(w, "%s: %d accept/reject divergences, %d ICEs, %d diagnostic mismatches, %d runtime\n",
+			classes, divergences, ices, diags, runtime)
+		for si, serr := range shardErrs {
+			if serr != nil {
+				fmt.Fprintf(w, "  shard %d retired: %v\n", si, serr)
+			}
 		}
 	}
-	fmt.Fprintln(stdout)
-	printReports(stdout, p.Buckets(), p.ImplNames(), nil)
 }
 
-// runEvolveCampaign is the -evolve mode: an evolutionary
-// coverage-directed campaign. No corpus is read — the founder
-// population is generated from -seed and everything after that is
-// bred under the composite fitness; the program budget is
-// -pop × -generations genome evaluations.
-func runEvolveCampaign(cfg cliConfig, stdout, stderr io.Writer) error {
+// runEvolve is the -evolve mode: an evolutionary coverage-directed
+// campaign. No corpus is read — the founder population is generated
+// from -seed and everything after that is bred under the composite
+// fitness; the program budget is -pop × -generations genome
+// evaluations.
+func runEvolve(cfg cliConfig, _ *seedList, stdout, stderr io.Writer) error {
 	opts := compdiff.EvolveCampaignOptions{
 		Pop:             cfg.pop,
 		Generations:     cfg.generations,
@@ -815,35 +843,32 @@ func runEvolveCampaign(cfg cliConfig, stdout, stderr io.Writer) error {
 		CheckpointDir:   cfg.checkpoint,
 		CheckpointEvery: cfg.ckptEvery,
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	pool, err := openCampaign(cfg, stderr,
-		func() (*compdiff.EvolveCampaign, error) { return compdiff.NewEvolveCampaign(opts) },
-		func() (*compdiff.EvolveCampaign, error) { return compdiff.ResumeEvolveCampaign(opts) },
-		func(p *compdiff.EvolveCampaign) string {
+	return drive(cfg, campaignMode[*compdiff.EvolveCampaign]{
+		fresh:  func() (*compdiff.EvolveCampaign, error) { return compdiff.NewEvolveCampaign(opts) },
+		resume: func() (*compdiff.EvolveCampaign, error) { return compdiff.ResumeEvolveCampaign(opts) },
+		progress: func(p *compdiff.EvolveCampaign) string {
 			st := p.Stats()
 			return fmt.Sprintf("generation %d of %d already evaluated", st.Generation, st.Generations)
-		})
-	if err != nil {
-		return err
-	}
-	defer pool.Close()
-	stats := pool.Run(ctx)
-
-	fmt.Fprintf(stdout, "shards         : %d\n", stats.Shards)
-	fmt.Fprintf(stdout, "generations    : %d of %d evaluated (population %d)\n",
-		stats.Generation, stats.Generations, stats.Pop)
-	fmt.Fprintf(stdout, "programs       : %d genome evaluations (%d front-end/uniform rejects)\n",
-		stats.Programs, stats.FrontendRejects)
-	fmt.Fprintf(stdout, "pass coverage  : %d (implementation, pass) pairs fired\n", stats.PassCoverage)
-	fmt.Fprintf(stdout, "fitness        : best %.1f, mean %.1f (last generation)\n",
-		stats.BestFitness, stats.MeanFitness)
-	fmt.Fprintf(stdout, "findings       : %d (%d triage buckets)\n", stats.Findings, stats.UniqueBuckets)
-	fmt.Fprintf(stdout, "plot errors    : %d\n", stats.PlotWriteErrors)
-	fmt.Fprintf(stdout, "ckpt errors    : %d\n", stats.CheckpointErrors)
-	printProgramSummary(stdout, pool, "finding classes",
-		stats.CompileDivergences, stats.ICEs, stats.DiagMismatches, stats.RuntimeBuckets, stats.ShardErrors)
-	return nil
+		},
+		run: func(ctx context.Context, p *compdiff.EvolveCampaign) summary {
+			st := p.Run(ctx)
+			return summary{
+				shards: st.Shards, plotErrs: st.PlotWriteErrors, ckptErrs: st.CheckpointErrors,
+				head: func(w io.Writer) {
+					fmt.Fprintf(w, "generations    : %d of %d evaluated (population %d)\n",
+						st.Generation, st.Generations, st.Pop)
+					fmt.Fprintf(w, "programs       : %d genome evaluations (%d front-end/uniform rejects)\n",
+						st.Programs, st.FrontendRejects)
+					fmt.Fprintf(w, "pass coverage  : %d (implementation, pass) pairs fired\n", st.PassCoverage)
+					fmt.Fprintf(w, "fitness        : best %.1f, mean %.1f (last generation)\n",
+						st.BestFitness, st.MeanFitness)
+					fmt.Fprintf(w, "findings       : %d (%d triage buckets)\n", st.Findings, st.UniqueBuckets)
+				},
+				tail: programTail(p, "finding classes",
+					st.CompileDivergences, st.ICEs, st.DiagMismatches, st.RuntimeBuckets, st.ShardErrors),
+			}
+		},
+	}, stdout, stderr)
 }
 
 // openCampaign builds any mode's campaign, honoring -resume: a missing

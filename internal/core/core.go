@@ -392,18 +392,14 @@ func (s *Suite) runWith(set *machineSet, input []byte, materialize bool, limit i
 // manual scrutiny).
 func (s *Suite) runAll(set *machineSet, input []byte) {
 	machines, shared := set.machines, set.shared
-	k := len(machines)
-	if m := s.opts.Metrics; m != nil {
-		s.forEachTimed(k, func(i int) {
-			shared[i] = machines[i].RunShared(input)
-		}, func(idxs []int, elapsed time.Duration) {
-			s.observeChain(m, shared, idxs, elapsed)
-		})
-	} else {
-		s.forEach(k, func(i int) {
-			shared[i] = machines[i].RunShared(input)
-		})
+	m := s.opts.Metrics
+	var flush func([]int, time.Duration)
+	if m != nil {
+		flush = func(idxs []int, elapsed time.Duration) { s.observeChain(m, shared, idxs, elapsed) }
 	}
+	s.fanOut(len(machines), func(i int) {
+		shared[i] = machines[i].RunShared(input)
+	}, flush)
 
 	retries := 0
 	for retries < s.opts.MaxTimeoutRetries {
@@ -421,23 +417,19 @@ func (s *Suite) runAll(set *machineSet, input []byte) {
 		}
 		retries++
 		budget := growBudget(s.opts.StepLimit, retries)
-		if m := s.opts.Metrics; m != nil {
-			s.forEachTimed(len(rerun), func(j int) {
-				i := rerun[j]
-				shared[i] = machines[i].RunSharedWithLimit(input, budget)
-			}, func(jdxs []int, elapsed time.Duration) {
-				idxs := make([]int, len(jdxs))
+		var reflush func([]int, time.Duration)
+		if m != nil {
+			reflush = func(jdxs []int, elapsed time.Duration) {
 				for x, j := range jdxs {
-					idxs[x] = rerun[j]
+					jdxs[x] = rerun[j]
 				}
-				s.observeChain(m, shared, idxs, elapsed)
-			})
-		} else {
-			s.forEach(len(rerun), func(j int) {
-				i := rerun[j]
-				shared[i] = machines[i].RunSharedWithLimit(input, budget)
-			})
+				s.observeChain(m, shared, jdxs, elapsed)
+			}
 		}
+		s.fanOut(len(rerun), func(j int) {
+			i := rerun[j]
+			shared[i] = machines[i].RunSharedWithLimit(input, budget)
+		}, reflush)
 	}
 }
 
@@ -452,35 +444,34 @@ func (s *Suite) runAll(set *machineSet, input []byte) {
 // only the full runs.
 func (s *Suite) runCapped(set *machineSet, input []byte, limit int64) bool {
 	machines, shared := set.machines, set.shared
-	var hit atomic.Bool
-	run := func(i int) bool {
-		if hit.Load() {
-			shared[i] = machines[i].RunSharedWithLimit(input, 1)
-			return false
-		}
-		shared[i] = machines[i].RunSharedWithLimit(input, limit)
-		if shared[i].Exit == vm.StepLimit {
-			hit.Store(true)
-		}
-		return true
-	}
-	k := len(machines)
+	var full []bool // which binaries ran in full, kept for metrics only
+	var flush func([]int, time.Duration)
 	if m := s.opts.Metrics; m != nil {
-		full := make([]bool, k)
-		s.forEachTimed(k, func(i int) {
-			full[i] = run(i)
-		}, func(idxs []int, elapsed time.Duration) {
-			ran := make([]int, 0, len(idxs))
+		full = make([]bool, len(machines))
+		flush = func(idxs []int, elapsed time.Duration) {
+			ran := idxs[:0]
 			for _, i := range idxs {
 				if full[i] {
 					ran = append(ran, i)
 				}
 			}
 			s.observeChain(m, shared, ran, elapsed)
-		})
-	} else {
-		s.forEach(k, func(i int) { run(i) })
+		}
 	}
+	var hit atomic.Bool
+	s.fanOut(len(machines), func(i int) {
+		if hit.Load() {
+			shared[i] = machines[i].RunSharedWithLimit(input, 1)
+			return
+		}
+		shared[i] = machines[i].RunSharedWithLimit(input, limit)
+		if shared[i].Exit == vm.StepLimit {
+			hit.Store(true)
+		}
+		if full != nil {
+			full[i] = true
+		}
+	}, flush)
 	return !hit.Load()
 }
 
@@ -532,7 +523,7 @@ func (s *Suite) hashResult(r *vm.Result, d *hash.Digest) uint64 {
 // across the runs proportionally to their executed step counts. Steps
 // measure the work a run did, so the apportionment is an accurate
 // per-run latency estimate while the chain total is exact — and the
-// clock stays off the per-run hot path (see forEachTimed).
+// clock stays off the per-run hot path (see fanOut).
 func (s *Suite) observeChain(m *telemetry.SuiteMetrics, results []*vm.Result, idxs []int, elapsed time.Duration) {
 	var total int64
 	for _, i := range idxs {

@@ -36,18 +36,27 @@ func (s *Suite) effectiveParallelism(n int) int {
 	return p
 }
 
-// forEach runs fn(i) for every i in [0, n), fanning across
+// fanOut runs fn(i) for every i in [0, n), fanning across
 // Options.Parallelism workers. Parallelism <= 1 (or a single task, or
 // a single schedulable core) stays on the calling goroutine,
 // preserving the historical sequential execution exactly. With p
 // workers the calling goroutine runs one worker's share itself, so
 // only p-1 goroutines are spawned per Run.
-func (s *Suite) forEach(n int, fn func(int)) {
+//
+// A non-nil flush observes latency. Reading the clock around every
+// task would cost more than the telemetry it feeds (a warm VM run is
+// single-digit microseconds; a clock read tens of nanoseconds), so
+// each worker times its whole chain of tasks with two reads and hands
+// the chain to flush, which apportions the elapsed time across the
+// tasks it ran and may overwrite idxs. Chains are exact in aggregate —
+// every nanosecond a worker spent executing is attributed to exactly
+// one of its tasks. flush runs outside the timed window, once per
+// worker that ran a task. With flush nil, no clock is read and no
+// index collected.
+func (s *Suite) fanOut(n int, fn func(int), flush func(idxs []int, elapsed time.Duration)) {
 	p := s.effectiveParallelism(n)
 	if p <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
+		chain(n, fn, flush, nil)
 		return
 	}
 	var next atomic.Int64
@@ -57,74 +66,37 @@ func (s *Suite) forEach(n int, fn func(int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
+			chain(n, fn, flush, &next)
 		}()
 	}
-	for {
-		i := int(next.Add(1))
-		if i >= n {
-			break
-		}
-		fn(i)
-	}
+	chain(n, fn, flush, &next)
 	wg.Wait()
 }
 
-// forEachTimed is forEach with latency observation. Reading the clock
-// around every task would cost more than the telemetry it feeds (a
-// warm VM run is single-digit microseconds; a clock read tens of
-// nanoseconds), so each worker times its whole chain of tasks with two
-// reads and hands the chain to flush, which apportions the elapsed
-// time across the tasks it ran. Chains are exact in aggregate — every
-// nanosecond a worker spent executing is attributed to exactly one of
-// its tasks. flush runs outside the timed window, once per worker.
-func (s *Suite) forEachTimed(n int, fn func(int), flush func(idxs []int, elapsed time.Duration)) {
-	p := s.effectiveParallelism(n)
-	if p <= 1 || n <= 1 {
-		var buf [16]int
-		idxs := buf[:0]
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			fn(i)
+// chain is one worker's share of fanOut: the tasks it claims from
+// next, or every task in order when next is nil.
+func chain(n int, fn func(int), flush func([]int, time.Duration), next *atomic.Int64) {
+	claim := func(prev int) int {
+		if next == nil {
+			return prev + 1
+		}
+		return int(next.Add(1))
+	}
+	var idxs []int
+	var start time.Time
+	if flush != nil {
+		idxs = make([]int, 0, n)
+		start = time.Now()
+	}
+	for i := claim(-1); i < n; i = claim(i) {
+		fn(i)
+		if flush != nil {
 			idxs = append(idxs, i)
 		}
+	}
+	if len(idxs) > 0 {
 		flush(idxs, time.Since(start))
-		return
 	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	worker := func() {
-		var buf [16]int
-		idxs := buf[:0]
-		start := time.Now()
-		for {
-			i := int(next.Add(1))
-			if i >= n {
-				break
-			}
-			fn(i)
-			idxs = append(idxs, i)
-		}
-		if len(idxs) > 0 {
-			flush(idxs, time.Since(start))
-		}
-	}
-	for w := 1; w < p; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worker()
-		}()
-	}
-	worker()
-	wg.Wait()
 }
 
 // Warm tops the suite's idle machine sets up to n, so that the first

@@ -94,6 +94,15 @@ echo "== reducer step cap (-race)"
 go test -race -run 'TestLargerLimitKeepsFinishedRun|TestRunCappedMatchesRun|TestRunCappedMetricsCountFullRuns|TestReduceStepCap|TestReduceDeterministicAcrossParallelism' \
 	-count=1 ./internal/vm ./internal/core ./internal/triage
 
+# The CLI mode table: every mode's summary and bucket reports, fresh
+# and resumed from a finished checkpoint, must match the ones pinned in
+# cmd/compdiff-fuzz/testdata/summary.golden, which the parent wrote;
+# and every mode must reject a flag it does not read instead of
+# ignoring it.
+echo "== CLI mode table (-race)"
+go test -race -run 'TestSummaryMatchesParent|TestValidateRejectsUnreadFlags' \
+	-count=1 ./cmd/compdiff-fuzz
+
 # Benchmark smoke: the headline hot-path benchmark must still run (10
 # iterations — correctness of the harness, not a timing gate).
 echo "== bench smoke (BenchmarkOverheadFullTen, 10x)"
