@@ -165,16 +165,20 @@ type operands interface {
 	value(e ast.Expr) (constVal, bool)
 }
 
-// constTable holds the constant value of every checked expression of
-// one program, indexed by dense expression id. It depends on the
-// program alone, so CompileAll's lowerings share one, built by the
-// first that asks.
+// constTable holds the constant value and the source line of every
+// checked expression of one program, indexed by dense expression id.
+// It depends on the program alone, so CompileAll's lowerings share
+// one, built by the first that asks.
 type constTable struct {
 	// kind is 0 for an expression that is not constant, constStr for a
 	// string constant (word indexes strs), else 1 + its type code.
 	kind []uint8
 	word []uint64
 	strs []string
+	// line is the expression's Pos().Line, recorded bottom-up: an
+	// operator positioned at its leftmost operand takes the operand's
+	// line instead of walking down to it again.
+	line []int32
 }
 
 const constStr = 0xff
@@ -183,7 +187,7 @@ const constStr = 0xff
 // before the expressions that use them.
 func newConstTable(info *sema.Info) *constTable {
 	n := info.NumExprs + 1
-	t := &constTable{kind: make([]uint8, n), word: make([]uint64, n)}
+	t := &constTable{kind: make([]uint8, n), word: make([]uint64, n), line: make([]int32, n)}
 	for _, g := range info.Prog.Globals {
 		t.fill(g.Init)
 	}
@@ -241,17 +245,40 @@ func (t *constTable) fill(e ast.Expr) {
 	case *ast.CastExpr:
 		t.fill(e.X)
 	}
+	id := e.ID()
+	switch e := e.(type) {
+	case *ast.Binary:
+		t.line[id] = t.line[e.X.ID()]
+	case *ast.Assign:
+		t.line[id] = t.line[e.LHS.ID()]
+	case *ast.Cond:
+		t.line[id] = t.line[e.C.ID()]
+	case *ast.Index:
+		t.line[id] = t.line[e.X.ID()]
+	case *ast.Member:
+		t.line[id] = t.line[e.X.ID()]
+	default:
+		t.line[id] = int32(e.Pos().Line)
+	}
 	v, ok := evalNode(e, t)
 	if !ok {
 		return
 	}
-	id := e.ID()
 	if v.isStr {
 		t.kind[id], t.word[id] = constStr, uint64(len(t.strs))
 		t.strs = append(t.strs, v.str)
 		return
 	}
 	t.kind[id], t.word[id] = uint8(v.tc)+1, v.word
+}
+
+// lineOf returns e.Pos().Line: the recorded line, or, for an
+// expression the table holds none for, Pos's.
+func (t *constTable) lineOf(e ast.Expr) int32 {
+	if l := t.line[e.ID()]; l > 0 {
+		return l
+	}
+	return int32(e.Pos().Line)
 }
 
 // value returns e's recorded constant value; it is how evalNode reads

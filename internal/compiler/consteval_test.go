@@ -25,11 +25,12 @@ type recursive struct{}
 func (recursive) value(e ast.Expr) (constVal, bool) { return evalConst(e) }
 
 // TestConstTableMatchesEvalConst: the constant table of a program
-// holds evalConst's answer for every expression node, over the golden
-// programs, every built-in target and progen seeds 1–120. It also
-// holds sema's dense ids to their contract: every checked expression
-// and statement has a distinct id, the ids cover 1..NumExprs
-// (NumStmts), and each function's fall in its FuncIDs ranges.
+// holds evalConst's answer and Pos's line for every expression node,
+// over the golden programs, every built-in target and progen seeds
+// 1–120. It also holds sema's dense ids to their contract: every
+// checked expression and statement has a distinct id, the ids cover
+// 1..NumExprs (NumStmts), and each function's fall in its FuncIDs
+// ranges.
 func TestConstTableMatchesEvalConst(t *testing.T) {
 	type program struct{ name, src string }
 	var corpus []program
@@ -72,6 +73,9 @@ func TestConstTableMatchesEvalConst(t *testing.T) {
 			got, gotOK := table.value(e)
 			if gotOK != wantOK || !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: %s: table holds %+v (%v), evalConst %+v (%v)", p.name, ast.PrintExpr(e), got, gotOK, want, wantOK)
+			}
+			if got, want := table.line[id], int32(e.Pos().Line); got != want {
+				t.Fatalf("%s: %s: table holds line %d, Pos line %d", p.name, ast.PrintExpr(e), got, want)
 			}
 			exprs++
 			if wantOK {

@@ -474,8 +474,8 @@ func (lw *lowerer) expr(e ast.Expr) {
 
 // exprNode is expr below the depth ceiling.
 func (lw *lowerer) exprNode(e ast.Expr) {
-	if p := e.Pos(); p.Line > 0 {
-		lw.line = int32(p.Line)
+	if l := lw.consts.lineOf(e); l > 0 {
+		lw.line = l
 	}
 	if v, ok := lw.dec.folded(e); ok {
 		lw.emit(ir.Instr{Op: ir.ConstI, Imm: int64(v)})

@@ -393,13 +393,22 @@ func (s *Suite) runWith(set *machineSet, input []byte, materialize bool, limit i
 func (s *Suite) runAll(set *machineSet, input []byte) {
 	machines, shared := set.machines, set.shared
 	m := s.opts.Metrics
-	var flush func([]int, time.Duration)
-	if m != nil {
-		flush = func(idxs []int, elapsed time.Duration) { s.observeChain(m, shared, idxs, elapsed) }
+	if m == nil && s.effectiveParallelism(len(machines)) <= 1 {
+		// fanOut's sequential path without its task closure, which
+		// escapes (fanOut may hand it to goroutines) and so would cost
+		// an allocation on every Run.
+		for i, mc := range machines {
+			shared[i] = mc.RunShared(input)
+		}
+	} else {
+		var flush func([]int, time.Duration)
+		if m != nil {
+			flush = func(idxs []int, elapsed time.Duration) { s.observeChain(m, shared, idxs, elapsed) }
+		}
+		s.fanOut(len(machines), func(i int) {
+			shared[i] = machines[i].RunShared(input)
+		}, flush)
 	}
-	s.fanOut(len(machines), func(i int) {
-		shared[i] = machines[i].RunShared(input)
-	}, flush)
 
 	retries := 0
 	for retries < s.opts.MaxTimeoutRetries {

@@ -178,3 +178,19 @@ func TestWarm(t *testing.T) {
 	}
 	sameOutcome(t, buildParSuite(t, 1).Run(nil), s.Run(nil), "warmed suite")
 }
+
+// TestRunFastSequentialAllocs pins the allocations of a sequential
+// fast-path run whose binaries agree: the outcome and its hash slice.
+// The binaries run on the calling goroutine without a task closure,
+// which would escape to the heap and cost a third.
+func TestRunFastSequentialAllocs(t *testing.T) {
+	s := buildParSuite(t, 1)
+	s.Warm(1)
+	in := parInputs()[3]
+	if o := s.RunFast(in); o.Diverged {
+		t.Fatalf("input %q diverged; the pin wants one that agrees", in)
+	}
+	if n := testing.AllocsPerRun(200, func() { s.RunFast(in) }); n != 2 {
+		t.Fatalf("RunFast allocates %v times per run, want 2", n)
+	}
+}

@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"compdiff/internal/checkpoint"
 	"compdiff/internal/compiler"
@@ -130,6 +131,9 @@ type EvolvePool struct {
 	generation int
 	// evals holds the generation's raw measurements, positional.
 	evals []verdict
+	// claimed counts the genomes the shards have claimed this
+	// generation; each shard claims the next unclaimed one.
+	claimed atomic.Int64
 	// cum is the cumulative per-implementation fired-rewrite bitmap —
 	// the base the NewBits fitness term is scored against.
 	cum []compiler.PassBits
@@ -211,13 +215,17 @@ func (p *EvolvePool) Run(ctx context.Context) EvolvePoolStats {
 
 func (p *EvolvePool) next() bool {
 	p.evals = make([]verdict, len(p.pop))
+	p.claimed.Store(0)
 	return p.generation < p.opts.Generations
 }
 
-// epoch measures shard si's genomes through the oracles. It stops
-// early, dropping the generation, when ctx is cancelled.
+// epoch measures genomes through the oracles, claiming them one at a
+// time, so a shard that drew short programs takes more of them and
+// the shards reach the barrier together. Verdicts are positional, so
+// which shard measured a genome does not show. It stops early,
+// dropping the generation, when ctx is cancelled.
 func (p *EvolvePool) epoch(ctx context.Context, si int) bool {
-	for i := si; i < len(p.pop); i += p.opts.Shards {
+	for i := int(p.claimed.Add(1) - 1); i < len(p.pop); i = int(p.claimed.Add(1) - 1) {
 		if p.evalHook != nil {
 			p.evalHook(p.generation, i)
 		}

@@ -24,7 +24,10 @@ package evolve
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"compdiff/internal/compiler"
 	"compdiff/internal/hash"
@@ -38,8 +41,9 @@ import (
 // printed source text; only that text is serialized. In memory a
 // genome also keeps the unchecked parse of its text, which its
 // mutations clone and never edit, so offspring never alias their
-// parent's nodes (see internal/triage's clone-on-accept), and, until
-// its first evaluation, the checked front-end result of Mutate's gate.
+// parent's nodes (see internal/triage's clone-on-accept), the
+// identifiers that parse mentions, and, until its first evaluation,
+// the checked front-end result of Mutate's gate.
 type Genome struct {
 	// Src is the program text. Always parses and passes sema: founders
 	// come from progen, offspring are gated by Mutate.
@@ -58,6 +62,10 @@ type Genome struct {
 	// checked is sema's result for Src from Mutate's gate; nil for
 	// other genomes and once ReleaseChecked has run.
 	checked *sema.Info
+	// used holds every identifier prog mentions, read-only: the names
+	// fresh names in its offspring must avoid. Offspring get it from
+	// their gate; other genomes the first time they are mutated.
+	used map[string]bool
 }
 
 // Checked returns the front-end result Mutate's gate computed for Src,
@@ -278,18 +286,29 @@ func tournament(r *rand.Rand, fits []float64, size int) int {
 // NextGeneration produces generation gen+1 from the evaluated
 // population: elites survive unchanged, a few progen immigrants keep
 // diversity, and the rest are offspring of tournament-selected
-// parents. Offspring are produced by Mutate, which gates every
+// parents. Offspring are produced as by Mutate, which gates every
 // candidate through parse+sema; a parent whose mutations all fail the
 // gate survives unchanged rather than admitting an invalid genome.
-// The call is single-threaded and deterministic in (pop, fits, gen,
-// opts) — the campaign layer runs it at its synchronization barrier.
+// The result is deterministic in (pop, fits, gen, opts) and equal to
+// calling Mutate for each slot in turn on one generation RNG.
+//
+// The campaign layer calls it at its synchronization barrier, where
+// the shards are idle, so the work is split by what consumes the RNG.
+// In slot order and on the calling goroutine it draws each slot's
+// parent and the first edit Mutate would gate. On
+// runtime.GOMAXPROCS(0) goroutines it then applies and gates the
+// edits; that part reads the parents and draws nothing. Slots are
+// committed in order. A slot whose edit fails the gate means Mutate
+// would have drawn again, so every later draw is void: the generation
+// is then finished serially through Mutate from that slot. pop's
+// genomes must not be in use elsewhere during the call: drawing
+// parses and caches the trees of parents that have none.
 func NextGeneration(pop []*Genome, fits []float64, gen int, opts Options) []*Genome {
 	opts = opts.withDefaults()
 	n := len(pop)
 	if n == 0 {
 		return nil
 	}
-	r := genRNG(opts.Seed, gen)
 	order := rank(fits)
 
 	elite := opts.Elite
@@ -312,13 +331,90 @@ func NextGeneration(pop []*Genome, fits []float64, gen int, opts Options) []*Gen
 		p := progen.Generate(s)
 		next = append(next, &Genome{Src: p.Src, Seed: p.Seed, Gen: gen + 1})
 	}
-	for len(next) < n {
-		parent := pop[tournament(r, fits, opts.Tournament)]
-		if child, ok := Mutate(parent, r, gen+1); ok {
-			next = append(next, child)
-		} else {
-			next = append(next, parent)
+
+	r := genRNG(opts.Seed, gen)
+	slots := make([]slot, n-len(next))
+	for i := range slots {
+		slots[i] = drawSlot(r, pop, fits, opts.Tournament)
+	}
+	children := breedAll(slots, gen+1)
+	for i, s := range slots {
+		switch {
+		case !s.ok:
+			next = append(next, s.parent)
+		case children[i] != nil:
+			next = append(next, children[i])
+		default:
+			// Replay the draws of the slots before i on a fresh
+			// generation RNG, then breed the rest as Mutate does.
+			r = genRNG(opts.Seed, gen)
+			for range slots[:i] {
+				drawSlot(r, pop, fits, opts.Tournament)
+			}
+			for len(next) < n {
+				parent := pop[tournament(r, fits, opts.Tournament)]
+				if child, ok := Mutate(parent, r, gen+1); ok {
+					next = append(next, child)
+				} else {
+					next = append(next, parent)
+				}
+			}
+			return next
 		}
 	}
 	return next
+}
+
+// slot is one offspring as drawn: its parent and the parent's tree,
+// and the first edit Mutate would gate. ok is false when no operator
+// applied within Mutate's tries, so the parent survives ungated.
+type slot struct {
+	parent *Genome
+	prog   *ast.Program
+	edit   edit
+	ok     bool
+}
+
+// drawSlot selects a parent and draws its first applicable edit,
+// consuming from r what the slot consumes when that edit passes the
+// gate.
+func drawSlot(r *rand.Rand, pop []*Genome, fits []float64, size int) slot {
+	parent := pop[tournament(r, fits, size)]
+	prog, m, err := newMutator(parent, r)
+	if err != nil {
+		return slot{parent: parent}
+	}
+	e, ok := m.next(prog)
+	return slot{parent: parent, prog: prog, edit: e, ok: ok}
+}
+
+// breedAll applies and gates every drawn edit on runtime.GOMAXPROCS(0)
+// goroutines; an entry is nil where the slot drew no edit or its edit
+// failed the gate. A panic in a worker is raised again on the caller.
+func breedAll(slots []slot, gen int) []*Genome {
+	out := make([]*Genome, len(slots))
+	var next atomic.Int64
+	var panicked atomic.Pointer[any]
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(slots)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					panicked.CompareAndSwap(nil, &p)
+				}
+			}()
+			for i := int(next.Add(1) - 1); i < len(slots); i = int(next.Add(1) - 1) {
+				if s := &slots[i]; s.ok {
+					out[i], _ = breed(s.parent, s.prog, s.edit, gen)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(*p)
+	}
+	return out
 }

@@ -14,6 +14,7 @@ package evolve
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"compdiff/internal/minic/ast"
 	"compdiff/internal/minic/parser"
@@ -55,13 +56,72 @@ var idiomTemplates = []string{
 	`{ int ua = (3 + 4); ua = ua + 1; }`,
 }
 
-// mutator carries the per-offspring state: the RNG stream and a
-// fresh-name allocator seeded with every identifier already used by
-// the program, so spliced code can never collide or capture.
+// idiom is a parsed template block and the names its declarations
+// introduce, in the order a splice renames them.
+type idiom struct {
+	block ast.Stmt
+	decls []string
+}
+
+// idioms returns idiomTemplates parsed, parsing them on first use so
+// that a process that never mutates holds none of them.
+var idioms = sync.OnceValue(func() []idiom {
+	out := make([]idiom, len(idiomTemplates))
+	for i, tmpl := range idiomTemplates {
+		prog := parser.MustParse("int main() { " + tmpl + " }")
+		out[i].block = prog.Funcs[0].Body.Stmts[0]
+		seen := map[string]bool{}
+		ast.Walk(out[i].block, func(s ast.Stmt) bool {
+			if ds, ok := s.(*ast.DeclStmt); ok {
+				for _, d := range ds.Decls {
+					if !seen[d.Name] {
+						seen[d.Name] = true
+						out[i].decls = append(out[i].decls, d.Name)
+					}
+				}
+			}
+			return true
+		})
+	}
+	return out
+})
+
+// Operators, as an edit records them.
+const (
+	opIdiom = iota
+	opOutline
+	opCloneDecl
+	opWiden
+)
+
+// maxTries bounds the operators Mutate draws for one offspring.
+const maxTries = 4
+
+// edit is one mutation as drawn against a parent's tree: the operator
+// and every choice it made. Applying it to a clone of that tree
+// consumes no randomness, so edits drawn in order can be applied and
+// gated in any order, on any goroutine.
+type edit struct {
+	op int // opIdiom, opOutline, opCloneDecl or opWiden
+	// index is the template (idiom), the k-th outlinable literal
+	// (outline, widen) or the declaration site (clone).
+	index int
+	// pos is the idiom's insertion point in main's body.
+	pos int
+	// names are the fresh names: the template's declarations in order,
+	// or the one new local.
+	names []string
+}
+
+// mutator draws the edits of one offspring: the RNG stream, a
+// fresh-name allocator over every identifier the parent's program
+// already uses (read-only: the allocator's sequence never repeats a
+// name), and the tries made so far.
 type mutator struct {
-	rng  *rand.Rand
-	used map[string]bool
-	seq  int
+	rng   *rand.Rand
+	used  map[string]bool
+	seq   int
+	tries int
 }
 
 func (m *mutator) fresh() string {
@@ -69,7 +129,6 @@ func (m *mutator) fresh() string {
 		m.seq++
 		name := fmt.Sprintf("ev%d", m.seq)
 		if !m.used[name] {
-			m.used[name] = true
 			return name
 		}
 	}
@@ -108,57 +167,140 @@ func usedNames(p *ast.Program) map[string]bool {
 	return used
 }
 
-// Mutate derives one offspring from parent: apply one random operator
-// to a clone of the parent's tree, print, and gate through parse+sema.
-// Up to a few attempts are made before giving up (ok=false) — the
-// caller keeps the parent in that case. The returned genome's source
-// is the canonical reprint, so equal programs always hash equal. The
-// gate's parse is the child's: a clone taken before sema becomes its
-// unchecked tree, and sema's result its Checked front end.
+// Mutate derives one offspring from parent: draw one random operator
+// against the parent's tree, apply it to a clone, print, and gate
+// through parse+sema. Up to a few attempts are made before giving up
+// (ok=false) — the caller keeps the parent in that case. The returned
+// genome's source is the canonical reprint, so equal programs always
+// hash equal. The gate's parse is the child's: a clone taken before
+// sema becomes its unchecked tree, and sema's result its Checked front
+// end.
 func Mutate(parent *Genome, rng *rand.Rand, gen int) (*Genome, bool) {
-	prog, err := parent.tree()
+	prog, m, err := newMutator(parent, rng)
 	if err != nil {
 		return nil, false
 	}
-	m := &mutator{rng: rng, used: usedNames(prog)}
-	for try := 0; try < 4; try++ {
-		work := ast.CloneProgram(prog)
-		if !m.apply(work) {
-			continue
+	for {
+		e, ok := m.next(prog)
+		if !ok {
+			return nil, false
 		}
-		src := ast.Print(work)
-		reparsed, err := parser.Parse(src)
-		if err != nil {
-			continue
+		if child, ok := breed(parent, prog, e, gen); ok {
+			return child, true
 		}
-		tree := ast.CloneProgram(reparsed)
-		info, err := sema.Check(reparsed)
-		if err != nil {
-			continue
-		}
-		return &Genome{Src: src, Seed: parent.Seed, Gen: gen, Ops: parent.Ops + 1,
-			prog: tree, checked: info}, true
 	}
-	return nil, false
 }
 
-// apply runs one randomly chosen operator in place. Idiom insertion
-// is weighted heavily: it is the operator that reaches new pass
-// coverage; the rest maintain structural diversity.
-func (m *mutator) apply(p *ast.Program) bool {
-	main := mainOf(p)
+// newMutator returns parent's tree and a mutator for one offspring of
+// it. It parses the tree and collects its names on first use, so it
+// edits parent and must not run concurrently with anything reading it.
+func newMutator(parent *Genome, rng *rand.Rand) (*ast.Program, *mutator, error) {
+	prog, err := parent.tree()
+	if err != nil {
+		return nil, nil, err
+	}
+	if parent.used == nil {
+		parent.used = usedNames(prog)
+	}
+	return prog, &mutator{rng: rng, used: parent.used}, nil
+}
+
+// next draws operators until one applies to prog, within Mutate's
+// budget of tries; false when the budget is spent.
+func (m *mutator) next(prog *ast.Program) (edit, bool) {
+	for m.tries < maxTries {
+		m.tries++
+		if e, ok := m.draw(prog); ok {
+			return e, true
+		}
+	}
+	return edit{}, false
+}
+
+// breed applies e to a clone of the parent's tree prog and gates the
+// result: print, parse, clone the parse as the child's tree, sema. It
+// reads prog and parent without editing them and draws no randomness.
+// The child's used names are collected here, for when it is a parent.
+func breed(parent *Genome, prog *ast.Program, e edit, gen int) (*Genome, bool) {
+	work := ast.CloneProgram(prog)
+	if !e.apply(work) {
+		return nil, false
+	}
+	src := ast.Print(work)
+	reparsed, err := parser.Parse(src)
+	if err != nil {
+		return nil, false
+	}
+	tree := ast.CloneProgram(reparsed)
+	info, err := sema.Check(reparsed)
+	if err != nil {
+		return nil, false
+	}
+	return &Genome{Src: src, Seed: parent.Seed, Gen: gen, Ops: parent.Ops + 1,
+		prog: tree, checked: info, used: usedNames(tree)}, true
+}
+
+// draw chooses one operator and its choices against prog, which it
+// only reads. Idiom insertion is weighted heavily: it is the operator
+// that reaches new pass coverage; the rest maintain structural
+// diversity. False means the operator does not apply to prog; the
+// draws made so far still count.
+func (m *mutator) draw(prog *ast.Program) (edit, bool) {
+	main := mainOf(prog)
 	if main == nil {
-		return false
+		return edit{}, false
 	}
 	switch m.rng.Intn(6) {
 	case 0, 1, 2:
-		return m.insertIdiom(main)
+		// Insert a renamed idiom at a random position of main's body —
+		// the inverse of drop-stmt.
+		t := m.rng.Intn(len(idiomTemplates))
+		names := make([]string, len(idioms()[t].decls))
+		for i := range names {
+			names[i] = m.fresh()
+		}
+		pos := m.rng.Intn(len(main.Body.Stmts) + 1)
+		return edit{op: opIdiom, index: t, pos: pos, names: names}, true
 	case 3:
-		return m.outlineExpr(main)
+		lits := countExprs(main.Body, isOutlinable)
+		if lits == 0 {
+			return edit{}, false
+		}
+		k := m.rng.Intn(lits)
+		return edit{op: opOutline, index: k, names: []string{m.fresh()}}, true
 	case 4:
-		return m.cloneDecl(main)
+		sites := declSites(main)
+		if len(sites) == 0 {
+			return edit{}, false
+		}
+		k := m.rng.Intn(len(sites))
+		return edit{op: opCloneDecl, index: k, names: []string{m.fresh()}}, true
 	default:
-		return m.widenExpr(main)
+		lits := countExprs(main.Body, isOutlinable)
+		if lits == 0 {
+			return edit{}, false
+		}
+		return edit{op: opWiden, index: m.rng.Intn(lits)}, true
+	}
+}
+
+// apply performs e on p, a clone of the tree it was drawn against.
+func (e edit) apply(p *ast.Program) bool {
+	main := mainOf(p)
+	switch e.op {
+	case opIdiom:
+		block := instantiate(idioms()[e.index], e.names)
+		stmts := main.Body.Stmts
+		main.Body.Stmts = append(stmts[:e.pos:e.pos], append([]ast.Stmt{block}, stmts[e.pos:]...)...)
+		return true
+	case opOutline:
+		return outlineExpr(main, e.index, e.names[0])
+	case opCloneDecl:
+		cloneDecl(main, e.index, e.names[0])
+		return true
+	default:
+		widenExpr(main, e.index)
+		return true
 	}
 }
 
@@ -171,36 +313,18 @@ func mainOf(p *ast.Program) *ast.FuncDecl {
 	return nil
 }
 
-// insertIdiom splices one renamed idiom template block at a random
-// position in main's body — the inverse of drop-stmt.
-func (m *mutator) insertIdiom(main *ast.FuncDecl) bool {
-	tmpl := idiomTemplates[m.rng.Intn(len(idiomTemplates))]
-	block := m.parseTemplate(tmpl)
-	if block == nil {
-		return false
+// instantiate clones an idiom's block with its declared names renamed
+// to names, in order. Names the template does not declare (printf) are
+// left alone.
+func instantiate(id idiom, names []string) ast.Stmt {
+	block := ast.CloneStmt(id.block)
+	rename := make(map[string]string, len(names))
+	for i, from := range id.decls {
+		rename[from] = names[i]
 	}
-	stmts := main.Body.Stmts
-	pos := m.rng.Intn(len(stmts) + 1)
-	main.Body.Stmts = append(stmts[:pos:pos], append([]ast.Stmt{block}, stmts[pos:]...)...)
-	return true
-}
-
-// parseTemplate parses a braced template block and renames every name
-// it declares to a fresh one. Names the template does not declare
-// (printf) are left alone.
-func (m *mutator) parseTemplate(tmpl string) ast.Stmt {
-	prog, err := parser.Parse("int main() { " + tmpl + " }")
-	if err != nil || len(prog.Funcs) == 0 || len(prog.Funcs[0].Body.Stmts) != 1 {
-		return nil
-	}
-	block := prog.Funcs[0].Body.Stmts[0]
-	rename := map[string]string{}
 	ast.Walk(block, func(s ast.Stmt) bool {
 		if ds, ok := s.(*ast.DeclStmt); ok {
 			for _, d := range ds.Decls {
-				if _, done := rename[d.Name]; !done {
-					rename[d.Name] = m.fresh()
-				}
 				d.Name = rename[d.Name]
 			}
 		}
@@ -216,18 +340,12 @@ func (m *mutator) parseTemplate(tmpl string) ast.Stmt {
 	return block
 }
 
-// outlineExpr hoists one integer literal into a fresh local declared
-// at the top of main and replaces the literal with a read of it — the
-// inverse of inline-local. Literals inside static initializers fail
-// sema afterwards and are rejected by the gate, which is the intended
-// filter.
-func (m *mutator) outlineExpr(main *ast.FuncDecl) bool {
-	lits := countExprs(main.Body, isOutlinable)
-	if lits == 0 {
-		return false
-	}
-	k := m.rng.Intn(lits)
-	name := m.fresh()
+// outlineExpr hoists the k-th outlinable integer literal into a local
+// named name, declared at the top of main, and replaces the literal
+// with a read of it — the inverse of inline-local. Literals inside
+// static initializers fail sema afterwards and are rejected by the
+// gate, which is the intended filter.
+func outlineExpr(main *ast.FuncDecl, k int, name string) bool {
 	var value int64
 	found := false
 	mapBodyExprs(main.Body, func(e ast.Expr) ast.Expr {
@@ -245,7 +363,7 @@ func (m *mutator) outlineExpr(main *ast.FuncDecl) bool {
 	if !found {
 		return false
 	}
-	decl := m.parseDecl(fmt.Sprintf("int %s = %d;", name, value))
+	decl := parseDecl(fmt.Sprintf("int %s = %d;", name, value))
 	if decl == nil {
 		return false
 	}
@@ -259,7 +377,7 @@ func isOutlinable(e ast.Expr) bool {
 }
 
 // parseDecl parses one declaration statement.
-func (m *mutator) parseDecl(src string) ast.Stmt {
+func parseDecl(src string) ast.Stmt {
 	prog, err := parser.Parse("int main() { " + src + " }")
 	if err != nil || len(prog.Funcs) == 0 || len(prog.Funcs[0].Body.Stmts) != 1 {
 		return nil
@@ -267,16 +385,17 @@ func (m *mutator) parseDecl(src string) ast.Stmt {
 	return prog.Funcs[0].Body.Stmts[0]
 }
 
-// cloneDecl duplicates one initialized auto local under a fresh name,
-// right after the original — the inverse of drop-toplevel/drop-stmt
-// on declarations.
-func (m *mutator) cloneDecl(main *ast.FuncDecl) bool {
-	type site struct {
-		block *ast.BlockStmt
-		stmt  int
-		decl  int
-	}
-	var sites []site
+// declSite is an initialized auto local: the block holding it, its
+// statement there, and its place in that statement.
+type declSite struct {
+	block *ast.BlockStmt
+	stmt  int
+	decl  int
+}
+
+// declSites lists main's initialized auto locals in walk order.
+func declSites(main *ast.FuncDecl) []declSite {
+	var sites []declSite
 	ast.Walk(main.Body, func(s ast.Stmt) bool {
 		b, ok := s.(*ast.BlockStmt)
 		if !ok {
@@ -286,36 +405,35 @@ func (m *mutator) cloneDecl(main *ast.FuncDecl) bool {
 			if ds, ok := st.(*ast.DeclStmt); ok {
 				for di, d := range ds.Decls {
 					if d.Storage == ast.Auto && d.Init != nil {
-						sites = append(sites, site{b, i, di})
+						sites = append(sites, declSite{b, i, di})
 					}
 				}
 			}
 		}
 		return true
 	})
-	if len(sites) == 0 {
-		return false
-	}
-	s := sites[m.rng.Intn(len(sites))]
+	return sites
+}
+
+// cloneDecl duplicates the k-th initialized auto local under name,
+// right after the original — the inverse of drop-toplevel/drop-stmt
+// on declarations.
+func cloneDecl(main *ast.FuncDecl, k int, name string) {
+	s := declSites(main)[k]
 	orig := s.block.Stmts[s.stmt].(*ast.DeclStmt).Decls[s.decl]
 	dup := ast.CloneVarDecl(orig)
-	dup.Name = m.fresh()
+	dup.Name = name
 	ins := &ast.DeclStmt{Decls: []*ast.VarDecl{dup}}
 	stmts := s.block.Stmts
 	pos := s.stmt + 1
 	s.block.Stmts = append(stmts[:pos:pos], append([]ast.Stmt{ins}, stmts[pos:]...)...)
-	return true
 }
 
-// widenExpr grows one integer literal read into `(lit + 0)` — the
-// inverse of simplify-expr's operand collapse. Semantically inert,
-// structurally diversifying, and a seed for later folds.
-func (m *mutator) widenExpr(main *ast.FuncDecl) bool {
-	lits := countExprs(main.Body, isOutlinable)
-	if lits == 0 {
-		return false
-	}
-	k := m.rng.Intn(lits)
+// widenExpr grows the k-th outlinable integer literal read into
+// `(lit + 0)` — the inverse of simplify-expr's operand collapse.
+// Semantically inert, structurally diversifying, and a seed for later
+// folds.
+func widenExpr(main *ast.FuncDecl, k int) {
 	found := false
 	mapBodyExprs(main.Body, func(e ast.Expr) ast.Expr {
 		if found || !isOutlinable(e) {
@@ -328,7 +446,6 @@ func (m *mutator) widenExpr(main *ast.FuncDecl) bool {
 		found = true
 		return &ast.Binary{Op: ast.Add, X: e, Y: &ast.IntLit{Value: 0}}
 	})
-	return found
 }
 
 // countExprs counts expression nodes matching pred using the same
@@ -347,69 +464,71 @@ func countExprs(body ast.Stmt, pred func(ast.Expr) bool) int {
 
 // mapBodyExprs rewrites every expression held by the statement tree
 // through f, pre-order; children of a replaced node are not visited.
-// The evolve-local analogue of triage's mapStmtExprs.
+// It writes only where f replaces a node, so with an f that replaces
+// nothing it only reads the tree. The evolve-local analogue of
+// triage's mapStmtExprs.
 func mapBodyExprs(s ast.Stmt, f func(ast.Expr) ast.Expr) {
 	ast.Walk(s, func(st ast.Stmt) bool {
 		switch st := st.(type) {
 		case *ast.DeclStmt:
 			for _, d := range st.Decls {
-				if d.Init != nil {
-					d.Init = mapExpr(d.Init, f)
-				}
+				remap(&d.Init, f)
 			}
 		case *ast.ExprStmt:
-			st.X = mapExpr(st.X, f)
+			remap(&st.X, f)
 		case *ast.IfStmt:
-			st.Cond = mapExpr(st.Cond, f)
+			remap(&st.Cond, f)
 		case *ast.WhileStmt:
-			st.Cond = mapExpr(st.Cond, f)
+			remap(&st.Cond, f)
 		case *ast.ForStmt:
-			if st.Cond != nil {
-				st.Cond = mapExpr(st.Cond, f)
-			}
-			if st.Post != nil {
-				st.Post = mapExpr(st.Post, f)
-			}
+			remap(&st.Cond, f)
+			remap(&st.Post, f)
 		case *ast.ReturnStmt:
-			if st.Value != nil {
-				st.Value = mapExpr(st.Value, f)
-			}
+			remap(&st.Value, f)
 		}
 		return true
 	})
 }
 
-func mapExpr(e ast.Expr, f func(ast.Expr) ast.Expr) ast.Expr {
-	if e == nil {
-		return nil
+// remap rewrites the expression at slot through f, storing the result
+// only when it differs.
+func remap(slot *ast.Expr, f func(ast.Expr) ast.Expr) {
+	if *slot == nil {
+		return
 	}
+	if r := mapExpr(*slot, f); r != *slot {
+		*slot = r
+	}
+}
+
+func mapExpr(e ast.Expr, f func(ast.Expr) ast.Expr) ast.Expr {
 	if r := f(e); r != e {
 		return r
 	}
 	switch e := e.(type) {
 	case *ast.Unary:
-		e.X = mapExpr(e.X, f)
+		remap(&e.X, f)
 	case *ast.Binary:
-		e.X = mapExpr(e.X, f)
-		e.Y = mapExpr(e.Y, f)
+		remap(&e.X, f)
+		remap(&e.Y, f)
 	case *ast.Assign:
 		// Only the RHS: wrapping an lvalue breaks assignability.
-		e.RHS = mapExpr(e.RHS, f)
+		remap(&e.RHS, f)
 	case *ast.Cond:
-		e.C = mapExpr(e.C, f)
-		e.X = mapExpr(e.X, f)
-		e.Y = mapExpr(e.Y, f)
+		remap(&e.C, f)
+		remap(&e.X, f)
+		remap(&e.Y, f)
 	case *ast.Call:
 		for i := range e.Args {
-			e.Args[i] = mapExpr(e.Args[i], f)
+			remap(&e.Args[i], f)
 		}
 	case *ast.Index:
-		e.X = mapExpr(e.X, f)
-		e.Idx = mapExpr(e.Idx, f)
+		remap(&e.X, f)
+		remap(&e.Idx, f)
 	case *ast.Member:
-		e.X = mapExpr(e.X, f)
+		remap(&e.X, f)
 	case *ast.CastExpr:
-		e.X = mapExpr(e.X, f)
+		remap(&e.X, f)
 	}
 	return e
 }

@@ -13,7 +13,8 @@
 #                front end alone,
 #                machine construction and rebinding +
 #                the fuzzer loop on one B_fuzz machine + a steady-state
-#                checkpoint save + reduction of the golden reproducers)
+#                checkpoint save + reduction of the golden reproducers +
+#                breeding one evolve generation, from internal/evolve)
 #   benchtime    defaults to 1s
 #
 #        scripts/bench.sh -diff OLD.json NEW.json
@@ -72,13 +73,13 @@ if [ "${1:-}" = "-diff" ]; then
 fi
 
 OUT="${1:-BENCH_$(date +%Y-%m-%d).json}"
-BENCH="${2:-OverheadSingleBinary|OverheadRecommendedPair|OverheadFullTen|SuiteRunSequential|SuiteRunFast|SuiteRunParallel\$|SuiteRunBatch64|ProgCacheHit|CampaignFourShards|DifferentialRunListing1|CompileTenImplementations|LowerTenImplementations|CompilePoolCorpus|ParseSema|MachineNew|MachineRebind|FuzzerExec|CheckpointSave|ReduceGolden}"
+BENCH="${2:-OverheadSingleBinary|OverheadRecommendedPair|OverheadFullTen|SuiteRunSequential|SuiteRunFast|SuiteRunParallel\$|SuiteRunBatch64|ProgCacheHit|CampaignFourShards|DifferentialRunListing1|CompileTenImplementations|LowerTenImplementations|CompilePoolCorpus|ParseSema|MachineNew|MachineRebind|FuzzerExec|CheckpointSave|ReduceGolden|NextGeneration}"
 BENCHTIME="${3:-1s}"
 
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-go test -run '^$' -bench "$BENCH" -benchmem -benchtime "$BENCHTIME" . | tee "$RAW" >&2
+go test -run '^$' -bench "$BENCH" -benchmem -benchtime "$BENCHTIME" . ./internal/evolve | tee "$RAW" >&2
 
 awk -v date="$(date +%Y-%m-%d)" -v benchtime="$BENCHTIME" \
     -v gover="$(go env GOVERSION)" '

@@ -53,9 +53,10 @@ go test -race -run 'TestSparseBitmapMatchesDense|TestSparseBitmapWrappedCounters
 # where a released set fits the new suite only in some slots, and
 # warmed suites must hold complete sets. The compile and evolve pools
 # must build one machine set per shard per Run, however many epochs it
-# has, and keep none once Run returns.
+# has, and keep none once Run returns. A sequential RunFast whose
+# binaries agree allocates its outcome and hash slice, nothing more.
 echo "== core batch-executor self-test (-race)"
-go test -race -run 'TestRunBatchMatchesRun|TestRunBatchMatchesRunParallel|TestRunBatchSingletonIsRunFast|TestRecycledSuitesMatchFresh|TestSparesMismatchedSlotsMatchFresh|TestWarm|TestSuiteRunConcurrent|TestPoolSparesLastOneRun' \
+go test -race -run 'TestRunBatchMatchesRun|TestRunBatchMatchesRunParallel|TestRunBatchSingletonIsRunFast|TestRecycledSuitesMatchFresh|TestSparesMismatchedSlotsMatchFresh|TestWarm|TestSuiteRunConcurrent|TestPoolSparesLastOneRun|TestRunFastSequentialAllocs' \
 	-count=1 ./internal/core
 
 # The lowering equivalence gates: CompileAll, which shares one
@@ -76,11 +77,13 @@ go test -race -run 'TestLoweringMatchesParent|TestCompileAllMatchesCompileGuarde
 # (fresh, and resumed from a checkpoint the parent wrote) the digest in
 # testdata; the printer must round-trip negative literals and
 # multi-declarator statements; the trees and checked front ends evolve
-# keeps must equal fresh parses; and a miss fed a checked front end
-# must equal a cold compile. Kept out of internal/difffuzz, whose
+# keeps must equal fresh parses; breeding a generation on many
+# goroutines must equal the serial Mutate loop slot by slot, also where
+# edits fail the gate; and a miss fed a checked front end must equal a
+# cold compile. Kept out of internal/difffuzz, whose
 # -race suite is the slow one.
 echo "== front-end equivalence (-race)"
-go test -race -run 'TestParseMatchesParent|TestErrorTextBounded|TestErrorsCapped|TestPrintNegativeLiteralOperands|TestPrintMultiDeclarators|TestReduceMatchesParent|TestEvolveMatchesParent|TestEvolveResumesParentCheckpoint|TestMutateTreesMatchParse|TestGetCheckedMatchesCompile' \
+go test -race -run 'TestParseMatchesParent|TestErrorTextBounded|TestErrorsCapped|TestPrintNegativeLiteralOperands|TestPrintMultiDeclarators|TestReduceMatchesParent|TestEvolveMatchesParent|TestEvolveResumesParentCheckpoint|TestMutateTreesMatchParse|TestNextGenerationMatchesSerial|TestGetCheckedMatchesCompile' \
 	-count=1 ./internal/minic/... ./internal/triage ./internal/evolve ./internal/progcache .
 
 # The reducer step cap rests on one VM premise, that a run finishing
@@ -110,14 +113,14 @@ go test -run='^$' -bench='^BenchmarkOverheadFullTen$' -benchtime=10x -benchmem .
 
 # Batch/cache/construction bench smoke: the persistent-mode batch
 # executor, the compiled-program cache, the machine-construction,
-# checkpoint-save, lowering, compile-pool, front-end and reducer
-# benchmarks must exist and produce rows bench.sh can parse into the
-# trajectory record (guards both the benchmarks and the bench.sh JSON
-# pipeline).
-echo "== bench smoke (SuiteRunBatch64 + ProgCacheHit + MachineNew + MachineRebind + FuzzerExec + CheckpointSave + LowerTenImplementations + CompilePoolCorpus + ParseSema + ReduceGolden via bench.sh)"
+# checkpoint-save, lowering, compile-pool, front-end, reducer and
+# evolve-breeding benchmarks must exist and produce rows bench.sh can
+# parse into the trajectory record (guards both the benchmarks and the
+# bench.sh JSON pipeline).
+echo "== bench smoke (SuiteRunBatch64 + ProgCacheHit + MachineNew + MachineRebind + FuzzerExec + CheckpointSave + LowerTenImplementations + CompilePoolCorpus + ParseSema + ReduceGolden + NextGeneration via bench.sh)"
 BENCH_SMOKE_JSON="$(mktemp)"
-scripts/bench.sh "$BENCH_SMOKE_JSON" 'SuiteRunBatch64|ProgCacheHit|MachineNew|MachineRebind|FuzzerExec|CheckpointSave|LowerTenImplementations|CompilePoolCorpus|ParseSema|ReduceGolden' 10x >/dev/null 2>&1
-for b in BenchmarkSuiteRunBatch64 BenchmarkProgCacheHit BenchmarkMachineNew BenchmarkMachineRebind BenchmarkFuzzerExec BenchmarkCheckpointSave BenchmarkLowerTenImplementations BenchmarkCompilePoolCorpus BenchmarkParseSema BenchmarkReduceGolden; do
+scripts/bench.sh "$BENCH_SMOKE_JSON" 'SuiteRunBatch64|ProgCacheHit|MachineNew|MachineRebind|FuzzerExec|CheckpointSave|LowerTenImplementations|CompilePoolCorpus|ParseSema|ReduceGolden|NextGeneration' 10x >/dev/null 2>&1
+for b in BenchmarkSuiteRunBatch64 BenchmarkProgCacheHit BenchmarkMachineNew BenchmarkMachineRebind BenchmarkFuzzerExec BenchmarkCheckpointSave BenchmarkLowerTenImplementations BenchmarkCompilePoolCorpus BenchmarkParseSema BenchmarkReduceGolden BenchmarkNextGeneration; do
 	grep -q "\"name\": \"$b\", \"ns_per_op\": [0-9]" "$BENCH_SMOKE_JSON" || {
 		echo "bench smoke: $b missing from bench.sh output" >&2
 		cat "$BENCH_SMOKE_JSON" >&2
