@@ -413,9 +413,13 @@ int main() {
 
 // BenchmarkMachineNew is machine construction alone: vm.New of
 // wireshark's ten compiled binaries. The compile, evolve and reduce
-// modes pay it for each implementation once per epoch or reduction
+// modes pay it for each implementation once per pool run or reduction
 // and rebind those machines afterwards (BenchmarkMachineRebind); the
-// fuzzing modes pay it once per campaign.
+// fuzzing modes pay it once per campaign. On Linux a machine's memory
+// is a copy-on-write mapping of a shared pristine image, so an op costs
+// ten mappings and the pages the segments write, not 10 MiB of Go heap;
+// the unmapping happens when the collector finds a machine unreachable,
+// outside the timed op.
 func BenchmarkMachineNew(b *testing.B) {
 	info := sema.MustCheck(parser.MustParse(targets.ByName("wireshark").Src))
 	var bins []*ir.Program

@@ -169,20 +169,21 @@ func (o *Outcome) Groups() map[uint64][]int {
 // implementations the same way (same partition, same exit kinds) are
 // very likely the same bug.
 func (o *Outcome) Signature() uint64 {
-	d := hash.New128(0x5161)
-	groups := o.Groups()
 	// Render the partition canonically: for each implementation, the
 	// smallest index sharing its hash, plus the exit kind.
-	for i := range o.Hashes {
+	var stack [32]byte
+	buf := stack[:0]
+	for i, h := range o.Hashes {
 		rep := i
-		for _, j := range groups[o.Hashes[i]] {
-			if j < rep {
+		for j, g := range o.Hashes[:i] {
+			if g == h {
 				rep = j
+				break
 			}
 		}
-		d.Write([]byte{byte(rep), byte(o.Results[i].Exit)})
+		buf = append(buf, byte(rep), byte(o.Results[i].Exit))
 	}
-	h1, _ := d.Sum128()
+	h1, _ := hash.Sum128(buf, 0x5161)
 	return h1
 }
 

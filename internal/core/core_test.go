@@ -273,6 +273,27 @@ func TestNormalizerPointerFilter(t *testing.T) {
 	}
 }
 
+// TestDefaultNormalizersShareRules checks that default normalizers
+// share their compiled expressions and that adding a rule to one
+// leaves the others as they were.
+func TestDefaultNormalizersShareRules(t *testing.T) {
+	a, b := DefaultNormalizer(), DefaultNormalizer()
+	if len(a.rules) != 2 || a.rules[0].re != b.rules[0].re || a.rules[1].re != b.rules[1].re {
+		t.Fatal("default normalizers compiled their rules apart")
+	}
+	a.Add(`end`, "<END>")
+	in := []byte("ptr=0xdeadbeef end")
+	if got := string(a.Apply(in)); got != "ptr=<PTR> <END>" {
+		t.Fatalf("extended normalizer: got %q", got)
+	}
+	if got := string(b.Apply(in)); got != "ptr=<PTR> end" {
+		t.Fatalf("Add on one default normalizer changed another: got %q", got)
+	}
+	if got := string(DefaultNormalizer().Apply(in)); got != "ptr=<PTR> end" {
+		t.Fatalf("Add on one default normalizer changed a later one: got %q", got)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Subset analysis
 

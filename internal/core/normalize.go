@@ -1,6 +1,10 @@
 package core
 
-import "regexp"
+import (
+	"regexp"
+	"slices"
+	"sync"
+)
 
 // Normalizer rewrites captured output before comparison, removing
 // fields that legitimately differ per run or per binary — timestamps,
@@ -38,8 +42,17 @@ func (n *Normalizer) Apply(out []byte) []byte {
 // RQ5 encountered: clock timestamps (HH:MM:SS.uuuuuu) and printed
 // pointer values (0x...). Programs whose remaining output is
 // deterministic become analyzable by CompDiff.
+//
+// Every normalizer it returns shares one compiled copy of the rules (a
+// regexp is safe for concurrent use); Add on one of them leaves the
+// others alone.
 func DefaultNormalizer() *Normalizer {
+	return &Normalizer{rules: slices.Clip(defaultRules())}
+}
+
+// defaultRules compiles DefaultNormalizer's rules once per process.
+var defaultRules = sync.OnceValue(func() []rule {
 	return NewNormalizer().
 		Add(`\d{2}:\d{2}:\d{2}\.\d{3,6}`, "<TIME>").
-		Add(`0x[0-9a-f]{4,16}`, "<PTR>")
-}
+		Add(`0x[0-9a-f]{4,16}`, "<PTR>").rules
+})

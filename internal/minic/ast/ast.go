@@ -304,13 +304,18 @@ const (
 	PostDec                   // x--
 )
 
-var unaryNames = map[UnaryOp]string{
+var unaryNames = [...]string{
 	Neg: "-", LogicalNot: "!", BitNot: "~", Deref: "*", AddrOf: "&",
 	PreInc: "++", PreDec: "--", PostInc: "++", PostDec: "--",
 }
 
 // String returns the operator spelling.
-func (op UnaryOp) String() string { return unaryNames[op] }
+func (op UnaryOp) String() string {
+	if uint(op) < uint(len(unaryNames)) {
+		return unaryNames[op]
+	}
+	return ""
+}
 
 // Unary is a unary expression.
 type Unary struct {
@@ -346,14 +351,19 @@ const (
 	LogOr
 )
 
-var binNames = map[BinOp]string{
+var binNames = [...]string{
 	Add: "+", Sub: "-", Mul: "*", Div: "/", Mod: "%", Shl: "<<", Shr: ">>",
 	Lt: "<", Le: "<=", Gt: ">", Ge: ">=", Eq: "==", Ne: "!=",
 	BitAnd: "&", BitOr: "|", BitXor: "^", LogAnd: "&&", LogOr: "||",
 }
 
 // String returns the operator spelling.
-func (op BinOp) String() string { return binNames[op] }
+func (op BinOp) String() string {
+	if uint(op) < uint(len(binNames)) {
+		return binNames[op]
+	}
+	return ""
+}
 
 // IsComparison reports whether op yields a boolean int.
 func (op BinOp) IsComparison() bool {

@@ -151,6 +151,29 @@ func TestOperatorStrings(t *testing.T) {
 	}
 }
 
+// TestEveryOperatorString pins the spelling of every operator, and the
+// empty spelling of values outside the enumerations, to what the
+// printer has always written.
+func TestEveryOperatorString(t *testing.T) {
+	unary := map[ast.UnaryOp]string{
+		ast.Neg: "-", ast.LogicalNot: "!", ast.BitNot: "~", ast.Deref: "*", ast.AddrOf: "&",
+		ast.PreInc: "++", ast.PreDec: "--", ast.PostInc: "++", ast.PostDec: "--",
+	}
+	binary := map[ast.BinOp]string{
+		ast.Add: "+", ast.Sub: "-", ast.Mul: "*", ast.Div: "/", ast.Mod: "%", ast.Shl: "<<", ast.Shr: ">>",
+		ast.Lt: "<", ast.Le: "<=", ast.Gt: ">", ast.Ge: ">=", ast.Eq: "==", ast.Ne: "!=",
+		ast.BitAnd: "&", ast.BitOr: "|", ast.BitXor: "^", ast.LogAnd: "&&", ast.LogOr: "||",
+	}
+	for op := -2; op < 64; op++ {
+		if got, want := ast.UnaryOp(op).String(), unary[ast.UnaryOp(op)]; got != want {
+			t.Errorf("UnaryOp(%d).String() = %q, want %q", op, got, want)
+		}
+		if got, want := ast.BinOp(op).String(), binary[ast.BinOp(op)]; got != want {
+			t.Errorf("BinOp(%d).String() = %q, want %q", op, got, want)
+		}
+	}
+}
+
 func TestStringEscapingRoundTrip(t *testing.T) {
 	src := `int main() { printf("tab\t nl\n quote\" hex\x01 zero\0 back\\ "); return 0; }`
 	p1 := parser.MustParse(src)

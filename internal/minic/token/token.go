@@ -90,7 +90,8 @@ const (
 	Dec // --
 )
 
-var names = map[Kind]string{
+// names spells each kind, indexed by Kind.
+var names = [...]string{
 	EOF: "EOF", Illegal: "ILLEGAL", Ident: "identifier",
 	IntLit: "integer literal", FloatLit: "float literal",
 	StrLit: "string literal", CharLit: "char literal",
@@ -114,8 +115,8 @@ var names = map[Kind]string{
 
 // String returns a human-readable name for the token kind.
 func (k Kind) String() string {
-	if s, ok := names[k]; ok {
-		return s
+	if int(k) < len(names) && names[k] != "" {
+		return names[k]
 	}
 	return fmt.Sprintf("token(%d)", int(k))
 }

@@ -1,6 +1,7 @@
 package token
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"unsafe"
@@ -18,6 +19,42 @@ func TestKindStrings(t *testing.T) {
 	}
 	if got := Kind(250).String(); !strings.Contains(got, "250") {
 		t.Errorf("unknown kind = %q", got)
+	}
+}
+
+// TestEveryKindString pins the spelling of every kind, and of the
+// values past the last one, to the names the lexer's diagnostics have
+// always printed.
+func TestEveryKindString(t *testing.T) {
+	want := map[Kind]string{
+		EOF: "EOF", Illegal: "ILLEGAL", Ident: "identifier",
+		IntLit: "integer literal", FloatLit: "float literal",
+		StrLit: "string literal", CharLit: "char literal",
+		KwVoid: "void", KwChar: "char", KwInt: "int", KwLong: "long",
+		KwFloat: "float", KwDouble: "double", KwUnsigned: "unsigned",
+		KwStruct: "struct", KwIf: "if", KwElse: "else", KwWhile: "while",
+		KwFor: "for", KwReturn: "return", KwBreak: "break",
+		KwContinue: "continue", KwSizeof: "sizeof", KwStatic: "static",
+		KwConst: "const", KwLine: "__LINE__",
+		LParen: "(", RParen: ")", LBrace: "{", RBrace: "}",
+		LBracket: "[", RBracket: "]", Semicolon: ";", Comma: ",",
+		Dot: ".", Arrow: "->", Question: "?", Colon: ":",
+		Assign: "=", AddAssign: "+=", SubAssign: "-=", MulAssign: "*=",
+		DivAssign: "/=", ModAssign: "%=", ShlAssign: "<<=", ShrAssign: ">>=",
+		AndAssign: "&=", OrAssign: "|=", XorAssign: "^=",
+		Add: "+", Sub: "-", Star: "*", Div: "/", Mod: "%",
+		Shl: "<<", Shr: ">>", Lt: "<", Le: "<=", Gt: ">", Ge: ">=",
+		EqEq: "==", NotEq: "!=", Amp: "&", Or: "|", Xor: "^",
+		LAnd: "&&", LOr: "||", Not: "!", Tilde: "~", Inc: "++", Dec: "--",
+	}
+	for k := 0; k < 256; k++ {
+		w, ok := want[Kind(k)]
+		if !ok {
+			w = fmt.Sprintf("token(%d)", k)
+		}
+		if got := Kind(k).String(); got != w {
+			t.Errorf("Kind(%d).String() = %q, want %q", k, got, w)
+		}
 	}
 }
 

@@ -2,13 +2,16 @@ package vm
 
 // Hooks that let the external vm_test package inspect machine memory.
 
-// Mem returns the machine's memory.
+// Mem returns the machine's memory. The slice may be unmapped once m is
+// unreachable, so callers must keep m alive while they use it.
 func (m *Machine) Mem() []byte { return m.mem }
 
-// ASanShadow returns the ASan poison plane (nil unless SanASan).
+// ASanShadow returns the ASan poison plane (nil unless SanASan). Like
+// Mem, it is valid only while m is alive.
 func (m *Machine) ASanShadow() []byte { return m.asanShadow }
 
 // MSanInit returns the MSan initialized-byte plane (nil unless SanMSan).
+// Like Mem, it is valid only while m is alive.
 func (m *Machine) MSanInit() []byte { return m.msanInit }
 
 // Reset restores every page the last run dirtied, as the next run's

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"compdiff/internal/compiler"
@@ -179,6 +180,44 @@ func TestMachineImageMatchesReference(t *testing.T) {
 	}
 }
 
+// TestMachineNewConcurrentImages builds machines of fill patterns no
+// earlier machine used from several goroutines at once, so the first
+// machine of each pattern races the others to create its pristine
+// image; every machine must still match the reference image, before
+// and after a run dirties its pages.
+func TestMachineNewConcurrentImages(t *testing.T) {
+	bin := compiler.MustCompile(sema.MustCheck(parser.MustParse(targets.ByName("readelf").Src)),
+		compiler.Config{Family: compiler.Clang, Opt: compiler.O1})
+	const keys, workers = 4, 8
+	var progs [keys]*ir.Program
+	for k := range progs {
+		prog := *bin
+		prog.Profile.Key = 0x5eed0000 + uint64(k)*0x9e3779b97f4a7c15
+		progs[k] = &prog
+	}
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range keys {
+				prog := progs[(w+i)%keys]
+				ref := newReference(prog, vm.SanNone)
+				m := vm.New(prog, vm.Options{})
+				if !bytes.Equal(m.Mem(), ref.mem) {
+					t.Errorf("key %#x: new machine differs from the reference image", prog.Profile.Key)
+				}
+				m.RunShared([]byte("\x7fELF"))
+				m.Reset()
+				if !bytes.Equal(m.Mem(), ref.mem) {
+					t.Errorf("key %#x: reset machine differs from the reference image", prog.Profile.Key)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // testReshapedSegments reshapes the data segments of a compiled binary
 // to the boundary cases of the restore rule — no globals, globals
 // ending inside a page and exactly on one, rodata of zero, one and
@@ -250,9 +289,10 @@ func segmentEdgeAddrs(prog *ir.Program) []uint64 {
 	}
 }
 
-// TestMachineNewAllocBound guards the per-machine footprint: a plain
-// machine allocates its memory and small images, never a second
-// full-size copy.
+// TestMachineNewAllocBound guards the per-machine footprint: the Go
+// heap a plain machine allocates stays within newHeapLimit, which
+// depends on where machine memory comes from (mem_linux_test.go,
+// mem_other_test.go).
 func TestMachineNewAllocBound(t *testing.T) {
 	tg := targets.ByName("wireshark")
 	bin := compiler.MustCompile(sema.MustCheck(parser.MustParse(tg.Src)), compiler.Config{Family: compiler.GCC, Opt: compiler.O2})
@@ -261,8 +301,8 @@ func TestMachineNewAllocBound(t *testing.T) {
 			vm.New(bin, vm.Options{})
 		}
 	})
-	if got, limit := r.AllocedBytesPerOp(), int64(ir.MemSize+128<<10); got > limit {
-		t.Fatalf("vm.New allocates %d B per machine, want <= %d (ir.MemSize + 128 KiB)", got, limit)
+	if got := r.AllocedBytesPerOp(); got > newHeapLimit {
+		t.Fatalf("vm.New allocates %d B per machine, want <= %d", got, newHeapLimit)
 	}
 }
 

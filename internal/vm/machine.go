@@ -132,6 +132,9 @@ type Machine struct {
 	opts Options
 	prof ir.Profile
 
+	// mem is the guest address space. Where newMemory maps it outside
+	// the Go heap (mem_linux.go), a cleanup unmaps it once the machine
+	// is unreachable, so no slice of it may outlive the machine.
 	mem []byte
 
 	// Page-restore sources (see the dirty-page comment): one page of
@@ -238,9 +241,7 @@ func New(prog *ir.Program, opts Options) *Machine {
 	}
 	m := &Machine{prog: prog, opts: opts, prof: prog.Profile}
 	m.buildPattern()
-	// bytes.Repeat skips zeroing memory it is about to overwrite.
-	m.mem = bytes.Repeat(m.pattern[:], numPages)
-	clear(m.mem[:ir.NullTop])
+	m.mem = newMemory(m)
 	m.loadSegments()
 	if opts.San == SanASan {
 		m.asanShadow = make([]byte, ir.MemSize)
@@ -310,6 +311,15 @@ func (m *Machine) buildPattern() {
 	for i := 64; i < pageSize; i += 64 {
 		copy(m.pattern[i:], m.pattern[:64])
 	}
+}
+
+// heapMemory builds machine memory on the Go heap: zero below
+// ir.NullTop and the fill pattern everywhere else.
+func heapMemory(pattern *[pageSize]byte) []byte {
+	// bytes.Repeat skips zeroing memory it is about to overwrite.
+	mem := bytes.Repeat(pattern[:], numPages)
+	clear(mem[:ir.NullTop])
+	return mem
 }
 
 // loadSegments builds the page-restore images of the binary's rodata

@@ -31,10 +31,16 @@ echo "== benchmark module (vet, test)"
 # test holds the page-restore rule to the full-size reference image,
 # and the coverage self-test holds the edge bitmap and its touched-word
 # summary equal between the loops. The rebind test holds a machine
-# rebound across programs to a new machine of the new program.
+# rebound across programs to a new machine of the new program. The
+# soak test holds the mapping count and resident set flat while
+# machines whose memory is a copy-on-write mapping come and go, and
+# the cross builds keep the Go-heap fallback of other platforms
+# compiling.
 echo "== vm differential self-test (-race)"
-go test -race -run 'TestDifferentialSelfTest|TestRunSharedMatchesRun|TestStepLimitBatchAccounting|TestMachineImageMatchesReference|TestDifferentialSelfTestCoverage|TestMachineRebindMatchesNew' \
+go test -race -run 'TestDifferentialSelfTest|TestRunSharedMatchesRun|TestStepLimitBatchAccounting|TestMachineImageMatchesReference|TestDifferentialSelfTestCoverage|TestMachineRebindMatchesNew|TestMachineMemorySoak' \
 	-count=1 ./internal/vm
+GOOS=darwin GOARCH=arm64 go vet ./internal/vm
+GOOS=linux GOARCH=386 go build ./...
 
 # The fuzzer's bitmap walkers visit only the words the coverage summary
 # marks; this holds them to the dense reference scans per exec, and a
