@@ -428,7 +428,7 @@ func taintedInputSyms(ff *funcFacts) map[any]bool {
 	tainted := map[any]bool{}
 	fromInput := func(e ast.Expr) bool {
 		found := false
-		walkA(e, func(x ast.Expr) {
+		ast.WalkExpr(e, func(x ast.Expr) {
 			if call, ok := x.(*ast.Call); ok &&
 				(call.Fun.Name == "input_byte" || call.Fun.Name == "read_input" || call.Fun.Name == "input_size") {
 				found = true
@@ -454,37 +454,4 @@ func taintedInputSyms(ff *funcFacts) map[any]bool {
 		return true
 	})
 	return tainted
-}
-
-// walkA is a local expression pre-order walk.
-func walkA(e ast.Expr, fn func(ast.Expr)) {
-	if e == nil {
-		return
-	}
-	fn(e)
-	switch e := e.(type) {
-	case *ast.Unary:
-		walkA(e.X, fn)
-	case *ast.Binary:
-		walkA(e.X, fn)
-		walkA(e.Y, fn)
-	case *ast.Assign:
-		walkA(e.LHS, fn)
-		walkA(e.RHS, fn)
-	case *ast.Cond:
-		walkA(e.C, fn)
-		walkA(e.X, fn)
-		walkA(e.Y, fn)
-	case *ast.Call:
-		for _, a := range e.Args {
-			walkA(a, fn)
-		}
-	case *ast.Index:
-		walkA(e.X, fn)
-		walkA(e.Idx, fn)
-	case *ast.Member:
-		walkA(e.X, fn)
-	case *ast.CastExpr:
-		walkA(e.X, fn)
-	}
 }

@@ -85,7 +85,7 @@ func TestConstTableMatchesEvalConst(t *testing.T) {
 		all := sema.IDRange{Lo: 1, Hi: info.NumExprs + 1}
 		for _, g := range info.Prog.Globals {
 			if g.Init != nil {
-				walk(g.Init, func(e ast.Expr) { check(e, all) })
+				ast.WalkExpr(g.Init, func(e ast.Expr) { check(e, all) })
 			}
 		}
 		for i, f := range info.Prog.Funcs {

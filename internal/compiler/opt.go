@@ -215,7 +215,7 @@ func (a *analyzer) stmt(s ast.Stmt, f *facts) {
 // applyFolds walks the expression tree and records every fold the pass
 // set licenses under the current facts.
 func (a *analyzer) applyFolds(e ast.Expr, f *facts) {
-	walk(e, func(x ast.Expr) {
+	ast.WalkExpr(e, func(x ast.Expr) {
 		if a.k&keyFoldOverflow != 0 {
 			if v, ok := matchOverflowCheck(x, f); ok {
 				a.fold(x, v)
@@ -244,38 +244,6 @@ func (a *analyzer) fold(e ast.Expr, v uint64) {
 func (a *analyzer) recordDerefs(e ast.Expr, f *facts) {
 	for _, sym := range derefSyms(e) {
 		f.derefed[sym] = true
-	}
-}
-
-func walk(e ast.Expr, fn func(ast.Expr)) {
-	if e == nil {
-		return
-	}
-	fn(e)
-	switch e := e.(type) {
-	case *ast.Unary:
-		walk(e.X, fn)
-	case *ast.Binary:
-		walk(e.X, fn)
-		walk(e.Y, fn)
-	case *ast.Assign:
-		walk(e.LHS, fn)
-		walk(e.RHS, fn)
-	case *ast.Cond:
-		walk(e.C, fn)
-		walk(e.X, fn)
-		walk(e.Y, fn)
-	case *ast.Call:
-		for _, x := range e.Args {
-			walk(x, fn)
-		}
-	case *ast.Index:
-		walk(e.X, fn)
-		walk(e.Idx, fn)
-	case *ast.Member:
-		walk(e.X, fn)
-	case *ast.CastExpr:
-		walk(e.X, fn)
 	}
 }
 
@@ -444,7 +412,7 @@ func derefSyms(e ast.Expr) []*ast.Symbol {
 // load they perform is exactly what DeadLoadElim removes.
 func pureExpr(e ast.Expr) bool {
 	pure := true
-	walk(e, func(x ast.Expr) {
+	ast.WalkExpr(e, func(x ast.Expr) {
 		switch x := x.(type) {
 		case *ast.Call, *ast.Assign:
 			pure = false
@@ -632,7 +600,7 @@ func assignedIn(s ast.Stmt, sym *ast.Symbol) bool {
 
 // forAssigned calls fn for each symbol e writes or exposes to writes.
 func forAssigned(e ast.Expr, fn func(*ast.Symbol)) {
-	walk(e, func(x ast.Expr) {
+	ast.WalkExpr(e, func(x ast.Expr) {
 		switch x := x.(type) {
 		case *ast.Assign:
 			if id, ok := x.LHS.(*ast.Ident); ok && id.Sym != nil {

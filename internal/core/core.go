@@ -579,17 +579,6 @@ func ClassifyResult(r *vm.Result) telemetry.Class {
 	}
 }
 
-// RunAll executes a set of inputs, returning only diverging outcomes.
-func (s *Suite) RunAll(inputs [][]byte) []*Outcome {
-	var diffs []*Outcome
-	for _, in := range inputs {
-		if o := s.Run(in); o.Diverged {
-			diffs = append(diffs, o)
-		}
-	}
-	return diffs
-}
-
 // Names lists the implementation names in suite order.
 func (s *Suite) Names() []string {
 	out := make([]string, len(s.Impls))

@@ -83,6 +83,9 @@ func TestListing1Divergence(t *testing.T) {
 	if o := s.Run(benign); o.Diverged {
 		t.Fatal("false positive on benign input")
 	}
+	if o := s.Run(nil); o.Diverged {
+		t.Fatal("false positive on empty input")
+	}
 	// Overflowing offset+len: the second guard is unstable.
 	evil := []byte{0xff, 0xff, 0xff, 0x7f, 0x01, 0x00, 0x00, 0x00} // INT_MAX, 1
 	o := s.Run(evil)
@@ -91,19 +94,6 @@ func TestListing1Divergence(t *testing.T) {
 	}
 	if len(o.Groups()) < 2 {
 		t.Fatal("expected at least 2 output groups")
-	}
-}
-
-func TestRunAllFiltersDivergences(t *testing.T) {
-	s := build(t, listing1Src)
-	inputs := [][]byte{
-		{1, 0, 0, 0, 2, 0, 0, 0},
-		{0xff, 0xff, 0xff, 0x7f, 0x01, 0, 0, 0},
-		nil,
-	}
-	diffs := s.RunAll(inputs)
-	if len(diffs) != 1 {
-		t.Fatalf("diffs = %d, want 1", len(diffs))
 	}
 }
 

@@ -235,7 +235,7 @@ func (d *StoredDiff) Report(names []string) string {
 	sort.Slice(gs, func(i, j int) bool { return gs[i].impls[0] < gs[j].impls[0] })
 
 	s := fmt.Sprintf("discrepancy signature %016x (seen on %d inputs)\n", d.Signature, d.Count)
-	s += fmt.Sprintf("test input (%d bytes): %q\n", len(o.Input), truncate(o.Input, 64))
+	s += fmt.Sprintf("test input (%d bytes): %q\n", len(o.Input), Truncate(o.Input, 64))
 	for _, g := range gs {
 		s += "reproducers:"
 		for _, i := range g.impls {
@@ -246,11 +246,11 @@ func (d *StoredDiff) Report(names []string) string {
 	return s
 }
 
-// truncate cuts b to at most n bytes without splitting a multi-byte
+// Truncate cuts b to at most n bytes without splitting a multi-byte
 // rune: a cut that lands mid-rune backs up to the rune boundary, so
 // truncated report text stays valid UTF-8. Bytes that were already
 // invalid UTF-8 in b are kept as-is.
-func truncate(b []byte, n int) []byte {
+func Truncate(b []byte, n int) []byte {
 	if len(b) <= n {
 		return b
 	}

@@ -154,7 +154,7 @@ func TestDiffStorePersistErrorReturned(t *testing.T) {
 	}
 }
 
-// TestTruncateRuneBoundary: truncate must never split a multi-byte
+// TestTruncateRuneBoundary: Truncate must never split a multi-byte
 // rune that was valid in the original bytes.
 func TestTruncateRuneBoundary(t *testing.T) {
 	cases := []struct {
@@ -176,9 +176,9 @@ func TestTruncateRuneBoundary(t *testing.T) {
 		{"zero-n", "héllo", 0, ""},
 	}
 	for _, tc := range cases {
-		got := truncate([]byte(tc.in), tc.n)
+		got := Truncate([]byte(tc.in), tc.n)
 		if string(got) != tc.want {
-			t.Errorf("%s: truncate(%q, %d) = %q, want %q", tc.name, tc.in, tc.n, got, tc.want)
+			t.Errorf("%s: Truncate(%q, %d) = %q, want %q", tc.name, tc.in, tc.n, got, tc.want)
 		}
 		if !utf8.Valid(got) {
 			t.Errorf("%s: result %q is invalid UTF-8", tc.name, got)
@@ -188,12 +188,12 @@ func TestTruncateRuneBoundary(t *testing.T) {
 	// Bytes that were never valid UTF-8 pass through untouched — a
 	// fuzzer input is arbitrary binary and must not be "repaired".
 	raw := []byte{0xff, 0xfe, 0x80, 0x81}
-	if got := truncate(raw, 2); len(got) != 2 || got[0] != 0xff {
+	if got := Truncate(raw, 2); len(got) != 2 || got[0] != 0xff {
 		t.Errorf("binary input mangled: %v", got)
 	}
 	// A lone dangling continuation run with no lead byte stays as-is.
 	cont := []byte{0x80, 0x80, 0x80, 0x80}
-	if got := truncate(cont, 3); len(got) != 3 {
+	if got := Truncate(cont, 3); len(got) != 3 {
 		t.Errorf("continuation-only input mangled: %v", got)
 	}
 }

@@ -463,72 +463,23 @@ func countExprs(body ast.Stmt, pred func(ast.Expr) bool) int {
 }
 
 // mapBodyExprs rewrites every expression held by the statement tree
-// through f, pre-order; children of a replaced node are not visited.
-// It writes only where f replaces a node, so with an f that replaces
-// nothing it only reads the tree. The evolve-local analogue of
-// triage's mapStmtExprs.
+// through f, in ast.EditExprs order, except inside assignment targets:
+// an assignment's only operand here is its value, which keeps the
+// mutation sites numbered as they always were (wrapping an lvalue
+// would break assignability anyway). Children of a replaced node are
+// not visited, and with an f that replaces nothing the tree is only
+// read.
 func mapBodyExprs(s ast.Stmt, f func(ast.Expr) ast.Expr) {
-	ast.Walk(s, func(st ast.Stmt) bool {
-		switch st := st.(type) {
-		case *ast.DeclStmt:
-			for _, d := range st.Decls {
-				remap(&d.Init, f)
-			}
-		case *ast.ExprStmt:
-			remap(&st.X, f)
-		case *ast.IfStmt:
-			remap(&st.Cond, f)
-		case *ast.WhileStmt:
-			remap(&st.Cond, f)
-		case *ast.ForStmt:
-			remap(&st.Cond, f)
-			remap(&st.Post, f)
-		case *ast.ReturnStmt:
-			remap(&st.Value, f)
+	var visit func(ast.Expr) (ast.Expr, bool)
+	visit = func(e ast.Expr) (ast.Expr, bool) {
+		if r := f(e); r != e {
+			return r, false
 		}
-		return true
-	})
-}
-
-// remap rewrites the expression at slot through f, storing the result
-// only when it differs.
-func remap(slot *ast.Expr, f func(ast.Expr) ast.Expr) {
-	if *slot == nil {
-		return
-	}
-	if r := mapExpr(*slot, f); r != *slot {
-		*slot = r
-	}
-}
-
-func mapExpr(e ast.Expr, f func(ast.Expr) ast.Expr) ast.Expr {
-	if r := f(e); r != e {
-		return r
-	}
-	switch e := e.(type) {
-	case *ast.Unary:
-		remap(&e.X, f)
-	case *ast.Binary:
-		remap(&e.X, f)
-		remap(&e.Y, f)
-	case *ast.Assign:
-		// Only the RHS: wrapping an lvalue breaks assignability.
-		remap(&e.RHS, f)
-	case *ast.Cond:
-		remap(&e.C, f)
-		remap(&e.X, f)
-		remap(&e.Y, f)
-	case *ast.Call:
-		for i := range e.Args {
-			remap(&e.Args[i], f)
+		if as, ok := e.(*ast.Assign); ok {
+			ast.EditExpr(&as.RHS, visit)
+			return e, false
 		}
-	case *ast.Index:
-		remap(&e.X, f)
-		remap(&e.Idx, f)
-	case *ast.Member:
-		remap(&e.X, f)
-	case *ast.CastExpr:
-		remap(&e.X, f)
+		return e, true
 	}
-	return e
+	ast.EditExprs(s, visit)
 }

@@ -463,66 +463,95 @@ func Walk(s Stmt, f func(Stmt) bool) {
 }
 
 // WalkExprs calls f for every expression contained in statement s,
-// including nested sub-expressions.
+// including nested sub-expressions, in EditExprs order. It never
+// writes the tree.
 func WalkExprs(s Stmt, f func(Expr)) {
+	EditExprs(s, func(e Expr) (Expr, bool) {
+		f(e)
+		return e, true
+	})
+}
+
+// WalkExpr calls f for e and every expression nested in it, in
+// EditExpr order. It never writes the tree; a nil e is skipped.
+func WalkExpr(e Expr, f func(Expr)) {
+	EditExpr(&e, func(x Expr) (Expr, bool) {
+		f(x)
+		return x, true
+	})
+}
+
+// EditExprs applies EditExpr to every expression slot of the
+// statement tree rooted at s: statements in Walk order, and within a
+// statement its declarators' initializers, or its expression,
+// condition, for-loop condition then post, or return value.
+func EditExprs(s Stmt, f func(Expr) (Expr, bool)) {
 	Walk(s, func(st Stmt) bool {
 		switch st := st.(type) {
 		case *DeclStmt:
 			for _, d := range st.Decls {
-				if d.Init != nil {
-					walkExpr(d.Init, f)
-				}
+				EditExpr(&d.Init, f)
 			}
 		case *ExprStmt:
-			walkExpr(st.X, f)
+			EditExpr(&st.X, f)
 		case *IfStmt:
-			walkExpr(st.Cond, f)
+			EditExpr(&st.Cond, f)
 		case *WhileStmt:
-			walkExpr(st.Cond, f)
+			EditExpr(&st.Cond, f)
 		case *ForStmt:
-			if st.Cond != nil {
-				walkExpr(st.Cond, f)
-			}
-			if st.Post != nil {
-				walkExpr(st.Post, f)
-			}
+			EditExpr(&st.Cond, f)
+			EditExpr(&st.Post, f)
 		case *ReturnStmt:
-			if st.Value != nil {
-				walkExpr(st.Value, f)
-			}
+			EditExpr(&st.Value, f)
 		}
 		return true
 	})
 }
 
-func walkExpr(e Expr, f func(Expr)) {
+// EditExpr is the one pre-order traversal of expression operands.
+// It calls f on the expression in *slot (nothing if it is nil); f
+// returns the expression to keep there and whether to visit the kept
+// expression's operands, which are then edited the same way, left to
+// right, an assignment's target before its value.
+//
+// The slot is written only when f returns a different expression, so
+// with an f that replaces nothing EditExpr only reads the tree, and
+// any number of goroutines may walk one shared tree at once.
+func EditExpr(slot *Expr, f func(Expr) (Expr, bool)) {
+	e := *slot
 	if e == nil {
 		return
 	}
-	f(e)
-	switch e := e.(type) {
+	r, descend := f(e)
+	if r != e {
+		*slot = r
+	}
+	if !descend {
+		return
+	}
+	switch e := r.(type) {
 	case *Unary:
-		walkExpr(e.X, f)
+		EditExpr(&e.X, f)
 	case *Binary:
-		walkExpr(e.X, f)
-		walkExpr(e.Y, f)
+		EditExpr(&e.X, f)
+		EditExpr(&e.Y, f)
 	case *Assign:
-		walkExpr(e.LHS, f)
-		walkExpr(e.RHS, f)
+		EditExpr(&e.LHS, f)
+		EditExpr(&e.RHS, f)
 	case *Cond:
-		walkExpr(e.C, f)
-		walkExpr(e.X, f)
-		walkExpr(e.Y, f)
+		EditExpr(&e.C, f)
+		EditExpr(&e.X, f)
+		EditExpr(&e.Y, f)
 	case *Call:
-		for _, a := range e.Args {
-			walkExpr(a, f)
+		for i := range e.Args {
+			EditExpr(&e.Args[i], f)
 		}
 	case *Index:
-		walkExpr(e.X, f)
-		walkExpr(e.Idx, f)
+		EditExpr(&e.X, f)
+		EditExpr(&e.Idx, f)
 	case *Member:
-		walkExpr(e.X, f)
+		EditExpr(&e.X, f)
 	case *CastExpr:
-		walkExpr(e.X, f)
+		EditExpr(&e.X, f)
 	}
 }

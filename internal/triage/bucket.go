@@ -319,7 +319,7 @@ func (b *Bucket) Report(names []string) string {
 	var s strings.Builder
 	fmt.Fprintf(&s, "bucket %016x %s (%d inputs, %d signatures)\n",
 		b.Key, b.Fingerprint, b.Count, b.Signatures)
-	fmt.Fprintf(&s, "representative input (%d bytes): %q\n", len(o.Input), clip(o.Input, 64))
+	fmt.Fprintf(&s, "representative input (%d bytes): %q\n", len(o.Input), core.Truncate(o.Input, 64))
 	groups := o.Groups()
 	type grp struct {
 		impls []int
@@ -384,12 +384,4 @@ func (bs *BucketStore) Table() string {
 	}
 	tw.Flush()
 	return b.String()
-}
-
-// clip truncates b to at most n bytes for display.
-func clip(b []byte, n int) []byte {
-	if len(b) <= n {
-		return b
-	}
-	return b[:n]
 }

@@ -1,6 +1,7 @@
 package triage
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -156,5 +157,19 @@ func TestBucketReportAndTable(t *testing.T) {
 	}
 	if lines := strings.Count(strings.TrimSpace(table), "\n"); lines != 1 {
 		t.Fatalf("table has %d rows, want 1:\n%s", lines, table)
+	}
+}
+
+// TestBucketReportInputRuneBoundary: the input preview is cut at 64
+// bytes, and a cut inside a multi-byte character backs up to the
+// character instead of printing half of it as \x escapes.
+func TestBucketReportInputRuneBoundary(t *testing.T) {
+	o := mustOutcome(t, divSrc, nil)
+	o.Input = []byte(strings.Repeat("a", 63) + "€")
+	b, _ := NewBucketStore().Add(o)
+	rep := b.Report(make([]string, len(b.Fingerprint.Partition)))
+	want := fmt.Sprintf("representative input (66 bytes): %q\n", strings.Repeat("a", 63))
+	if !strings.Contains(rep, want) || strings.Contains(rep, `\x`) {
+		t.Fatalf("report does not preview the input as %q:\n%s", want, rep)
 	}
 }

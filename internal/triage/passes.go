@@ -209,11 +209,11 @@ func inlineLocalEdit(p *ast.Program, k int) bool {
 					// declaration's own node (see exprVariants).
 					target, repl := info.only, ast.CloneExpr(d.Init)
 					for _, fn := range p.Funcs {
-						mapStmtExprs(fn.Body, func(e ast.Expr) ast.Expr {
+						ast.EditExprs(fn.Body, func(e ast.Expr) (ast.Expr, bool) {
 							if e == ast.Expr(target) {
-								return repl
+								return repl, false
 							}
-							return e
+							return e, true
 						})
 					}
 					ds.Decls = append(ds.Decls[:di], ds.Decls[di+1:]...)
@@ -232,14 +232,10 @@ func inlineLocalEdit(p *ast.Program, k int) bool {
 // node: replace an operator node by one operand, strip a cast, or
 // shrink a literal toward zero / the empty string.
 //
-// Every variant is a deep clone, never a child pointer of e. Under
-// Reduce's clone-per-candidate discipline aliasing was harmless (a
-// rejected candidate's tree is thrown away), but these passes are also
-// run inverted and reused as in-place population mutators by
-// internal/evolve, where splicing e.X into an offspring while the
-// parent genome still holds e would let one mutation reach into its
-// siblings. Cloning on accept keeps every produced tree node-disjoint
-// from its source.
+// Every variant is a deep clone, never a child pointer of e, so an
+// edited tree shares no node with the one it was edited from: whoever
+// still holds e, or the tree before the edit, cannot reach into the
+// edited tree through it.
 func exprVariants(e ast.Expr) []ast.Expr {
 	switch e := e.(type) {
 	case *ast.Binary:
@@ -276,101 +272,29 @@ func exprVariants(e ast.Expr) []ast.Expr {
 func simplifyExprEdit(p *ast.Program, k int) bool {
 	idx := 0
 	applied := false
-	visit := func(e ast.Expr) ast.Expr {
+	visit := func(e ast.Expr) (ast.Expr, bool) {
 		if applied {
-			return e
+			return e, false
 		}
 		variants := exprVariants(e)
 		if k < idx+len(variants) {
 			applied = true
-			return variants[k-idx]
+			return variants[k-idx], false
 		}
 		idx += len(variants)
-		return e
+		return e, true
 	}
 	for _, g := range p.Globals {
-		if g.Init != nil {
-			g.Init = mapExpr(g.Init, visit)
-			if applied {
-				return true
-			}
+		ast.EditExpr(&g.Init, visit)
+		if applied {
+			return true
 		}
 	}
 	for _, f := range p.Funcs {
-		mapStmtExprs(f.Body, visit)
+		ast.EditExprs(f.Body, visit)
 		if applied {
 			return true
 		}
 	}
 	return false
-}
-
-// mapStmtExprs rewrites every expression held by the statement tree s
-// through f (pre-order; children of a replaced node are not visited).
-func mapStmtExprs(s ast.Stmt, f func(ast.Expr) ast.Expr) {
-	ast.Walk(s, func(st ast.Stmt) bool {
-		switch st := st.(type) {
-		case *ast.DeclStmt:
-			for _, d := range st.Decls {
-				if d.Init != nil {
-					d.Init = mapExpr(d.Init, f)
-				}
-			}
-		case *ast.ExprStmt:
-			st.X = mapExpr(st.X, f)
-		case *ast.IfStmt:
-			st.Cond = mapExpr(st.Cond, f)
-		case *ast.WhileStmt:
-			st.Cond = mapExpr(st.Cond, f)
-		case *ast.ForStmt:
-			if st.Cond != nil {
-				st.Cond = mapExpr(st.Cond, f)
-			}
-			if st.Post != nil {
-				st.Post = mapExpr(st.Post, f)
-			}
-		case *ast.ReturnStmt:
-			if st.Value != nil {
-				st.Value = mapExpr(st.Value, f)
-			}
-		}
-		return true
-	})
-}
-
-// mapExpr applies f to e; if f returns e unchanged, recurses into its
-// children fields.
-func mapExpr(e ast.Expr, f func(ast.Expr) ast.Expr) ast.Expr {
-	if e == nil {
-		return nil
-	}
-	if r := f(e); r != e {
-		return r
-	}
-	switch e := e.(type) {
-	case *ast.Unary:
-		e.X = mapExpr(e.X, f)
-	case *ast.Binary:
-		e.X = mapExpr(e.X, f)
-		e.Y = mapExpr(e.Y, f)
-	case *ast.Assign:
-		e.LHS = mapExpr(e.LHS, f)
-		e.RHS = mapExpr(e.RHS, f)
-	case *ast.Cond:
-		e.C = mapExpr(e.C, f)
-		e.X = mapExpr(e.X, f)
-		e.Y = mapExpr(e.Y, f)
-	case *ast.Call:
-		for i := range e.Args {
-			e.Args[i] = mapExpr(e.Args[i], f)
-		}
-	case *ast.Index:
-		e.X = mapExpr(e.X, f)
-		e.Idx = mapExpr(e.Idx, f)
-	case *ast.Member:
-		e.X = mapExpr(e.X, f)
-	case *ast.CastExpr:
-		e.X = mapExpr(e.X, f)
-	}
-	return e
 }

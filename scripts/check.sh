@@ -86,11 +86,15 @@ go test -race -run 'TestLoweringMatchesParent|TestCompileAllMatchesCompileGuarde
 # keeps must equal fresh parses; breeding a generation on many
 # goroutines must equal the serial Mutate loop slot by slot, also where
 # edits fail the gate; and a miss fed a checked front end must equal a
-# cold compile. Kept out of internal/difffuzz, whose
-# -race suite is the slow one.
+# cold compile. The one expression traversal in package ast, which the
+# lowerings, the static-analyzer baselines, the reducer and evolve all
+# walk with, must keep its visit order, prune where asked, and write no
+# slot it does not replace, so goroutines can walk one shared tree; the
+# Coverity taint rule and the Table 3 static-tool finding read through
+# it. Kept out of internal/difffuzz, whose -race suite is the slow one.
 echo "== front-end equivalence (-race)"
-go test -race -run 'TestParseMatchesParent|TestErrorTextBounded|TestErrorsCapped|TestPrintNegativeLiteralOperands|TestPrintMultiDeclarators|TestReduceMatchesParent|TestEvolveMatchesParent|TestEvolveResumesParentCheckpoint|TestMutateTreesMatchParse|TestNextGenerationMatchesSerial|TestGetCheckedMatchesCompile' \
-	-count=1 ./internal/minic/... ./internal/triage ./internal/evolve ./internal/progcache .
+go test -race -run 'TestParseMatchesParent|TestErrorTextBounded|TestErrorsCapped|TestPrintNegativeLiteralOperands|TestPrintMultiDeclarators|TestEditExprsOrder|TestEditExprPrunes|TestEditExprsReadOnly|TestReduceMatchesParent|TestEvolveMatchesParent|TestEvolveResumesParentCheckpoint|TestMutateTreesMatchParse|TestNextGenerationMatchesSerial|TestGetCheckedMatchesCompile|TestCoverityDivZeroTaintHeuristic|TestFinding1StaticToolsWeakerWithFPs' \
+	-count=1 ./internal/minic/... ./internal/triage ./internal/evolve ./internal/progcache ./internal/analyzer ./internal/bench .
 
 # The reducer step cap rests on one VM premise, that a run finishing
 # within a step limit finishes identically under any larger one; on
