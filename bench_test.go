@@ -203,7 +203,7 @@ func BenchmarkSuiteRunFast(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	suite.Warm(1)
+	suite.RunFast(input) // builds the one machine set the loop borrows
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		suite.RunFast(input)
@@ -231,7 +231,7 @@ func suiteRunBench(b *testing.B, parallelism int, withMetrics bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	suite.Warm(parallelism)
+	suite.Run(input) // builds the one machine set the loop borrows
 	b.ReportMetric(float64(parallelism), "workers")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -250,7 +250,7 @@ func BenchmarkSuiteRunBatch64(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	suite.Warm(1)
+	suite.RunBatch(tg.Seeds[:1], nil) // builds the one machine set the loop borrows
 	batch := make([][]byte, 0, 64)
 	var outs []*compdiff.Outcome
 	b.ResetTimer()

@@ -98,13 +98,3 @@ func chain(n int, fn func(int), flush func([]int, time.Duration), next *atomic.I
 		flush(idxs, time.Since(start))
 	}
 }
-
-// Warm tops the suite's idle machine sets up to n, so that the first
-// n concurrent runs do not pay machine construction on the hot path.
-func (s *Suite) Warm(n int) {
-	s.mu.Lock()
-	for len(s.idle) < n {
-		s.idle = append(s.idle, s.newSet())
-	}
-	s.mu.Unlock()
-}

@@ -160,32 +160,12 @@ int main() {
 	}
 }
 
-// TestWarm tops the idle machine sets up so concurrent runs never
-// build machines on the hot path.
-func TestWarm(t *testing.T) {
-	s := buildParSuite(t, 4)
-	s.Warm(4)
-	s.mu.Lock()
-	n := len(s.idle)
-	for _, set := range s.idle {
-		if len(set.machines) != len(s.Impls) {
-			t.Fatalf("idle set holds %d machines, want %d", len(set.machines), len(s.Impls))
-		}
-	}
-	s.mu.Unlock()
-	if n < 4 {
-		t.Fatalf("%d warm machine sets, want >= 4", n)
-	}
-	sameOutcome(t, buildParSuite(t, 1).Run(nil), s.Run(nil), "warmed suite")
-}
-
 // TestRunFastSequentialAllocs pins the allocations of a sequential
 // fast-path run whose binaries agree: the outcome and its hash slice.
 // The binaries run on the calling goroutine without a task closure,
 // which would escape to the heap and cost a third.
 func TestRunFastSequentialAllocs(t *testing.T) {
 	s := buildParSuite(t, 1)
-	s.Warm(1)
 	in := parInputs()[3]
 	if o := s.RunFast(in); o.Diverged {
 		t.Fatalf("input %q diverged; the pin wants one that agrees", in)

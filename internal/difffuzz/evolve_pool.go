@@ -51,9 +51,16 @@ type EvolvePoolOptions struct {
 	// RuntimeInputs are run differentially on every genome all
 	// implementations accept. Default: just the empty input.
 	RuntimeInputs [][]byte
-	// CacheBudget bounds the shared compiled-program cache. Elites
-	// and revisited offspring are cache hits; like the compile pool,
-	// the budget cannot change findings and stays out of the hash.
+	// CacheBudget bounds the shared compiled-program cache. Like the
+	// compile pool's, the budget cannot change findings and stays out
+	// of the hash. Evolve seldom revisits a program: -evolve -pop 32
+	// -generations 50 -seed 1 -shards 2 makes 2 hits, 1,598 misses
+	// and 1,322 evictions. The cache stays because its resident
+	// programs act as GC ballast: on the benchmark's evolve workload
+	// (2-core VM), compiling around it cut the live heap from about
+	// 82 to 4.4 MiB but throughput from about 1,300 to 990 programs/s,
+	// as the collector ran more often (1,472 without the cache at
+	// GOGC=2000).
 	CacheBudget int64
 	// StatsDir, when set, streams one telemetry snapshot per
 	// generation to <dir>/plot.jsonl.
@@ -245,8 +252,6 @@ func (p *EvolvePool) epoch(ctx context.Context, si int) bool {
 // genomes drop the gate's checked front end here: a survivor's next
 // evaluation is a cache hit, or a miss that parses its source.
 func (p *EvolvePool) merge() {
-	// The evolve engine's knobs other than the seed stay at their
-	// defaults, which the campaign hash therefore pins implicitly.
 	eopts := evolve.Options{Seed: p.opts.Seed}
 	cumStart := append([]compiler.PassBits(nil), p.cum...)
 	fits := make([]float64, len(p.evals))

@@ -55,9 +55,9 @@ type Genome struct {
 	// Ops counts mutations applied since the founder.
 	Ops int `json:"ops,omitempty"`
 
-	// prog is the unchecked parse of Src, read-only. Founders,
-	// immigrants and genomes restored from a checkpoint parse it the
-	// first time they are mutated.
+	// prog is the unchecked parse of Src, read-only. Founders and
+	// genomes restored from a checkpoint parse it the first time they
+	// are mutated.
 	prog *ast.Program
 	// checked is sema's result for Src from Mutate's gate; nil for
 	// other genomes and once ReleaseChecked has run.
@@ -90,42 +90,22 @@ func (g *Genome) tree() (*ast.Program, error) {
 	return g.prog, nil
 }
 
-// Options are the evolutionary knobs. Everything here determines the
+// Options configure the evolution. Everything here determines the
 // population sequence and therefore belongs in the campaign hash.
 type Options struct {
 	// Seed derives every per-generation RNG.
 	Seed int64
-	// TargetLen is the expected source length (bytes) the parsimony
-	// term pulls toward — PonyGE2's expected-length penalty, which
-	// keeps selection from rewarding bloat and from collapsing onto
-	// trivial programs. Default 4096.
-	TargetLen int
-	// Tournament is the selection tournament size. Default 3.
-	Tournament int
-	// Elite is the number of top genomes copied unchanged into the
-	// next generation. Zero copies none; a negative value means 2.
-	Elite int
-	// Immigrants is the number of fresh progen genomes injected per
-	// generation to keep the gene pool from collapsing. Zero injects
-	// none; a negative value means 1.
-	Immigrants int
 }
 
-func (o Options) withDefaults() Options {
-	if o.TargetLen <= 0 {
-		o.TargetLen = 4096
-	}
-	if o.Tournament < 1 {
-		o.Tournament = 3
-	}
-	if o.Elite < 0 {
-		o.Elite = 2
-	}
-	if o.Immigrants < 0 {
-		o.Immigrants = 1
-	}
-	return o
-}
+// targetLen is the expected source length (bytes) the parsimony term
+// pulls toward: PonyGE2's expected-length penalty, which keeps
+// selection from rewarding bloat and from collapsing onto trivial
+// programs.
+const targetLen = 4096
+
+// tournamentSize is the number of uniform draws a selection
+// tournament takes.
+const tournamentSize = 3
 
 // Eval is the campaign layer's measurement of one genome: everything
 // fitness needs, filled in after the k-way compile and the oracle
@@ -193,9 +173,11 @@ const (
 	rejectPenalty = -1000.0
 )
 
-// Fitness scores one evaluated genome. Deterministic and pure.
-func Fitness(g *Genome, e Eval, opts Options) float64 {
-	opts = opts.withDefaults()
+// Fitness scores one evaluated genome. Deterministic and pure. The
+// Options argument is unread, since no option changes the score; it
+// stays so that callers hand the campaign's Options to Fitness and
+// NextGeneration alike.
+func Fitness(g *Genome, e Eval, _ Options) float64 {
 	if e.FrontendReject {
 		return rejectPenalty
 	}
@@ -210,11 +192,11 @@ func Fitness(g *Genome, e Eval, opts Options) float64 {
 	// PonyGE2-style parsimony: linear penalty on distance from the
 	// expected length, normalized so one target-length of drift costs
 	// about one union bit.
-	dist := len(g.Src) - opts.TargetLen
+	dist := len(g.Src) - targetLen
 	if dist < 0 {
 		dist = -dist
 	}
-	f -= wUnionBit * float64(dist) / float64(opts.TargetLen)
+	f -= wUnionBit * float64(dist) / targetLen
 	return f
 }
 
@@ -257,24 +239,11 @@ func genRNG(seed int64, gen int) *rand.Rand {
 	return rand.New(rand.NewSource(seed ^ (int64(gen+1) * -0x61c8864680b583eb)))
 }
 
-// rank returns population indices sorted by fitness descending, ties
-// broken by lower index (deterministic under equal fitness).
-func rank(fits []float64) []int {
-	idx := make([]int, len(fits))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return fits[idx[a]] > fits[idx[b]]
-	})
-	return idx
-}
-
-// tournament picks one parent index: the best of Tournament uniform
-// draws (ties to the lower index).
-func tournament(r *rand.Rand, fits []float64, size int) int {
+// tournament picks one parent index: the best of tournamentSize
+// uniform draws (ties to the lower index).
+func tournament(r *rand.Rand, fits []float64) int {
 	best := r.Intn(len(fits))
-	for i := 1; i < size; i++ {
+	for i := 1; i < tournamentSize; i++ {
 		c := r.Intn(len(fits))
 		if fits[c] > fits[best] || (fits[c] == fits[best] && c < best) {
 			best = c
@@ -284,9 +253,8 @@ func tournament(r *rand.Rand, fits []float64, size int) int {
 }
 
 // NextGeneration produces generation gen+1 from the evaluated
-// population: elites survive unchanged, a few progen immigrants keep
-// diversity, and the rest are offspring of tournament-selected
-// parents. Offspring are produced as by Mutate, which gates every
+// population: every slot is an offspring of a tournament-selected
+// parent. Offspring are produced as by Mutate, which gates every
 // candidate through parse+sema; a parent whose mutations all fail the
 // gate survives unchanged rather than admitting an invalid genome.
 // The result is deterministic in (pop, fits, gen, opts) and equal to
@@ -304,40 +272,17 @@ func tournament(r *rand.Rand, fits []float64, size int) int {
 // genomes must not be in use elsewhere during the call: drawing
 // parses and caches the trees of parents that have none.
 func NextGeneration(pop []*Genome, fits []float64, gen int, opts Options) []*Genome {
-	opts = opts.withDefaults()
 	n := len(pop)
 	if n == 0 {
 		return nil
 	}
-	order := rank(fits)
-
-	elite := opts.Elite
-	if elite > n {
-		elite = n
-	}
-	imm := opts.Immigrants
-	if elite+imm > n {
-		imm = n - elite
-	}
-
-	next := make([]*Genome, 0, n)
-	for i := 0; i < elite; i++ {
-		next = append(next, pop[order[i]])
-	}
-	for i := 0; i < imm; i++ {
-		// A disjoint seed stream from the founders': generation-tagged
-		// offsets far above any plausible founder range.
-		s := opts.Seed + int64(gen+1)*1_000_003 + int64(i)
-		p := progen.Generate(s)
-		next = append(next, &Genome{Src: p.Src, Seed: p.Seed, Gen: gen + 1})
-	}
-
 	r := genRNG(opts.Seed, gen)
-	slots := make([]slot, n-len(next))
+	slots := make([]slot, n)
 	for i := range slots {
-		slots[i] = drawSlot(r, pop, fits, opts.Tournament)
+		slots[i] = drawSlot(r, pop, fits)
 	}
 	children := breedAll(slots, gen+1)
+	next := make([]*Genome, 0, n)
 	for i, s := range slots {
 		switch {
 		case !s.ok:
@@ -349,10 +294,10 @@ func NextGeneration(pop []*Genome, fits []float64, gen int, opts Options) []*Gen
 			// generation RNG, then breed the rest as Mutate does.
 			r = genRNG(opts.Seed, gen)
 			for range slots[:i] {
-				drawSlot(r, pop, fits, opts.Tournament)
+				drawSlot(r, pop, fits)
 			}
 			for len(next) < n {
-				parent := pop[tournament(r, fits, opts.Tournament)]
+				parent := pop[tournament(r, fits)]
 				if child, ok := Mutate(parent, r, gen+1); ok {
 					next = append(next, child)
 				} else {
@@ -378,8 +323,8 @@ type slot struct {
 // drawSlot selects a parent and draws its first applicable edit,
 // consuming from r what the slot consumes when that edit passes the
 // gate.
-func drawSlot(r *rand.Rand, pop []*Genome, fits []float64, size int) slot {
-	parent := pop[tournament(r, fits, size)]
+func drawSlot(r *rand.Rand, pop []*Genome, fits []float64) slot {
+	parent := pop[tournament(r, fits)]
 	prog, m, err := newMutator(parent, r)
 	if err != nil {
 		return slot{parent: parent}

@@ -115,11 +115,12 @@ func TestFitnessOrdering(t *testing.T) {
 }
 
 func TestParsimonyPenalizesDrift(t *testing.T) {
-	small := &Genome{Src: "int main() { return 0; }"}
-	big := &Genome{Src: "int main() { return 0; }" + string(make([]byte, 1<<16))}
-	opts := Options{TargetLen: len(small.Src)}
-	if Fitness(big, Eval{}, opts) >= Fitness(small, Eval{}, opts) {
+	onTarget := Fitness(&Genome{Src: string(make([]byte, targetLen))}, Eval{}, Options{})
+	if big := Fitness(&Genome{Src: string(make([]byte, targetLen+1<<16))}, Eval{}, Options{}); big >= onTarget {
 		t.Fatal("a 64KiB-oversized genome was not penalized against an on-target one")
+	}
+	if small := Fitness(&Genome{Src: "int main() { return 0; }"}, Eval{}, Options{}); small >= onTarget {
+		t.Fatal("a 24-byte genome was not penalized against an on-target one")
 	}
 }
 

@@ -6,30 +6,16 @@ import (
 	"testing"
 
 	"compdiff/internal/hash"
-	"compdiff/internal/progen"
 )
 
 // serialNextGeneration is NextGeneration as it was before breeding
 // moved off the calling goroutine: one generation RNG, and Mutate for
 // each offspring slot in turn.
 func serialNextGeneration(pop []*Genome, fits []float64, gen int, opts Options) []*Genome {
-	opts = opts.withDefaults()
-	n := len(pop)
 	r := genRNG(opts.Seed, gen)
-	order := rank(fits)
-	elite := min(opts.Elite, n)
-	imm := min(opts.Immigrants, n-elite)
-	next := make([]*Genome, 0, n)
-	for i := 0; i < elite; i++ {
-		next = append(next, pop[order[i]])
-	}
-	for i := 0; i < imm; i++ {
-		s := opts.Seed + int64(gen+1)*1_000_003 + int64(i)
-		p := progen.Generate(s)
-		next = append(next, &Genome{Src: p.Src, Seed: p.Seed, Gen: gen + 1})
-	}
-	for len(next) < n {
-		parent := pop[tournament(r, fits, opts.Tournament)]
+	next := make([]*Genome, 0, len(pop))
+	for range pop {
+		parent := pop[tournament(r, fits)]
 		if child, ok := Mutate(parent, r, gen+1); ok {
 			next = append(next, child)
 		} else {
@@ -71,11 +57,10 @@ func fitsOf(pop []*Genome, gen int, opts Options) []float64 {
 // gateFailures counts the slots of one generation whose first edit
 // fails the gate, over the first-pass draws.
 func gateFailures(pop []*Genome, fits []float64, gen int, opts Options) int {
-	opts = opts.withDefaults()
 	r := genRNG(opts.Seed, gen)
 	n := 0
 	for range pop {
-		s := drawSlot(r, pop, fits, opts.Tournament)
+		s := drawSlot(r, pop, fits)
 		if _, ok := breed(s.parent, s.prog, s.edit, gen+1); s.ok && !ok {
 			n++
 		}
@@ -99,7 +84,7 @@ func TestNextGenerationMatchesSerial(t *testing.T) {
 			return pop
 		},
 	}
-	optsSet := []Options{{Seed: 11}, {Seed: 12, Elite: 2, Immigrants: 1}}
+	optsSet := []Options{{Seed: 11}, {Seed: 12}}
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		for name, found := range founders {

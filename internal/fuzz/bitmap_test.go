@@ -265,7 +265,6 @@ func countZeroMarked(cov []byte, words []uint64) int {
 // path that summarizes the map itself.
 type denseExec struct{ m *vm.Machine }
 
-func (d denseExec) Run(in []byte) *vm.Result       { return d.m.Run(in) }
 func (d denseExec) RunShared(in []byte) *vm.Result { return d.m.RunShared(in) }
 func (d denseExec) Coverage() []byte               { return d.m.Coverage() }
 

@@ -8,20 +8,13 @@ import (
 )
 
 // Executor runs a target binary on an input and exposes its coverage
-// bitmap. *vm.Machine with coverage enabled satisfies it.
+// bitmap. RunShared returns a result aliasing executor-owned buffers,
+// valid only until the executor's next run; the fuzzer clones before
+// retaining anything (crash store). *vm.Machine with coverage enabled
+// satisfies it.
 type Executor interface {
-	Run(input []byte) *vm.Result
-	Coverage() []byte
-}
-
-// SharedExecutor is an optional Executor extension for the zero-copy
-// fast path: RunShared returns a result aliasing executor-owned
-// buffers, valid only until the executor's next run. The fuzzer
-// prefers it when available and clones before retaining anything
-// (crash store). *vm.Machine satisfies it.
-type SharedExecutor interface {
-	Executor
 	RunShared(input []byte) *vm.Result
+	Coverage() []byte
 }
 
 // coverageWords is the optional Executor extension that keeps the
@@ -72,10 +65,9 @@ type Options struct {
 	// fuzzing loop untouched.
 	//
 	// input is a fresh slice that the fuzzer never writes again, so
-	// the callback may keep it without copying. res is machine-owned
-	// when the executor implements SharedExecutor: it aliases
-	// executor buffers and is valid only for the duration of the
-	// callback; use res.Clone() to retain it.
+	// the callback may keep it without copying. res aliases executor
+	// buffers and is valid only for the duration of the callback; use
+	// res.Clone() to retain it.
 	OnExec func(input []byte, res *vm.Result)
 }
 
@@ -86,9 +78,8 @@ type Options struct {
 // goroutine has joined.
 type Fuzzer struct {
 	exec   Executor
-	shared SharedExecutor // non-nil when exec supports the zero-copy path
-	cw     coverageWords  // non-nil when exec keeps its coverage summary
-	words  []uint64       // summary scratch for executors without one
+	cw     coverageWords // non-nil when exec keeps its coverage summary
+	words  []uint64      // summary scratch for executors without one
 	opts   Options
 	mut    *Mutator
 	rng    *rand.Rand
@@ -116,9 +107,6 @@ func New(exec Executor, seeds [][]byte, opts Options) *Fuzzer {
 		virgin: make([]byte, MapSize),
 		hashes: map[uint64]bool{},
 		crash:  map[uint64]*Crash{},
-	}
-	if se, ok := exec.(SharedExecutor); ok {
-		f.shared = se
 	}
 	if cw, ok := exec.(coverageWords); ok {
 		f.cw = cw
@@ -163,14 +151,9 @@ func (f *Fuzzer) Crashes() []*Crash {
 // ingest executes an input and updates the queue/crash stores: the
 // body of Algorithm 1 lines 4-8.
 func (f *Fuzzer) ingest(data []byte) {
-	var res *vm.Result
-	if f.shared != nil {
-		// Zero-copy path: res aliases executor buffers for the span of
-		// this call; anything retained below is cloned first.
-		res = f.shared.RunShared(data)
-	} else {
-		res = f.exec.Run(data)
-	}
+	// res aliases executor buffers for the span of this call; anything
+	// retained below is cloned first.
+	res := f.exec.RunShared(data)
 	f.stats.Execs++
 	cov := f.exec.Coverage()
 	var words []uint64
@@ -189,10 +172,7 @@ func (f *Fuzzer) ingest(data []byte) {
 	if res.Crashed() {
 		sig := crashSig(res)
 		if _, dup := f.crash[sig]; !dup {
-			if f.shared != nil {
-				res = res.Clone()
-			}
-			f.crash[sig] = &Crash{Input: append([]byte(nil), data...), Result: res}
+			f.crash[sig] = &Crash{Input: append([]byte(nil), data...), Result: res.Clone()}
 		}
 		return
 	}

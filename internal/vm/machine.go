@@ -459,19 +459,6 @@ func (m *Machine) Run(input []byte) *Result {
 	return m.runShared(input, m.opts.StepLimit).Clone()
 }
 
-// RunWithLimit runs with a one-off step limit (the CompDiff
-// partial-timeout re-run policy uses it). The limit applies to this
-// run only and never touches the machine's configured options, so a
-// temporary budget cannot leak into later runs of a machine reused
-// from a pooled set. Non-positive limits fall back to the configured
-// one instead of tripping an instant spurious timeout.
-func (m *Machine) RunWithLimit(input []byte, limit int64) *Result {
-	if limit <= 0 {
-		limit = m.opts.StepLimit
-	}
-	return m.runShared(input, limit).Clone()
-}
-
 // RunShared is the zero-copy fast path: it executes input and returns
 // a machine-owned Result whose Stdout/Stderr/Trace slices alias the
 // machine's internal buffers. The Result is valid only until the
@@ -483,8 +470,12 @@ func (m *Machine) RunShared(input []byte) *Result {
 	return m.runShared(input, m.opts.StepLimit)
 }
 
-// RunSharedWithLimit is RunShared with a one-off step limit, with the
-// same fallback semantics as RunWithLimit.
+// RunSharedWithLimit is RunShared with a one-off step limit (the
+// CompDiff partial-timeout re-run policy uses it). The limit applies to
+// this run only and never touches the machine's configured options, so
+// a temporary budget cannot leak into later runs of a machine reused
+// from a pooled set. Non-positive limits fall back to the configured
+// one instead of tripping an instant spurious timeout.
 func (m *Machine) RunSharedWithLimit(input []byte, limit int64) *Result {
 	if limit <= 0 {
 		limit = m.opts.StepLimit

@@ -45,7 +45,7 @@ int main() {
 func TestRunWithLimitDoesNotLeak(t *testing.T) {
 	m := loopMachine(t, vm.DefaultStepLimit)
 
-	short := m.RunWithLimit(nil, 100)
+	short := m.RunSharedWithLimit(nil, 100).Clone()
 	if short.Exit != vm.StepLimit {
 		t.Fatalf("short-limit run: exit = %v, want timeout", short.Exit)
 	}
@@ -68,7 +68,7 @@ func TestRunWithLimitDoesNotLeak(t *testing.T) {
 func TestRunWithLimitGrownBudgetDoesNotLeak(t *testing.T) {
 	m := loopMachine(t, 10_000) // too small for the loop
 
-	grown := m.RunWithLimit(nil, 100_000_000)
+	grown := m.RunSharedWithLimit(nil, 100_000_000).Clone()
 	if grown.Exit != vm.Exited {
 		t.Fatalf("grown-budget run: exit = %v", grown.Exit)
 	}
@@ -87,9 +87,9 @@ func TestRunWithLimitGrownBudgetDoesNotLeak(t *testing.T) {
 func TestRunWithLimitNonPositive(t *testing.T) {
 	m := loopMachine(t, vm.DefaultStepLimit)
 	for _, limit := range []int64{0, -1, -1 << 40} {
-		res := m.RunWithLimit(nil, limit)
+		res := m.RunSharedWithLimit(nil, limit).Clone()
 		if res.Exit != vm.Exited {
-			t.Fatalf("RunWithLimit(%d): exit = %v, want normal completion", limit, res.Exit)
+			t.Fatalf("RunSharedWithLimit(%d): exit = %v, want normal completion", limit, res.Exit)
 		}
 	}
 }
@@ -136,8 +136,8 @@ func TestStepLimitBatchAccounting(t *testing.T) {
 	ref := referenceLoopMachine(t, 1<<40)
 	fast := loopMachine(t, 1<<40)
 	for _, limit := range limits {
-		rr := ref.RunWithLimit(nil, limit)
-		fr := fast.RunWithLimit(nil, limit)
+		rr := ref.RunSharedWithLimit(nil, limit).Clone()
+		fr := fast.RunSharedWithLimit(nil, limit).Clone()
 		if rr.Exit != fr.Exit {
 			t.Errorf("limit %d: exit ref=%v fast=%v", limit, rr.Exit, fr.Exit)
 		}
@@ -156,10 +156,10 @@ func TestStepLimitBatchAccounting(t *testing.T) {
 
 	// The boundary cases spelled out: at exactly natural steps the
 	// program completes; one below, it times out.
-	if r := fast.RunWithLimit(nil, natural); r.Exit != vm.Exited {
+	if r := fast.RunSharedWithLimit(nil, natural).Clone(); r.Exit != vm.Exited {
 		t.Errorf("limit == natural (%d): exit %v, want completion", natural, r.Exit)
 	}
-	if r := fast.RunWithLimit(nil, natural-1); r.Exit != vm.StepLimit || r.Steps != natural {
+	if r := fast.RunSharedWithLimit(nil, natural-1).Clone(); r.Exit != vm.StepLimit || r.Steps != natural {
 		t.Errorf("limit == natural-1: exit %v steps %d, want timeout at %d",
 			r.Exit, r.Steps, natural)
 	}
@@ -202,9 +202,9 @@ func TestLargerLimitKeepsFinishedRun(t *testing.T) {
 					s := want.Steps
 					what := fmt.Sprintf("%s %s reference=%v input %q", p.name, b.cfg.Name(), ref, input)
 					for _, limit := range []int64{s, s + 1, 2 * s, vm.DefaultStepLimit} {
-						assertSameFinishedRun(t, fmt.Sprintf("%s limit %d", what, limit), want, m.RunWithLimit(input, limit))
+						assertSameFinishedRun(t, fmt.Sprintf("%s limit %d", what, limit), want, m.RunSharedWithLimit(input, limit).Clone())
 					}
-					if r := m.RunWithLimit(input, s-1); r.Exit != vm.StepLimit || r.Steps != s {
+					if r := m.RunSharedWithLimit(input, s-1).Clone(); r.Exit != vm.StepLimit || r.Steps != s {
 						t.Fatalf("%s limit %d: exit %v steps %d, want a timeout at %d", what, s-1, r.Exit, r.Steps, s)
 					}
 				}

@@ -799,7 +799,7 @@ func TestStepLimitIsTimeout(t *testing.T) {
 		t.Fatalf("exit = %v", res.Exit)
 	}
 	// A larger one-off budget still times out (infinite loop).
-	res = m.RunWithLimit(nil, 100_000)
+	res = m.RunSharedWithLimit(nil, 100_000).Clone()
 	if res.Exit != vm.StepLimit {
 		t.Fatalf("rerun exit = %v", res.Exit)
 	}

@@ -56,13 +56,13 @@ go test -race -run 'TestSparseBitmapMatchesDense|TestSparseBitmapWrappedCounters
 # golden corpus and the generated sweep, sequentially and with the
 # parallel cross-check, under the race detector. Suites built from
 # recycled machine sets must match fresh suites the same way, also
-# where a released set fits the new suite only in some slots, and
-# warmed suites must hold complete sets. The compile and evolve pools
-# must build one machine set per shard per Run, however many epochs it
-# has, and keep none once Run returns. A sequential RunFast whose
-# binaries agree allocates its outcome and hash slice, nothing more.
+# where a released set fits the new suite only in some slots. The
+# compile and evolve pools must build one machine set per shard per
+# Run, however many epochs it has, and keep none once Run returns. A
+# sequential RunFast whose binaries agree allocates its outcome and
+# hash slice, nothing more.
 echo "== core batch-executor self-test (-race)"
-go test -race -run 'TestRunBatchMatchesRun|TestRunBatchMatchesRunParallel|TestRunBatchSingletonIsRunFast|TestRecycledSuitesMatchFresh|TestSparesMismatchedSlotsMatchFresh|TestWarm|TestSuiteRunConcurrent|TestPoolSparesLastOneRun|TestRunFastSequentialAllocs' \
+go test -race -run 'TestRunBatchMatchesRun|TestRunBatchMatchesRunParallel|TestRunBatchSingletonIsRunFast|TestRecycledSuitesMatchFresh|TestSparesMismatchedSlotsMatchFresh|TestSuiteRunConcurrent|TestPoolSparesLastOneRun|TestRunFastSequentialAllocs' \
 	-count=1 ./internal/core
 
 # The lowering equivalence gates: CompileAll, which shares one
